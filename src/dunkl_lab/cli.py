@@ -79,6 +79,14 @@ def _pick(flag, section: dict, key: str, default=None):
     return section.get(key, default)
 
 
+def _seed(ns, section: dict, global_seed) -> int:
+    # flags bypass the schema, which asks for a nonnegative seed
+    seed = int(_pick(ns.seed, section, "seed", global_seed))
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _require(value, name: str):
     if value is None:
         raise ConfigError(f"missing required option: {name}")
@@ -118,7 +126,10 @@ def _parse_floats(value):
 
 
 def _write_or_print(payload: dict, out_path):
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"refusing to write a non-finite number: {exc}") from None
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -181,7 +192,7 @@ def cmd_verify(ns, section: dict, global_seed) -> int:
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    seed = _pick(ns.seed, section, "seed", global_seed)
+    seed = _seed(ns, section, global_seed)
     results = run_suites(names, seed=seed)
     for res in results:
         print(res.line())
@@ -213,7 +224,7 @@ def cmd_simulate(ns, section: dict, global_seed) -> int:
     )
     x0 = _require(_parse_floats(_pick(ns.x0, section, "x0")), "x0")
     horizon = _require(_pick(ns.horizon, section, "horizon"), "horizon")
-    seed = _pick(ns.seed, section, "seed", global_seed)
+    seed = _seed(ns, section, global_seed)
     system = build_root_system(family, rank, mults)
     config = SimConfig(
         system=system,
@@ -223,7 +234,7 @@ def cmd_simulate(ns, section: dict, global_seed) -> int:
         dt_base=float(_pick(ns.dt_base, section, "dt_base", 1e-3)),
         scheme=_pick(ns.scheme, section, "scheme", "euler-adaptive"),
         ensemble=int(_pick(ns.ensemble, section, "ensemble", 1)),
-        master_seed=int(seed),
+        master_seed=seed,
         obs_times=_parse_floats(_pick(ns.obs_times, section, "obs_times")) or (),
         jumps=bool(_pick(ns.jumps, section, "jumps", False)),
         drift_limit=float(_pick(ns.drift_limit, section, "drift_limit", 0.2)),
@@ -273,9 +284,11 @@ def cmd_freeze(ns, section: dict, global_seed) -> int:
     k_values = _require(
         _parse_floats(_pick(ns.k_values, section, "k_values")), "k_values"
     )
+    if not all(k > 0 for k in k_values):
+        raise ConfigError(f"multiplicities must be positive, got {list(k_values)}")
     t = float(_pick(ns.t, section, "t", 1.0))
     paths = int(_pick(ns.paths, section, "paths", 200))
-    seed = int(_pick(ns.seed, section, "seed", global_seed))
+    seed = _seed(ns, section, global_seed)
     no_ode = ns.no_ode if ns.no_ode is not None else not section.get("ode", True)
     samples = freezing_experiment(n, k_values, t=t, n_paths=paths, seed=seed)
     payload = {
@@ -307,7 +320,10 @@ def cmd_roots(ns, section: dict, _global_seed) -> int:
     kind = _require(_pick(ns.kind, section, "kind"), "kind")
     if kind == "hermite":
         n = int(_require(_pick(ns.n, section, "n"), "n"))
-        z = hermite_roots(n)
+        try:
+            z = hermite_roots(n)
+        except ValueError as exc:
+            raise ConfigError(f"hermite roots: {exc}") from None
         payload = {
             "kind": "hermite",
             "n": n,
@@ -317,7 +333,10 @@ def cmd_roots(ns, section: dict, _global_seed) -> int:
     elif kind == "laguerre":
         n = int(_require(_pick(ns.n, section, "n"), "n"))
         a = float(_pick(ns.alpha, section, "alpha", 0.0))
-        z = laguerre_roots(n, a)
+        try:
+            z = laguerre_roots(n, a)
+        except ValueError as exc:
+            raise ConfigError(f"laguerre roots: {exc}") from None
         payload = {
             "kind": "laguerre",
             "n": n,

@@ -36,7 +36,7 @@ from typing import Callable, Protocol, Sequence
 
 from .errors import DimensionError, ExactModeError, HyperplaneError
 from .polyx import MultiPoly, alternating_quotient
-from .rootsys import Root, RootSystem, Scalar, Vector, check_closure, dot
+from .rootsys import RootSystem, Scalar, Vector, dot, reflect
 
 HYPERPLANE_FLOOR = 1e-8
 
@@ -139,7 +139,7 @@ class DunklContext:
                 "exact mode needs rational root coordinates "
                 "(integer-representatives scale)"
             )
-        result = check_closure(self.system)
+        result = self.system.closure
         if not result:
             raise ExactModeError(f"root system is not closed: {result.detail}")
 
@@ -233,11 +233,6 @@ def commutator(ctx: DunklContext, i: int, j: int, p: MultiPoly) -> MultiPoly:
 # pointwise generators (exact or float, following the input types)
 
 
-def _reflected_point(r: Root, x: Sequence[Scalar]) -> Vector:
-    c = 2 * dot(r.vector, x) / r.sq_norm
-    return tuple(xi - c * ai for xi, ai in zip(x, r.vector))
-
-
 def dunkl_laplacian_expanded(ctx: DunklContext, f: PointFunction, x: Sequence[Scalar]) -> Scalar:
     """The expanded Dunkl Laplacian at x, using f's oracles.
 
@@ -255,7 +250,7 @@ def dunkl_laplacian_expanded(ctx: DunklContext, f: PointFunction, x: Sequence[Sc
             continue
         d = dot(r.vector, x)
         acc = acc + 2 * k * dot(r.vector, grad) / d
-        acc = acc - k * r.sq_norm * (fx - f.value(_reflected_point(r, x))) / (d * d)
+        acc = acc - k * r.sq_norm * (fx - f.value(reflect(r, x))) / (d * d)
     return acc
 
 
@@ -272,7 +267,7 @@ def kbe_generator(ctx: DunklContext, f: PointFunction, x: Sequence[Scalar]) -> S
             continue
         d = dot(r.vector, x)
         acc = acc + k * dot(r.vector, grad) / d
-        acc = acc - k * r.sq_norm * (fx - f.value(_reflected_point(r, x))) / (2 * d * d)
+        acc = acc - k * r.sq_norm * (fx - f.value(reflect(r, x))) / (2 * d * d)
     return acc
 
 
@@ -289,5 +284,5 @@ def kfe_generator(ctx: DunklContext, f: PointFunction, x: Sequence[Scalar]) -> S
             continue
         d = dot(r.vector, x)
         acc = acc - k * dot(r.vector, grad) / d
-        acc = acc + k * r.sq_norm * (fx + f.value(_reflected_point(r, x))) / (2 * d * d)
+        acc = acc + k * r.sq_norm * (fx + f.value(reflect(r, x))) / (2 * d * d)
     return acc

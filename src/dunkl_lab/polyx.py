@@ -31,7 +31,7 @@ from .errors import (
     ExactModeError,
     PolynomialDivisionError,
 )
-from .rootsys import Root
+from .rootsys import Root, signed_permutation_of
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -346,21 +346,10 @@ def compose_reflection(p: MultiPoly, alpha: Union[Root, Sequence[Sequence[Ration
         ]
     else:
         matrix = [list(row) for row in alpha]
-    sp = _signed_permutation_of(matrix)
+    sp = signed_permutation_of(matrix)
     if sp is not None:
         return p.compose_signed_permutation(*sp)
     return p.compose_linear(matrix)
-
-
-def _signed_permutation_of(matrix):
-    perm, signs = [], []
-    for row in matrix:
-        nz = [(j, c) for j, c in enumerate(row) if c != 0]
-        if len(nz) != 1 or nz[0][1] not in (1, -1, Fraction(1), Fraction(-1)):
-            return None
-        perm.append(nz[0][0])
-        signs.append(int(nz[0][1]))
-    return tuple(perm), tuple(signs)
 
 
 def divide_by_linear(

@@ -35,6 +35,13 @@ under rescaling roots, so the scalings are interchangeable for identity
 checks.  I2(m) is float-only except m = 4, whose reflection matrices are
 rational; for m in {3, 6} no rational 2-dimensional model exists (the
 reflection matrices contain sin/cos of pi/3), so exact mode rejects them.
+
+Every system carries a reflection index table: entry [a][b] is the index of
+sigma_a(beta_b) in the root list.  Closure, reducedness and orbits are read
+from it.  Family systems get it from exact data shared by both scalings (the
+integer representatives for A/B/D, the dihedral rule for I2); custom exact
+sets compute it in integers, and only custom float sets match reflected
+vectors within FLOAT_MATCH_TOL.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence, Union
@@ -62,7 +69,7 @@ SCALE_INTEGER = "integer-representatives"
 SCALE_NORMALIZED = "normalized"
 FAMILIES = ("A", "B", "D", "I2")
 
-# Matching tolerance for float-mode closure and root lookups.
+# Matching tolerance for the closure of custom float root sets.
 FLOAT_MATCH_TOL = 1e-12
 
 
@@ -89,6 +96,15 @@ class Root:
         if all(c == 0 for c in self.vector):
             raise InvalidRootError("zero vector is not a root")
 
+    @cached_property
+    def fvector(self) -> tuple[float, ...]:
+        """The coordinates as floats; float(q) * x is what Fraction * float computes."""
+        return tuple(float(c) for c in self.vector)
+
+    @cached_property
+    def fsq_norm(self) -> float:
+        return float(self.sq_norm)
+
 
 def reflect(alpha: Union[Root, Sequence[Scalar]], x: Sequence[Scalar]) -> Vector:
     """Reflect x in the hyperplane orthogonal to alpha.
@@ -98,7 +114,11 @@ def reflect(alpha: Union[Root, Sequence[Scalar]], x: Sequence[Scalar]) -> Vector
     length mismatch.
     """
     if isinstance(alpha, Root):
-        vec, nrm = alpha.vector, alpha.sq_norm
+        if all(type(c) is float for c in x):
+            # same bits as the Fraction/float mix, without its dispatch
+            vec, nrm = alpha.fvector, alpha.fsq_norm
+        else:
+            vec, nrm = alpha.vector, alpha.sq_norm
     else:
         vec = tuple(alpha)
         nrm = sq_norm(vec)
@@ -106,6 +126,19 @@ def reflect(alpha: Union[Root, Sequence[Scalar]], x: Sequence[Scalar]) -> Vector
             raise InvalidRootError("cannot reflect in a zero vector")
     c = 2 * dot(vec, x) / nrm
     return tuple(xi - c * ai for xi, ai in zip(x, vec))
+
+
+def signed_permutation_of(matrix) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(perm, signs) when the matrix maps x to y with y_i = signs[i] * x[perm[i]],
+    else None."""
+    perm, signs = [], []
+    for row in matrix:
+        nz = [(j, c) for j, c in enumerate(row) if c != 0]
+        if len(nz) != 1 or nz[0][1] not in (1, -1, Fraction(1), Fraction(-1)):
+            return None
+        perm.append(nz[0][0])
+        signs.append(int(nz[0][1]))
+    return tuple(perm), tuple(signs)
 
 
 class ClosureResult:
@@ -140,6 +173,11 @@ class RootSystem:
     rank: int
     multiplicities: tuple[Scalar, ...]
     scale: str
+    # Reflection index table from exact family data (build_root_system);
+    # None for custom systems, which derive it from their vectors.
+    family_table: tuple[tuple[int, ...], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     # -- basic views ---------------------------------------------------
 
@@ -158,17 +196,22 @@ class RootSystem:
             isinstance(c, (Fraction, int)) for r in self.roots for c in r.vector
         )
 
-    @cached_property
-    def exact_index(self):
-        """Vector-to-index table; None unless the system is exact.
-
-        Fraction and int hash alike, so mixed-representation lookups work.
-        """
-        if not self.is_exact:
-            return None
-        return {tuple(r.vector): i for i, r in enumerate(self.roots)}
-
     # -- reflections ----------------------------------------------------
+
+    @cached_property
+    def reflection_table(self) -> tuple[tuple[int, ...], ...]:
+        """Entry [a][b] is the index of sigma_a(beta_b) in ``roots``, or -1
+        when that image is not a root.  Built once per system."""
+        if self.family_table is not None:
+            return self.family_table
+        if self.is_exact:
+            return _integer_table(_integer_vectors(self.roots))
+        return _float_table(self.roots)
+
+    @cached_property
+    def closure(self) -> ClosureResult:
+        """The verdict of check_closure, computed once per system."""
+        return check_closure(self)
 
     @cached_property
     def reflection_matrices(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
@@ -197,19 +240,7 @@ class RootSystem:
         inspected.  The A/B/D integer representatives all have this form,
         which gives polynomial composition a fast path.
         """
-        out = []
-        for mat in self.reflection_matrices:
-            perm, signs = [], []
-            good = True
-            for row in mat:
-                nz = [(j, c) for j, c in enumerate(row) if c != 0]
-                if len(nz) != 1 or nz[0][1] not in (1, -1, Fraction(1), Fraction(-1)):
-                    good = False
-                    break
-                perm.append(nz[0][0])
-                signs.append(int(nz[0][1]))
-            out.append((tuple(perm), tuple(signs)) if good else None)
-        return tuple(out)
+        return tuple(signed_permutation_of(mat) for mat in self.reflection_matrices)
 
     def reflect_index(self, root_index: int, x: Sequence[Scalar]) -> Vector:
         return reflect(self.roots[root_index], x)
@@ -492,8 +523,9 @@ def _build_root_system(
         rank=rank,
         multiplicities=tuple(mults),
         scale=scale,
+        family_table=_family_table(family, rank),
     )
-    closure = check_closure(system)
+    closure = system.closure
     if not closure:
         raise InvalidRootError(f"built system failed closure: {closure.detail}")
     return system
@@ -540,60 +572,133 @@ def make_system_from_vectors(
 # verification
 
 
-def _find_root(system: RootSystem, vec: Vector) -> int:
-    """Index of vec among the roots, or -1."""
-    exact = system.is_exact and all(not isinstance(c, float) for c in vec)
-    if exact:
-        return system.exact_index.get(tuple(vec), -1)
-    for i, r in enumerate(system.roots):
-        if all(abs(float(a) - float(b)) <= FLOAT_MATCH_TOL for a, b in zip(r.vector, vec)):
-            return i
-    return -1
+@lru_cache(maxsize=128)
+def _family_table(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Reflection index table of a family, shared by both scalings.
+
+    I2(m) root l sits at angle pi l / m, so sigma_j sends root l to root
+    (2j + m - l) mod 2m.  A/B/D tables come from the integer representatives,
+    whose index order the normalized scale shares.
+    """
+    if family == "I2":
+        m2 = 2 * rank
+        return tuple(
+            tuple((2 * j + rank - ell) % m2 for ell in range(m2)) for j in range(m2)
+        )
+    return _integer_table(_family_vectors(family, rank)[0])
+
+
+def _integer_vectors(roots: Sequence[Root]) -> list[tuple[int, ...]]:
+    """Exact root vectors scaled by their common denominator to integers."""
+    den = math.lcm(*(Fraction(c).denominator for r in roots for c in r.vector))
+    return [tuple(int(c * den) for c in r.vector) for r in roots]
+
+
+def _integer_table(vectors: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Reflection index table of integer vectors, in integer arithmetic.
+
+    sigma_a(b) = b - (2 a.b / a.a) a is b itself unless b shares a nonzero
+    coordinate with a, and differs from b only on the support of a (at most
+    two coordinates for A/B/D).
+    """
+    index = {v: i for i, v in enumerate(vectors)}
+    touching = [[] for _ in vectors[0]]
+    for j, b in enumerate(vectors):
+        for i, c in enumerate(b):
+            if c:
+                touching[i].append(j)
+    table = []
+    for a in vectors:
+        support = [(i, c) for i, c in enumerate(a) if c]
+        norm = sum(c * c for _, c in support)
+        row = list(range(len(vectors)))
+        for j in {j for i, _ in support for j in touching[i]}:
+            b = vectors[j]
+            twice = 2 * sum(c * b[i] for i, c in support)
+            if not twice:
+                continue
+            image = list(b)
+            for i, c in support:
+                q, rem = divmod(twice * c, norm)
+                if rem:
+                    image = None
+                    break
+                image[i] -= q
+            row[j] = -1 if image is None else index.get(tuple(image), -1)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _float_table(roots: Sequence[Root]) -> tuple[tuple[int, ...], ...]:
+    """Reflection index table by matching images within FLOAT_MATCH_TOL."""
+    vecs = [r.fvector for r in roots]
+
+    def find(image) -> int:
+        for i, v in enumerate(vecs):
+            if all(abs(a - float(b)) <= FLOAT_MATCH_TOL for a, b in zip(v, image)):
+                return i
+        return -1
+
+    return tuple(tuple(find(reflect(a, b.vector)) for b in roots) for a in roots)
+
+
+def _non_reduced_pair(system: RootSystem) -> tuple[int, int] | None:
+    """Two parallel roots a, b with b != -a, or None.
+
+    sigma_a(b) = -b exactly when b is parallel to a, so the table names the
+    candidates.  Cauchy-Schwarz (a.b)^2 = |a|^2 |b|^2, an equality exactly
+    for parallel vectors, confirms them: in integers for exact systems,
+    within FLOAT_MATCH_TOL relative to |a|^2 |b|^2 otherwise.
+    """
+    table = system.reflection_table
+    negs = [row[b] for b, row in enumerate(table)]
+    candidates = [
+        (a, b)
+        for a, row in enumerate(table)
+        for b in range(a + 1, len(row))
+        if row[b] == negs[b] and b != negs[a]
+    ]
+    if not candidates:
+        return None
+    if system.is_exact:
+        vecs, tol = _integer_vectors(system.roots), 0
+    else:
+        vecs, tol = [r.fvector for r in system.roots], FLOAT_MATCH_TOL
+    for a, b in candidates:
+        ab = sum(p * q for p, q in zip(vecs[a], vecs[b]))
+        bound = sum(p * p for p in vecs[a]) * sum(q * q for q in vecs[b])
+        if abs(ab * ab - bound) <= tol * bound:
+            return a, b
+    return None
 
 
 def check_closure(system: RootSystem) -> ClosureResult:
     """Verify reflection closure, reducedness and presence of negatives.
 
-    Returns a truthy ClosureResult on success; on failure the result is
-    falsy and ``detail`` names the offending pair.
+    Reads the system's reflection table; sigma_a(a) = -a, so entry [a][a]
+    is the index of the negative.  Returns a truthy ClosureResult on
+    success; on failure the result is falsy and ``detail`` names the
+    offending pair.
     """
     roots = system.roots
-    for r in roots:
-        neg = tuple(-c for c in r.vector)
-        if _find_root(system, neg) < 0:
-            return ClosureResult(False, f"missing negative of {r.vector}")
-    # Reducedness: no root may be a multiple of another except by -1.
-    for i, a in enumerate(roots):
-        for j, b in enumerate(roots):
-            if i >= j:
-                continue
-            # parallel iff all 2x2 minors vanish
-            parallel = True
-            for p in range(system.dimension):
-                for q in range(p + 1, system.dimension):
-                    m = a.vector[p] * b.vector[q] - a.vector[q] * b.vector[p]
-                    if abs(float(m)) > FLOAT_MATCH_TOL:
-                        parallel = False
-                        break
-                if not parallel:
-                    break
-            if parallel:
-                # ratio from the largest coordinate; float residue in the
-                # near-zero ones must not pollute it
-                p = max(range(system.dimension), key=lambda q: abs(float(a.vector[q])))
-                ratio = float(b.vector[p]) / float(a.vector[p])
-                if abs(abs(ratio) - 1.0) > FLOAT_MATCH_TOL:
-                    return ClosureResult(
-                        False, f"non-reduced pair {a.vector} and {b.vector}"
-                    )
-    for a in roots:
-        for b in roots:
-            image = reflect(a, b.vector)
-            if _find_root(system, image) < 0:
-                return ClosureResult(
-                    False,
-                    f"reflect({a.vector}) maps {b.vector} to {image}, not a root",
-                )
+    table = system.reflection_table
+    for a, row in enumerate(table):
+        if row[a] < 0:
+            return ClosureResult(False, f"missing negative of {roots[a].vector}")
+    pair = _non_reduced_pair(system)
+    if pair is not None:
+        a, b = pair
+        return ClosureResult(
+            False, f"non-reduced pair {roots[a].vector} and {roots[b].vector}"
+        )
+    for a, row in enumerate(table):
+        if -1 in row:
+            b = roots[row.index(-1)].vector
+            image = reflect(roots[a], b)
+            return ClosureResult(
+                False,
+                f"reflect({roots[a].vector}) maps {b} to {image}, not a root",
+            )
     return ClosureResult(True, "closed and reduced")
 
 
@@ -613,10 +718,8 @@ def compute_orbits(system: RootSystem) -> tuple[int, ...]:
         if ri != rj:
             parent[ri] = rj
 
-    for a in system.roots:
-        for j, b in enumerate(system.roots):
-            image = reflect(a, b.vector)
-            idx = _find_root(system, image)
+    for row in system.reflection_table:
+        for j, idx in enumerate(row):
             if idx < 0:
                 raise InvalidRootError("orbit computation requires a closed system")
             union(j, idx)

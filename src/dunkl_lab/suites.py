@@ -4,20 +4,13 @@ Each suite samples generic points, evaluates one family of identities
 through code paths that are as independent as the package allows, and
 folds the residuals into IdentityReports.  Suites are pure functions of
 their seed, so two runs with the same arguments give the same outcome.
-
-Point batches go through a thread pool whose size is read from the
-DUNKL_LAB_THREADS environment variable (default 1); results are reduced
-in submission order either way, so the worker count never changes the
-output.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,25 +43,6 @@ from .transform import (
     triple_sum_check_a,
     unconfined_map_check,
 )
-
-
-def thread_count() -> int:
-    raw = os.environ.get("DUNKL_LAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n >= 1 else 1
-
-
-def map_ordered(fn, items):
-    """Apply fn over items with the configured worker pool, keeping order."""
-    items = list(items)
-    workers = thread_count()
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -162,7 +136,7 @@ def suite_lemma1(seed: int = 0, n_points: int = 100) -> SuiteResult:
                     worst = max(worst, abs(weight(system, spt) - wbase))
                 return worst
 
-            residuals = map_ordered(check, points)
+            residuals = [check(pt) for pt in points]
             bad = max(residuals)
             if bad != 0:
                 ok = False
@@ -225,7 +199,7 @@ def suite_lemma2(seed: int = 0, n_points: int = 25, float_tol: float = 1e-10) ->
                 side = lemma2_check(system, pt)
                 return abs(side.residual)
 
-            gaps = map_ordered(exact_gap, points)
+            gaps = [exact_gap(pt) for pt in points]
             exact_bad = max(gaps)
             if exact_bad != 0:
                 ok = False
@@ -234,7 +208,7 @@ def suite_lemma2(seed: int = 0, n_points: int = 25, float_tol: float = 1e-10) ->
                 side = lemma2_check(system, tuple(float(c) for c in pt))
                 return abs(side.residual) / side.scale
 
-            rels = map_ordered(float_gap, points)
+            rels = [float_gap(pt) for pt in points]
             worst_rel = max(worst_rel, max(rels))
             reports.append(
                 report_from_samples(
@@ -340,6 +314,10 @@ def suite_theorem1(
         worst = 0.0
         for family, rank, mults in _SCALING_FAMILIES:
             base = build_root_system(family, rank, mults)
+            pts = [
+                _float_point(base, seed=seed * 101 + 13 * j + rank)
+                for j in range(n_points)
+            ]
             samples = []
             for omega in OMEGAS:
                 for scale in K_SCALES:
@@ -350,14 +328,9 @@ def suite_theorem1(
                         poly=_random_poly(system.dimension, max_degree, rng),
                     )
                     tau = rng.uniform(-0.3, 0.4)
-                    pts = [
-                        _float_point(base, seed=seed * 101 + 13 * j + rank)
-                        for j in range(n_points)
-                    ]
-                    sides = map_ordered(
-                        lambda pt: theorem1_sides(params, fn, tau, pt), pts
+                    samples.extend(
+                        (pt, theorem1_sides(params, fn, tau, pt)) for pt in pts
                     )
-                    samples.extend(zip(pts, sides))
             report = report_from_samples(
                 "diffusion-scaling-identity",
                 f"{family}{rank}",

@@ -39,6 +39,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -90,6 +91,11 @@ class TestFunction:
     lam: float
     poly: MultiPoly
 
+    @cached_property
+    def spatial(self) -> PolyFunction:
+        """p(zeta) as a PointFunction; its gradient and Laplacian are derived once."""
+        return PolyFunction(self.poly)
+
     def value(self, tau, zeta):
         e = cmath.exp(self.lam * tau) if isinstance(tau, complex) else math.exp(self.lam * tau)
         return e * self.poly.eval(zeta)
@@ -99,11 +105,11 @@ class TestFunction:
 
     def gradient(self, tau, zeta):
         e = cmath.exp(self.lam * tau) if isinstance(tau, complex) else math.exp(self.lam * tau)
-        return [e * g.eval(zeta) for g in self.poly.gradient()]
+        return [e * g for g in self.spatial.gradient(zeta)]
 
     def laplacian(self, tau, zeta):
         e = cmath.exp(self.lam * tau) if isinstance(tau, complex) else math.exp(self.lam * tau)
-        return e * self.poly.laplacian().eval(zeta)
+        return e * self.spatial.laplacian(zeta)
 
 
 def _log_signed(s):
@@ -147,9 +153,9 @@ def w_gradient(params: TransformParams, zeta):
         k = float(r.multiplicity)
         if not k:
             continue
-        d = dot_any(r.vector, zeta)
+        d = dot_any(r.fvector, zeta)
         for i in range(n):
-            g[i] = g[i] - k * float(r.vector[i]) / d
+            g[i] = g[i] - k * r.fvector[i] / d
     return g
 
 
@@ -162,8 +168,8 @@ def w_laplacian(params: TransformParams, zeta):
         k = float(r.multiplicity)
         if not k:
             continue
-        d = dot_any(r.vector, zeta)
-        acc = acc + k * float(r.sq_norm) / (d * d)
+        d = dot_any(r.fvector, zeta)
+        acc = acc + k * r.fsq_norm / (d * d)
     return acc
 
 
@@ -358,19 +364,19 @@ def theorem1_sides(
         k = float(r.multiplicity)
         if not k:
             continue
-        d = dot_any(r.vector, zs)
+        d = dot_any(r.fvector, zs)
         if d == 0:
             raise HyperplaneError("point lies on a reflecting hyperplane")
         sz = reflect(r, zs)
         # W is reflection invariant, so (e^W u)(sigma z) is just U(sigma z)
         u_ref = fn.value(tau, sz)
-        lhs = lhs - k * dot_any(r.vector, hat_grad) / d
-        lhs = lhs + (k * float(r.sq_norm) / 2) * (u0 + u_ref) / (d * d)
+        lhs = lhs - k * dot_any(r.fvector, hat_grad) / d
+        lhs = lhs + (k * r.fsq_norm / 2) * (u0 + u_ref) / (d * d)
     lhs = lhs + omega * sum(z * hg for z, hg in zip(zs, hat_grad))
     lhs = lhs - hat_tau
 
     cm = CMParams(system=system, omega=omega)
-    h_u = float(cm_apply(cm, PolyFunction(fn.poly), zs)) * math.exp(fn.lam * tau)
+    h_u = float(cm_apply(cm, fn.spatial, zs)) * math.exp(fn.lam * tau)
     e0 = float(ground_energy(cm))
     rhs = -(du_tau + h_u - e0 * u0)
     return SideBySide(lhs=lhs, rhs=rhs)

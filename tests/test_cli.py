@@ -5,7 +5,8 @@ import json
 import pytest
 
 import dunkl_lab.suites as suites_mod
-from dunkl_lab.cli import main
+from dunkl_lab.cli import _write_or_print, main
+from dunkl_lab.errors import ConfigError
 from dunkl_lab.suites import SuiteResult
 
 SIM_ARGS = [
@@ -157,3 +158,30 @@ def test_roots_outputs(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed["system"]["family"] == "D"
     assert len(printed["system"]["roots"]) == 24
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["roots", "--kind", "hermite", "--n", "60"],
+        ["roots", "--kind", "laguerre", "--n", "3", "--alpha", "-2"],
+        ["verify", "oscillator", "--seed", "-1"],
+        SIM_ARGS[:-1] + ["-1"],
+        ["freeze", "--n", "2", "--k", "5", "--paths", "2", "--no-ode", "--seed", "-1"],
+        ["freeze", "--n", "2", "--k", "0", "--paths", "2", "--no-ode"],
+    ],
+)
+def test_bad_inputs_exit_one_with_message(args, capsys):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "NaN" not in captured.out
+
+
+def test_non_finite_payload_is_refused(tmp_path):
+    out = tmp_path / "nan.json"
+    with pytest.raises(ConfigError):
+        _write_or_print({"value": float("nan")}, str(out))
+    assert not out.exists()
+    _write_or_print({"b": 1.5, "a": [0.1, 2]}, str(out))
+    assert out.read_text() == '{\n  "a": [\n    0.1,\n    2\n  ],\n  "b": 1.5\n}\n'

@@ -18,7 +18,7 @@ from dunkl_lab.dunkl import (
 )
 from dunkl_lab.errors import ExactModeError, HyperplaneError
 from dunkl_lab.polyx import MultiPoly, parse_poly
-from dunkl_lab.rootsys import build_root_system, sample_generic_point
+from dunkl_lab.rootsys import build_root_system, make_system_from_vectors, sample_generic_point
 
 K1 = Fraction(3, 2)
 
@@ -96,6 +96,14 @@ def test_exact_mode_requires_rational_data():
     ctx = DunklContext(sys_f, mode="float")
     with pytest.raises(ExactModeError):
         dunkl_apply(ctx, (1, 0, 0), MultiPoly.variable(3, 0))
+
+
+def test_unclosed_custom_system_is_rejected():
+    # reflecting (0, 1) in (1, 1) gives (-1, 0), which is missing
+    unclosed = make_system_from_vectors([(1, 1), (-1, -1), (0, 1), (0, -1)])
+    for mode in ("exact", "float"):
+        with pytest.raises(ExactModeError, match="not closed"):
+            DunklContext(unclosed, mode=mode)
 
 
 def test_hyperplane_guard():

@@ -8,6 +8,7 @@ import pytest
 
 from dunkl_lab.errors import ExactModeError, InvalidRootError, SamplingError, UnsupportedFamilyError
 from dunkl_lab.rootsys import (
+    FLOAT_MATCH_TOL,
     RootSystem,
     build_root_system,
     chamber_vector,
@@ -173,6 +174,89 @@ def test_closure_detects_broken_sets():
     assert not check_closure(doubled)
     ok = make_system_from_vectors([(1, 0), (-1, 0), (0, 1), (0, -1)])
     assert check_closure(ok)
+
+
+def test_closure_of_float_and_rational_custom_sets():
+    def floats(vectors):
+        return make_system_from_vectors([tuple(float(c) for c in v) for v in vectors])
+
+    assert not check_closure(floats([(1, 0), (-1, 0), (1, 1), (-1, -1)]))
+    assert not check_closure(floats([(1, 0), (-1, 0), (2, 0), (-2, 0)]))
+    assert check_closure(floats([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+    # a missing negative
+    assert not check_closure(make_system_from_vectors([(1, 0), (-1, 0), (0, 1)]))
+    # rational coordinates are matched exactly after scaling to integers
+    halves = make_system_from_vectors(
+        [(Fraction(1, 2), 0), (Fraction(-1, 2), 0), (0, Fraction(1, 3)), (0, Fraction(-1, 3))]
+    )
+    assert check_closure(halves)
+
+
+def _brute_force_table(system):
+    """sigma_a(beta_b) by reflecting every root and scanning the root list:
+    exact equality for exact systems, FLOAT_MATCH_TOL otherwise."""
+    table = []
+    for a in system.roots:
+        row = []
+        for b in system.roots:
+            image = reflect(a, b.vector)
+            hits = [
+                i
+                for i, r in enumerate(system.roots)
+                if (r.vector == image if system.is_exact
+                    else all(abs(float(p) - float(q)) <= FLOAT_MATCH_TOL
+                             for p, q in zip(r.vector, image)))
+            ]
+            assert len(hits) <= 1
+            row.append(hits[0] if hits else -1)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _brute_force_orbits(table):
+    labels = list(range(len(table)))
+    changed = True
+    while changed:
+        changed = False
+        for row in table:
+            for b, image in enumerate(row):
+                low = min(labels[b], labels[image])
+                if labels[b] != low or labels[image] != low:
+                    labels[b] = labels[image] = low
+                    changed = True
+    names = {}
+    return tuple(names.setdefault(lab, len(names)) for lab in labels)
+
+
+TABLE_CASES = (
+    [("A", r, (1,), "integer-representatives") for r in range(1, 6)]
+    + [("B", 1, (1,), "integer-representatives")]
+    + [("B", r, (1, 2), "integer-representatives") for r in range(2, 6)]
+    + [("D", r, (1,), "integer-representatives") for r in range(2, 6)]
+    + [("I2", 4, (1, 2), "integer-representatives")]
+    + [("I2", m, (1,) if m % 2 else (1, 2), "normalized") for m in range(3, 9)]
+    + [("A", 3, (1.0,), "normalized"), ("B", 3, (1.0, 0.5), "normalized")]
+)
+
+
+@pytest.mark.parametrize("family,rank,mults,scale", TABLE_CASES)
+def test_reflection_table_matches_brute_force(family, rank, mults, scale):
+    system = build_root_system(family, rank, mults, scale=scale)
+    table = _brute_force_table(system)
+    assert system.reflection_table == table
+    assert all(i >= 0 for row in table for i in row)
+    assert check_closure(system)
+    assert compute_orbits(system) == _brute_force_orbits(table)
+    # a custom copy of the same vectors derives its own table
+    custom = make_system_from_vectors([r.vector for r in system.roots])
+    assert custom.reflection_table == table
+    assert check_closure(custom)
+    # the table survives multiplicity scaling and orbit rescaling
+    assert system.with_multiplicity_scale(2).reflection_table == table
+    if system.is_exact:
+        stretched = system.rescale_orbit(system.roots[-1].orbit, Fraction(3))
+        assert stretched.reflection_table == _brute_force_table(stretched)
+        assert check_closure(stretched)
 
 
 def test_json_round_trip():
