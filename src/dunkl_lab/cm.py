@@ -37,6 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from .dunkl import DunklContext, PointFunction, dunkl_apply, dunkl_direction
 from .errors import DimensionError, ExactModeError
 from .polyx import MultiPoly
-from .rootsys import RootSystem, Scalar, build_root_system, dot
+from .rootsys import RootSystem, Scalar, build_root_system, reflect
 
 SPIN_SITE_CAP = 12
 
@@ -73,12 +74,10 @@ def cm_apply(params: CMParams, f: PointFunction, x: Sequence[Scalar]) -> Scalar:
         k = r.multiplicity
         if not k:
             continue
-        d = dot(r.vector, x)
+        d = r.dot(x)
         if d == 0:
             raise ZeroDivisionError("point on a reflecting hyperplane")
-        c = 2 * d / r.sq_norm
-        sx = tuple(xi - c * ai for xi, ai in zip(x, r.vector))
-        acc = acc + (r.sq_norm * k) * (k * fx - f.value(sx)) / (2 * d * d)
+        acc = acc + (r.sq_norm * k) * (k * fx - f.value(reflect(r, x))) / (2 * d * d)
     if params.omega:
         acc = acc + (params.omega * params.omega) * sum(c * c for c in x) * fx / 2
     return acc
@@ -105,9 +104,9 @@ def _log_weight_half_gradient(system: RootSystem, x):
         k = float(r.multiplicity)
         if not k:
             continue
-        d = float(dot(r.vector, x))
+        d = float(r.dot(x))
         for i in range(n):
-            g[i] += k * float(r.vector[i]) / d
+            g[i] += k * r.fvector[i] / d
     return g
 
 
@@ -121,7 +120,7 @@ def groundstate_value(params: CMParams, x: Sequence[Scalar]) -> float:
         k = float(r.multiplicity)
         if not k:
             continue
-        d = float(dot(r.vector, xs))
+        d = float(r.dot(xs))
         log_phi += k * math.log(abs(d))
     return math.exp(log_phi)
 
@@ -147,8 +146,8 @@ def groundstate_residual(params: CMParams, x: Sequence[Scalar]) -> float:
         k = float(r.multiplicity)
         if not k:
             continue
-        d = float(dot(r.vector, xs))
-        a2 = float(r.sq_norm)
+        d = float(r.dot(xs))
+        a2 = r.fsq_norm
         lap_w0 += k * a2 / (d * d)
         # Phi0 is reflection invariant, so the exchange term contributes
         # k(k-1) per root.
@@ -234,8 +233,15 @@ def transformed_hamiltonian_check(
     )
 
     # right side, exact polynomial then float evaluation
-    system = build_root_system("A", n - 1, [Fraction(k)])
-    ctx = DunklContext(system)
+    rhs = float(_conjugated_rhs(n, Fraction(k), tuple(p.terms.items())).eval(xs))
+    return SideBySide(lhs=lhs, rhs=rhs)
+
+
+@lru_cache(maxsize=256)
+def _conjugated_rhs(n: int, k: Fraction, terms: tuple) -> MultiPoly:
+    """(1/2 sum T_i^2 - k sum x_j d_j) p, exactly, built once per (n, k, p)."""
+    p = MultiPoly(n, dict(terms))
+    ctx = DunklContext(build_root_system("A", n - 1, [k]))
     half_lap = MultiPoly.zero(n)
     for i in range(n):
         e = dunkl_direction(ctx, i)
@@ -243,9 +249,7 @@ def transformed_hamiltonian_check(
     euler = MultiPoly.zero(n)
     for j in range(n):
         euler = euler + MultiPoly.variable(n, j) * p.partial_derivative(j)
-    rhs_poly = Fraction(1, 2) * half_lap - Fraction(k) * euler
-    rhs = float(rhs_poly.eval(xs))
-    return SideBySide(lhs=lhs, rhs=rhs)
+    return Fraction(1, 2) * half_lap - k * euler
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,8 @@ class DunklContext:
             r = self.system.roots[i]
             if r.multiplicity == 0:
                 continue
-            d = dot(r.vector, x)
-            if isinstance(d, Fraction):
+            d = r.dot(x)
+            if isinstance(d, (int, Fraction)):
                 if d == 0:
                     raise HyperplaneError(f"point lies on the hyperplane of {r.vector}")
             else:
@@ -199,7 +199,7 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence[Scalar], p: MultiPoly) -> MultiP
         k = Fraction(r.multiplicity)
         if not k:
             continue
-        a_dot_xi = dot(r.vector, xs)
+        a_dot_xi = r.dot(xs)
         if a_dot_xi:
             out = out + (k * a_dot_xi) * alternating_quotient(p, r)
     return out
@@ -233,56 +233,55 @@ def commutator(ctx: DunklContext, i: int, j: int, p: MultiPoly) -> MultiPoly:
 # pointwise generators (exact or float, following the input types)
 
 
+def _pointwise_generator(
+    ctx: DunklContext,
+    f: PointFunction,
+    x: Sequence[Scalar],
+    drift: int,
+    jump_sign: int,
+    jump_den: int,
+) -> Scalar:
+    """Delta f / jump_den + sum over R+ with k != 0 of
+
+        drift * k (alpha . grad f) / (alpha . x)
+        + jump_sign * k |alpha|^2 [f(x) + jump_sign f(sigma x)] / (jump_den (alpha . x)^2),
+
+    the one formula behind the three generators below.  Unit signs and
+    factors change no bits of a float result.
+    """
+    ctx.guard_point(x)
+    acc = f.laplacian(x) / jump_den
+    grad = f.gradient(x)
+    fx = f.value(x)
+    for idx in ctx.system.positive:
+        r = ctx.system.roots[idx]
+        k = r.multiplicity
+        if not k:
+            continue
+        d = r.dot(x)
+        # the full dot: oracle gradients may mix Fraction and float entries
+        acc = acc + drift * k * dot(r.vector, grad) / d
+        f_ref = f.value(reflect(r, x))
+        acc = acc + jump_sign * (
+            k * r.sq_norm * (fx + jump_sign * f_ref) / (jump_den * d * d)
+        )
+    return acc
+
+
 def dunkl_laplacian_expanded(ctx: DunklContext, f: PointFunction, x: Sequence[Scalar]) -> Scalar:
     """The expanded Dunkl Laplacian at x, using f's oracles.
 
     Agrees with dunkl_laplacian_direct for polynomial-backed f; works for
     Fraction or float points.
     """
-    ctx.guard_point(x)
-    acc = f.laplacian(x)
-    grad = f.gradient(x)
-    fx = f.value(x)
-    for idx in ctx.system.positive:
-        r = ctx.system.roots[idx]
-        k = r.multiplicity
-        if not k:
-            continue
-        d = dot(r.vector, x)
-        acc = acc + 2 * k * dot(r.vector, grad) / d
-        acc = acc - k * r.sq_norm * (fx - f.value(reflect(r, x))) / (d * d)
-    return acc
+    return _pointwise_generator(ctx, f, x, drift=2, jump_sign=-1, jump_den=1)
 
 
 def kbe_generator(ctx: DunklContext, f: PointFunction, x: Sequence[Scalar]) -> Scalar:
     """Backward-equation generator: half the Dunkl Laplacian."""
-    ctx.guard_point(x)
-    acc = f.laplacian(x) / 2
-    grad = f.gradient(x)
-    fx = f.value(x)
-    for idx in ctx.system.positive:
-        r = ctx.system.roots[idx]
-        k = r.multiplicity
-        if not k:
-            continue
-        d = dot(r.vector, x)
-        acc = acc + k * dot(r.vector, grad) / d
-        acc = acc - k * r.sq_norm * (fx - f.value(reflect(r, x))) / (2 * d * d)
-    return acc
+    return _pointwise_generator(ctx, f, x, drift=1, jump_sign=-1, jump_den=2)
 
 
 def kfe_generator(ctx: DunklContext, f: PointFunction, x: Sequence[Scalar]) -> Scalar:
     """Forward-equation generator: drift sign flipped, plus sign in the jump term."""
-    ctx.guard_point(x)
-    acc = f.laplacian(x) / 2
-    grad = f.gradient(x)
-    fx = f.value(x)
-    for idx in ctx.system.positive:
-        r = ctx.system.roots[idx]
-        k = r.multiplicity
-        if not k:
-            continue
-        d = dot(r.vector, x)
-        acc = acc - k * dot(r.vector, grad) / d
-        acc = acc + k * r.sq_norm * (fx + f.value(reflect(r, x))) / (2 * d * d)
-    return acc
+    return _pointwise_generator(ctx, f, x, drift=-1, jump_sign=1, jump_den=2)

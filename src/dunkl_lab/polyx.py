@@ -50,12 +50,13 @@ def _coerce_coeff(c) -> Fraction:
 class MultiPoly:
     """A sparse polynomial in ``nvars`` variables with Fraction coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_compiled")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, RationalLike] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
+        self._compiled = None
         clean: dict[Exponents, Fraction] = {}
         if terms:
             for expo, coeff in terms.items():
@@ -238,12 +239,15 @@ class MultiPoly:
         """Evaluate at a point; exact for Fraction coordinates.
 
         Works generically for Fraction, float or complex coordinates; the
-        return type follows the coordinate type.
+        return type follows the coordinate type.  All-float points use the
+        float compilation, which gives the same bits as the generic loop.
         """
         if len(point) != self.nvars:
             raise DimensionError(
                 f"point of length {len(point)} for {self.nvars} variables"
             )
+        if self.terms and all(type(x) is float for x in point):
+            return self._eval_float(point)
         total = None
         for e, c in self.terms.items():
             term = c
@@ -253,6 +257,24 @@ class MultiPoly:
             total = term if total is None else total + term
         if total is None:
             return Fraction(0) if all(not isinstance(x, (float, complex)) for x in point) else 0.0
+        return total
+
+    def _eval_float(self, point: Sequence[float]) -> object:
+        # Fraction * float is float(c) * float, so the generic loop's
+        # operations in its order give the same bits.  A constant term keeps
+        # its Fraction, as in the generic loop.  The compilation is keyed to
+        # the terms dict it was built from, so reassigning terms rebuilds it.
+        compiled = self._compiled
+        if compiled is None or compiled[0] is not self.terms:
+            compiled = self._compiled = (self.terms, [])
+            for e, c in self.terms.items():
+                factors = tuple((v, p) for v, p in enumerate(e) if p)
+                compiled[1].append((float(c) if factors else c, factors))
+        total = None
+        for term, factors in compiled[1]:
+            for v, p in factors:
+                term = term * point[v] ** p
+            total = term if total is None else total + term
         return total
 
     def compose_signed_permutation(
@@ -332,20 +354,13 @@ def compose_reflection(p: MultiPoly, alpha: Union[Root, Sequence[Sequence[Ration
                 "compose_reflection needs rational root coordinates; "
                 "use integer-representatives scale"
             )
-        n = len(vec)
-        if n != p.nvars:
+        if len(vec) != p.nvars:
             raise DimensionError("root dimension does not match polynomial variables")
-        # sigma = I - 2 a a^T / (a.a)
-        nrm = alpha.sq_norm
-        matrix = [
-            [
-                (Fraction(1) if i == j else Fraction(0)) - 2 * vec[i] * vec[j] / nrm
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    else:
-        matrix = [list(row) for row in alpha]
+        sp = alpha.signed_permutation
+        if sp is not None:
+            return p.compose_signed_permutation(*sp)
+        return p.compose_linear(alpha.reflection_matrix)
+    matrix = [list(row) for row in alpha]
     sp = signed_permutation_of(matrix)
     if sp is not None:
         return p.compose_signed_permutation(*sp)

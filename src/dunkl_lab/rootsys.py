@@ -105,6 +105,44 @@ class Root:
     def fsq_norm(self) -> float:
         return float(self.sq_norm)
 
+    @cached_property
+    def support(self) -> tuple[tuple[int, Scalar], ...]:
+        """(i, c) for each nonzero coordinate, with c an int when it is integral."""
+        return tuple(
+            (i, int(c) if isinstance(c, Fraction) and c.denominator == 1 else c)
+            for i, c in enumerate(self.vector)
+            if c
+        )
+
+    def dot(self, x: Sequence[Scalar]) -> Scalar:
+        """alpha . x summed over the support.
+
+        Equal to dot(vector, x) on rational points, and bit for bit on float
+        points: the skipped terms are +-0.0, which leave a float sum as it is,
+        and an integral c times x gives float(c) * x as a Fraction would.
+        """
+        if len(x) != len(self.vector):
+            raise DimensionError(f"dot of length {len(self.vector)} with length {len(x)}")
+        acc = 0
+        for i, c in self.support:
+            acc = acc + c * x[i]
+        return acc
+
+    @cached_property
+    def reflection_matrix(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Matrix of sigma_alpha = I - 2 a a^T / (a . a), rows acting on columns."""
+        v, nrm = self.vector, self.sq_norm
+        n = len(v)
+        return tuple(
+            tuple((1 if i == j else 0) - 2 * v[i] * v[j] / nrm for j in range(n))
+            for i in range(n)
+        )
+
+    @cached_property
+    def signed_permutation(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The reflection as a signed permutation (see signed_permutation_of)."""
+        return signed_permutation_of(self.reflection_matrix)
+
 
 def reflect(alpha: Union[Root, Sequence[Scalar]], x: Sequence[Scalar]) -> Vector:
     """Reflect x in the hyperplane orthogonal to alpha.
@@ -116,14 +154,18 @@ def reflect(alpha: Union[Root, Sequence[Scalar]], x: Sequence[Scalar]) -> Vector
     if isinstance(alpha, Root):
         if all(type(c) is float for c in x):
             # same bits as the Fraction/float mix, without its dispatch
-            vec, nrm = alpha.fvector, alpha.fsq_norm
-        else:
-            vec, nrm = alpha.vector, alpha.sq_norm
-    else:
-        vec = tuple(alpha)
-        nrm = sq_norm(vec)
-        if nrm == 0:
-            raise InvalidRootError("cannot reflect in a zero vector")
+            c = 2 * alpha.dot(x) / alpha.fsq_norm
+            return tuple(xi - c * ai for xi, ai in zip(x, alpha.fvector))
+        # exact: only the support moves
+        c = 2 * alpha.dot(x) / alpha.sq_norm
+        y = list(x)
+        for i, a in alpha.support:
+            y[i] = y[i] - c * a
+        return tuple(y)
+    vec = tuple(alpha)
+    nrm = sq_norm(vec)
+    if nrm == 0:
+        raise InvalidRootError("cannot reflect in a zero vector")
     c = 2 * dot(vec, x) / nrm
     return tuple(xi - c * ai for xi, ai in zip(x, vec))
 
@@ -196,6 +238,40 @@ class RootSystem:
             isinstance(c, (Fraction, int)) for r in self.roots for c in r.vector
         )
 
+    @cached_property
+    def live_positive(self) -> tuple[Root, ...]:
+        """The positive roots with nonzero multiplicity."""
+        return tuple(r for r in self.positive_roots() if r.multiplicity)
+
+    @cached_property
+    def pair_products(self) -> tuple[tuple[tuple[Scalar, ...], ...], tuple[Scalar, ...]]:
+        """Over ``live_positive``: k(a) k(b) (a . b) for every pair and
+        k(a)^2 |a|^2 for every root, in the arithmetic of the system."""
+        live = self.live_positive
+        pairs = tuple(
+            tuple(a.multiplicity * b.multiplicity * dot(a.vector, b.vector) for b in live)
+            for a in live
+        )
+        return pairs, tuple(a.multiplicity * a.multiplicity * a.sq_norm for a in live)
+
+    @cached_property
+    def float_pair_products(self) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+        """``pair_products`` as floats; q / y for a float y divides float(q) by y."""
+        pairs, diag = self.pair_products
+        return tuple(tuple(map(float, row)) for row in pairs), tuple(map(float, diag))
+
+    @cached_property
+    def integer_multiplicities(self) -> tuple[int, ...] | None:
+        """Each root's multiplicity as an int when all are integral rationals,
+        else None; the weight is exact exactly in that case."""
+        if all(
+            isinstance(r.multiplicity, (int, Fraction))
+            and Fraction(r.multiplicity).denominator == 1
+            for r in self.roots
+        ):
+            return tuple(int(r.multiplicity) for r in self.roots)
+        return None
+
     # -- reflections ----------------------------------------------------
 
     @cached_property
@@ -213,34 +289,21 @@ class RootSystem:
         """The verdict of check_closure, computed once per system."""
         return check_closure(self)
 
-    @cached_property
+    @property
     def reflection_matrices(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
         """Matrix of sigma_alpha for every root, rows acting on columns."""
-        mats = []
-        for r in self.roots:
-            v, nrm = r.vector, r.sq_norm
-            n = self.dimension
-            mats.append(
-                tuple(
-                    tuple(
-                        (1 if i == j else 0) - 2 * v[i] * v[j] / nrm
-                        for j in range(n)
-                    )
-                    for i in range(n)
-                )
-            )
-        return tuple(mats)
+        return tuple(r.reflection_matrix for r in self.roots)
 
-    @cached_property
+    @property
     def signed_permutations(self):
         """Signed-permutation form of each reflection, or None.
 
         When sigma_alpha maps x to y with y_i = s_i * x_{p_i} the entry is
-        (p, s) with integer tuples; otherwise None.  Only exact matrices are
-        inspected.  The A/B/D integer representatives all have this form,
-        which gives polynomial composition a fast path.
+        (p, s) with integer tuples; otherwise None.  The A/B/D integer
+        representatives all have this form, which gives polynomial
+        composition a fast path.  Each root caches its own.
         """
-        return tuple(signed_permutation_of(mat) for mat in self.reflection_matrices)
+        return tuple(r.signed_permutation for r in self.roots)
 
     def reflect_index(self, root_index: int, x: Sequence[Scalar]) -> Vector:
         return reflect(self.roots[root_index], x)
@@ -737,41 +800,56 @@ def compute_orbits(system: RootSystem) -> tuple[int, ...]:
 # weight, discriminant, sampling
 
 
+def _lattice(x: Sequence[Union[int, Fraction]]) -> tuple[int, list[int]]:
+    """(q, X): q is the common denominator of the rational point x, X = q x."""
+    q = math.lcm(*(c.denominator for c in x))
+    return q, [c.numerator * (q // c.denominator) for c in x]
+
+
+def _is_rational(x: Sequence[Scalar]) -> bool:
+    return all(isinstance(c, (int, Fraction)) for c in x)
+
+
 def weight(system: RootSystem, x: Sequence[Scalar]) -> Scalar:
     """w_k(x), the product over all of R of |alpha . x|^k(alpha).
 
     Exact when coordinates are rational and every multiplicity is a
-    nonnegative integer; otherwise evaluated in floating point.
+    nonnegative integer; otherwise evaluated in floating point.  The exact
+    product runs in integers on the lattice point X = q x and is divided by
+    q^(sum of k) once at the end.
     """
-    exact = (
-        system.is_exact
-        and all(not isinstance(c, float) for c in x)
-        and all(
-            isinstance(r.multiplicity, (int, Fraction))
-            and Fraction(r.multiplicity).denominator == 1
-            for r in system.roots
-        )
-    )
-    if exact:
-        acc = Fraction(1)
-        for r in system.roots:
-            k = int(r.multiplicity)
+    ks = system.integer_multiplicities
+    if system.is_exact and ks is not None and _is_rational(x):
+        q, lattice = _lattice(x)
+        acc, deg = 1, 0
+        for r, k in zip(system.roots, ks):
             if k:
-                acc *= abs(dot(r.vector, x)) ** k
-        return acc
+                acc *= abs(r.dot(lattice)) ** k
+                deg += k
+        return Fraction(acc, q**deg)
     acc_f = 1.0
     for r in system.roots:
         k = float(r.multiplicity)
         if k:
-            acc_f *= abs(float(dot(r.vector, x))) ** k
+            acc_f *= abs(float(r.dot(x))) ** k
     return acc_f
 
 
 def discriminant(system: RootSystem, x: Sequence[Scalar]) -> Scalar:
-    """a_R(x) = product over the positive subsystem of (alpha . x)."""
+    """a_R(x) = product over the positive subsystem of (alpha . x).
+
+    Rational points on exact systems multiply in integers on the lattice
+    point X = q x and divide by q^|R+| once.
+    """
+    if system.is_exact and _is_rational(x):
+        q, lattice = _lattice(x)
+        acc = 1
+        for i in system.positive:
+            acc *= system.roots[i].dot(lattice)
+        return Fraction(acc, q ** len(system.positive))
     acc: Scalar = Fraction(1) if system.is_exact else 1.0
     for r in system.positive_roots():
-        acc = acc * dot(r.vector, x)
+        acc = acc * r.dot(x)
     return acc
 
 
@@ -780,7 +858,7 @@ def hyperplane_distance(system: RootSystem, x: Sequence[Scalar]) -> float:
     best = math.inf
     for i in system.positive:
         r = system.roots[i]
-        d = abs(float(dot(r.vector, x))) / math.sqrt(float(r.sq_norm))
+        d = abs(float(r.dot(x))) / math.sqrt(float(r.sq_norm))
         best = min(best, d)
     return best
 
@@ -813,7 +891,7 @@ def sample_generic_point(
             ok = True
             for i in system.positive:
                 r = system.roots[i]
-                dd = dot(r.vector, x)
+                dd = r.dot(x)
                 if dd * dd < d2 * r.sq_norm:
                     ok = False
                     break
@@ -822,7 +900,7 @@ def sample_generic_point(
             ok = True
             for i in system.positive:
                 r = system.roots[i]
-                dd = float(dot(r.vector, x))
+                dd = float(r.dot(x))
                 if dd * dd < d2 * float(r.sq_norm):
                     ok = False
                     break

@@ -90,6 +90,17 @@ class SimConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if len(self.x0) != self.system.dimension:
             raise DimensionError("x0 dimension does not match the root system")
+        # a NaN or infinite value would never let the stepper reach the horizon
+        for name in ("horizon", "k_scale", "dt_base"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("x0", "obs_times"):
+            if not all(math.isfinite(c) for c in getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(math.isfinite(m) for m in self.system.multiplicities):
+            raise ConfigError(
+                f"root multiplicities must be finite, got {self.system.multiplicities}"
+            )
         if not self.horizon > 0:
             raise ConfigError("horizon must be positive")
         if not self.dt_base > 0:

@@ -153,7 +153,7 @@ def w_gradient(params: TransformParams, zeta):
         k = float(r.multiplicity)
         if not k:
             continue
-        d = dot_any(r.fvector, zeta)
+        d = r.dot(zeta)
         for i in range(n):
             g[i] = g[i] - k * r.fvector[i] / d
     return g
@@ -168,7 +168,7 @@ def w_laplacian(params: TransformParams, zeta):
         k = float(r.multiplicity)
         if not k:
             continue
-        d = dot_any(r.fvector, zeta)
+        d = r.dot(zeta)
         acc = acc + k * r.fsq_norm / (d * d)
     return acc
 
@@ -192,7 +192,7 @@ def w_quadratic_form(params: TransformParams, zeta):
     n = system.dimension
     gamma = float(system.gamma)
     acc = omega * omega * sum(z * z for z in zeta) - (2 * gamma + n) * omega
-    live = [system.roots[i] for i in system.positive if system.roots[i].multiplicity]
+    live = system.live_positive
     inv = [dot_any(r.vector, zeta) for r in live]
     for a, ra in enumerate(live):
         ka = float(ra.multiplicity)
@@ -214,19 +214,23 @@ def lemma2_check(system: RootSystem, x: Sequence[Scalar]):
         = sum_{a in R+} k(a)^2 |a|^2 / (a . x)^2.
 
     With Fraction inputs on an exact system both sides are exact rationals.
+    The numerators do not depend on x and come from the system's cache.
     """
-    live = [system.roots[i] for i in system.positive if system.roots[i].multiplicity]
-    inv = [dot(r.vector, x) for r in live]
+    live = system.live_positive
+    inv = [r.dot(x) for r in live]
     if any(d == 0 for d in inv):
         raise HyperplaneError("point lies on a reflecting hyperplane")
+    if all(type(c) is float for c in x):
+        pairs, diag = system.float_pair_products
+    else:
+        pairs, diag = system.pair_products
     lhs = 0
     rhs = 0
-    for a, ra in enumerate(live):
-        for b, rb in enumerate(live):
-            num = ra.multiplicity * rb.multiplicity * dot(ra.vector, rb.vector)
+    for a, row in enumerate(pairs):
+        for b, num in enumerate(row):
             if num:
                 lhs = lhs + num / (inv[a] * inv[b])
-        rhs = rhs + ra.multiplicity * ra.multiplicity * ra.sq_norm / (inv[a] * inv[a])
+        rhs = rhs + diag[a] / (inv[a] * inv[a])
     return SideBySide(lhs=lhs, rhs=rhs)
 
 
@@ -327,6 +331,30 @@ def similarity_identities_check(
 # the main pointwise identity
 
 
+def _gauged_generator(system: RootSystem, x, jet, gauge, value_at):
+    """e^W L (e^{-W} u) at x, and the gauged gradient grad u - u grad W.
+
+    ``jet`` is (u, grad u, Laplacian u) at x and ``gauge`` is
+    (grad W, Laplacian W); W must be reflection invariant, so the jump term
+    needs only ``value_at``, u at the reflected points.  The trap and time
+    terms are left to the caller.
+    """
+    u0, grad_u, lap_u = jet
+    g, dw = gauge
+    sq_g = sum(gi * gi for gi in g)
+    hat_grad = [du - u0 * gi for du, gi in zip(grad_u, g)]
+    hat_lap = lap_u - 2 * sum(gi * du for gi, du in zip(g, grad_u)) + (sq_g - dw) * u0
+    lhs = 0.5 * hat_lap
+    for r in system.live_positive:
+        k = float(r.multiplicity)
+        d = r.dot(x)
+        if d == 0:
+            raise HyperplaneError("point lies on a reflecting hyperplane")
+        lhs = lhs - k * r.dot(hat_grad) / d
+        lhs = lhs + (k * r.fsq_norm / 2) * (u0 + value_at(reflect(r, x))) / (d * d)
+    return lhs, hat_grad
+
+
 def theorem1_sides(
     params: TransformParams, fn: TestFunction, tau: float, zeta: Sequence[float]
 ) -> SideBySide:
@@ -350,28 +378,14 @@ def theorem1_sides(
     lap_u = fn.laplacian(tau, zs)
     du_tau = fn.tau_derivative(tau, zs)
 
-    g = w_gradient(params, zs)
-    dw = w_laplacian(params, zs)
-    sq_g = sum(gi * gi for gi in g)
-
-    hat_grad = [grad_u[i] - u0 * g[i] for i in range(n)]
-    hat_lap = lap_u - 2 * sum(gi * du for gi, du in zip(g, grad_u)) + (sq_g - dw) * u0
     hat_tau = du_tau - w_tau(params) * u0
-
-    lhs = 0.5 * hat_lap
-    for idx in system.positive:
-        r = system.roots[idx]
-        k = float(r.multiplicity)
-        if not k:
-            continue
-        d = dot_any(r.fvector, zs)
-        if d == 0:
-            raise HyperplaneError("point lies on a reflecting hyperplane")
-        sz = reflect(r, zs)
-        # W is reflection invariant, so (e^W u)(sigma z) is just U(sigma z)
-        u_ref = fn.value(tau, sz)
-        lhs = lhs - k * dot_any(r.fvector, hat_grad) / d
-        lhs = lhs + (k * r.fsq_norm / 2) * (u0 + u_ref) / (d * d)
+    lhs, hat_grad = _gauged_generator(
+        system,
+        zs,
+        (u0, grad_u, lap_u),
+        (w_gradient(params, zs), w_laplacian(params, zs)),
+        lambda z: fn.value(tau, z),
+    )
     lhs = lhs + omega * sum(z * hg for z, hg in zip(zs, hat_grad))
     lhs = lhs - hat_tau
 
@@ -483,28 +497,14 @@ def unconfined_map_check(
         k = float(r.multiplicity)
         if not k:
             continue
-        d = dot_any(r.vector, xs)
+        d = r.dot(xs)
         if d == 0:
             raise HyperplaneError("point lies on a reflecting hyperplane")
         for i in range(n):
-            g[i] -= k * float(r.vector[i]) / d
-        dw += k * float(r.sq_norm) / (d * d)
+            g[i] -= k * r.fvector[i] / d
+        dw += k * r.fsq_norm / (d * d)
 
-    sq_g = sum(gi * gi for gi in g)
-    hat_grad = [grad_f[i] - f0 * g[i] for i in range(n)]
-    hat_lap = lap_f - 2 * sum(gi * df for gi, df in zip(g, grad_f)) + (sq_g - dw) * f0
-
-    lhs = 0.5 * hat_lap
-    for idx in system.positive:
-        r = system.roots[idx]
-        k = float(r.multiplicity)
-        if not k:
-            continue
-        d = dot_any(r.vector, xs)
-        f_ref = f.value(reflect(r, xs))
-        lhs = lhs - k * dot_any(r.vector, hat_grad) / d
-        lhs = lhs + (k * float(r.sq_norm) / 2) * (f0 + f_ref) / (d * d)
-
+    lhs, _ = _gauged_generator(system, xs, (f0, grad_f, lap_f), (g, dw), f.value)
     rhs = -float(cm_apply(CMParams(system=system, omega=0), f, xs))
     return SideBySide(lhs=lhs, rhs=rhs)
 

@@ -1,9 +1,12 @@
 """Command line behavior: exit codes, config merging, deterministic output."""
 
+import hashlib
 import json
 
 import pytest
 
+import dunkl_lab.cli as cli_mod
+import dunkl_lab.sde as sde_mod
 import dunkl_lab.suites as suites_mod
 from dunkl_lab.cli import _write_or_print, main
 from dunkl_lab.errors import ConfigError
@@ -23,6 +26,17 @@ def test_verify_subset_exit_zero(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["results"][0]["passed"] is True
     assert payload["results"][0]["name"] == "oscillator"
+
+
+def test_verify_exact_suites_golden_digest(tmp_path, capsys):
+    # sha256 of the --out bytes of three suites whose float work is + - * /
+    # and integer powers, so the digest pins every exact value and float bit
+    out = tmp_path / "report.json"
+    args = ["verify", "lemma1", "lemma2", "transformed-hamiltonian", "--seed", "0"]
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "c254582f7f4938f06b2bf243daf0a75e32a279262b2675df493ec2a3f42fbe67"
 
 
 def test_verify_failure_exit_two(monkeypatch, capsys):
@@ -185,3 +199,33 @@ def test_non_finite_payload_is_refused(tmp_path):
     assert not out.exists()
     _write_or_print({"b": 1.5, "a": [0.1, 2]}, str(out))
     assert out.read_text() == '{\n  "a": [\n    0.1,\n    2\n  ],\n  "b": 1.5\n}\n'
+
+
+FINITE_SIM = [
+    "simulate", "--family", "A", "--rank", "2", "--mults", "1", "--x0", "0,1,2",
+    "--horizon", "0.01", "--ensemble", "2", "--seed", "1",
+]
+
+
+def _stepper_started(*args, **kwargs):
+    raise AssertionError("the stepper started on a non-finite configuration")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        FINITE_SIM + ["--k-scale", "nan"],
+        [("inf" if a == "0.01" else a) for a in FINITE_SIM],
+        [a for a in FINITE_SIM if a not in ("--x0", "0,1,2")] + ["--x0=0,1,nan"],
+        ["freeze", "--n", "3", "--paths", "5", "--seed", "1", "--k", "inf"],
+    ],
+    ids=["k-scale-nan", "horizon-inf", "x0-nan", "freeze-k-inf"],
+)
+def test_non_finite_config_exit_one_before_stepping(args, monkeypatch, capsys):
+    # each of these used to hang inside the stepper; the config must refuse them
+    monkeypatch.setattr(cli_mod, "simulate", _stepper_started)
+    monkeypatch.setattr(sde_mod, "simulate", _stepper_started)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "finite" in err

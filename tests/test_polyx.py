@@ -1,5 +1,6 @@
 """Exact multivariate polynomial ring, division, parser, symbolic cross-checks."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -229,3 +230,55 @@ def test_compose_signed_permutation():
     # x1 -> -x2, x2 -> x1
     q = p.compose_signed_permutation((1, 0), (-1, 1))
     assert q == parse_poly("x2^2 x1", nvars=2)
+
+
+def _generic_eval(p, point):
+    # the generic loop: Fraction coefficients meet float powers by dispatch
+    total = None
+    for e, c in p.terms.items():
+        term = c
+        for x, k in zip(point, e):
+            if k:
+                term = term * x**k
+        total = term if total is None else total + term
+    return 0.0 if total is None else total
+
+
+def _same_value(a, b) -> bool:
+    if type(a) is not type(b) or a != b:
+        return False
+    return not isinstance(a, float) or math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+float_points = st.tuples(*[st.floats(min_value=-4, max_value=4)] * NVARS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, float_points)
+def test_compiled_float_eval_matches_generic_loop(p, x):
+    assert _same_value(p.eval(x), _generic_eval(p, x))
+    # the second call reads the cached compilation
+    assert _same_value(p.eval(x), _generic_eval(p, x))
+
+
+@pytest.mark.parametrize(
+    "text", ["0", "7/3", "-2", "x1", "5/7 x1 x2^2 - 3 x3^4 + 2/9", "1/3 - x2^3 + 11/5 x1^2 x3"]
+)
+def test_compiled_float_eval_constant_and_zero(text):
+    p = parse_poly(text, nvars=NVARS)
+    for x in [(0.5, -1.25, 3.0), (-0.0, 0.0, -2.5), (1e-3, 7.0, -0.3)]:
+        assert _same_value(p.eval(x), _generic_eval(p, x))
+    # a constant keeps its Fraction and the zero polynomial gives 0.0
+    if text == "7/3":
+        assert p.eval((0.5, 1.0, 2.0)) == Fraction(7, 3)
+    if text == "0":
+        assert p.eval((0.5, 1.0, 2.0)) == 0.0 and isinstance(p.eval((0.5, 1.0, 2.0)), float)
+
+
+def test_compiled_float_eval_follows_reassigned_terms():
+    p = parse_poly("x1^2 + x2", nvars=2)
+    assert p.eval((0.5, 1.0)) == 1.25
+    p.terms = parse_poly("3 x1 - x2^3", nvars=2).terms
+    assert p.eval((0.5, 1.0)) == 0.5
+    p.terms = {}
+    assert p.eval((0.5, 1.0)) == 0.0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -336,3 +337,72 @@ def test_float_system_sampling():
     x = sample_generic_point(system, seed=3, min_distance=0.05)
     assert all(isinstance(c, float) for c in x)
     assert hyperplane_distance(system, x) >= 0.05
+
+
+SPARSE_DOT_CASES = (
+    [("A", n, (1,), "integer-representatives") for n in range(1, 6)]
+    + [("B", n, (1,) if n == 1 else (1, 2), "integer-representatives") for n in range(1, 6)]
+    + [("D", n, (1,), "integer-representatives") for n in range(2, 6)]
+    + [("I2", 4, (1, 2), "integer-representatives"), ("I2", 5, (1,), "normalized")]
+)
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("family,rank,mults,scale", SPARSE_DOT_CASES)
+def test_root_dot_matches_full_dot(family, rank, mults, scale):
+    system = build_root_system(family, rank, mults, scale=scale)
+    rng = random.Random(f"{family}{rank}{scale}")
+    n = system.dimension
+    for _ in range(25):
+        xq = tuple(Fraction(rng.randint(-200, 200), rng.randint(1, 64)) for _ in range(n))
+        # signed zeros among the coordinates exercise the skipped +-0.0 terms
+        xf = tuple(rng.choice((0.0, -0.0, rng.uniform(-3, 3), rng.uniform(-3, 3))) for _ in range(n))
+        for r in system.roots:
+            assert r.dot(xq) == dot(r.vector, xq)
+            assert _same_float(r.dot(xf), dot(r.vector, xf))
+            if system.is_exact:
+                assert isinstance(r.dot(xq), Fraction)
+                assert reflect(r, xq) == reflect(r.vector, xq)
+
+
+def _fraction_dot(v, x):
+    return sum((Fraction(c) * xi for c, xi in zip(v, x)), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        build_root_system("A", 3, (2,)),
+        build_root_system("B", 3, (1, 3)),
+        build_root_system("D", 4, (1,)),
+        build_root_system("I2", 4, (2, 1)),
+        # non-integral coordinates keep Fraction coefficients on the lattice
+        make_system_from_vectors(
+            [tuple(Fraction(c, 2) for c in r.vector) for r in build_root_system("B", 2, (1, 1)).roots],
+            multiplicities=2,
+        ),
+    ],
+    ids=["A3", "B3", "D4", "I2(4)", "half-B2"],
+)
+def test_lattice_weight_and_discriminant_match_fraction_products(system):
+    rng = random.Random(system.family + str(system.rank))
+    for _ in range(10):
+        x = tuple(
+            Fraction(rng.randint(-99, 99), rng.choice((1, 3, 8, 35, 64)))
+            for _ in range(system.dimension)
+        )
+        want_w = Fraction(1)
+        for r in system.roots:
+            want_w *= abs(_fraction_dot(r.vector, x)) ** int(r.multiplicity)
+        want_d = Fraction(1)
+        for r in system.positive_roots():
+            want_d *= _fraction_dot(r.vector, x)
+        got_w, got_d = weight(system, x), discriminant(system, x)
+        assert got_w == want_w and isinstance(got_w, Fraction)
+        assert got_d == want_d and isinstance(got_d, Fraction)
+    ints = tuple(range(1, system.dimension + 1))
+    assert weight(system, ints) == weight(system, tuple(map(Fraction, ints)))
+    assert discriminant(system, ints) == discriminant(system, tuple(map(Fraction, ints)))

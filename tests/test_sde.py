@@ -61,6 +61,23 @@ def test_config_validation():
         simulate(_cfg(x0=(0.0, 0.0, 0.0)))  # starts on every hyperplane
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"horizon": math.inf},
+        {"k_scale": math.nan},
+        {"k_scale": math.inf},
+        {"dt_base": math.inf},
+        {"x0": (-1.0, math.nan, 1.2)},
+        {"obs_times": (0.1, math.nan)},
+        {"system": build_root_system("A", 2, (math.inf,), scale="normalized")},
+    ],
+)
+def test_config_rejects_non_finite_values(overrides):
+    with pytest.raises(ConfigError, match="finite"):
+        _cfg(**overrides)
+
+
 def test_observation_grid_includes_horizon():
     cfg = _cfg(obs_times=(0.1, 0.2))
     assert cfg.observation_grid() == (0.1, 0.2, 0.25)
