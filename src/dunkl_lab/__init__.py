@@ -84,8 +84,6 @@ from .sde import (
     moment_law_report,
     replay_path,
     simulate,
-    simulate_dunkl,
-    simulate_radial,
 )
 from .suites import SUITES, SuiteResult, run_suites
 from .transform import (

@@ -375,7 +375,7 @@ def main(argv=None) -> int:
         global_seed = config.get("seed", 0)
         return _HANDLERS[ns.command](ns, section, global_seed)
     except StepUnderflowError as exc:
-        print(f"error: {exc} (t = {exc.time})", file=sys.stderr)
+        print(f"error: {exc} (path {exc.path_index}, t = {exc.time})", file=sys.stderr)
         return 3
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

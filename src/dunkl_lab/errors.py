@@ -44,11 +44,14 @@ class StepUnderflowError(DunklLabError):
 
     Attributes:
         time: simulation time at which the underflow occurred.
+        path_index: ensemble index of the stuck path; ``replay_path`` with
+            this index raises at the same time.
     """
 
-    def __init__(self, message: str, time: float):
+    def __init__(self, message: str, time: float, path_index: int):
         super().__init__(message)
         self.time = time
+        self.path_index = path_index
 
 
 class ConfigError(DunklLabError):

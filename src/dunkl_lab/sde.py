@@ -30,11 +30,13 @@ count.  The recorded intensity integral accrues min(1, h * rate), the
 hazard the thinning actually realizes; below the floor depth the raw rate
 is unrealizable and would skew the jump-count comparison.
 
-Reproducibility.  Every path owns two counter-based streams derived from
-the master seed by spawn key, one for Gaussians and one for uniforms, with
-fixed-size block buffers.  All array work is elementwise plus length-N row
-sums (no matmul), so re-running a single path with ``replay_path`` yields
-bitwise identical states to the same path inside a vectorized ensemble.
+Reproducibility.  Ensemble member i owns two PCG64 streams seeded from the
+master seed with spawn keys (i, 0) for Gaussians and (i, 1) for uniforms,
+with fixed-size block buffers.  Ensemble and replay share one stepping
+loop: ``replay_path`` runs it on the one-path index set.  All array work is
+elementwise plus length-N row sums (no matmul), so a row's arithmetic does
+not depend on the batch size, and a replayed path is bitwise identical to
+the same path inside a vectorized ensemble by construction.
 
 The freezing experiment scales X_t by sqrt(2 k t) and compares against the
 roots of the N-th Hermite polynomial; the zero-noise flow is also exposed
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -179,27 +181,29 @@ class Trajectory:
 class PathStreams:
     """Per-path Gaussian and uniform streams with block buffering.
 
-    Path i draws Gaussians from the stream spawned at key (i, 0) and
-    uniforms from (i, 1), regardless of how many paths run next to it, so
-    an isolated rerun of one path sees the identical random numbers.
+    Row r draws for ensemble member ``paths[r]``: Gaussians from the stream
+    spawned at key (paths[r], 0) and uniforms from (paths[r], 1), regardless
+    of which other members run next to it, so an isolated rerun of one path
+    sees the identical random numbers.
     """
 
-    def __init__(self, master_seed: int, n_paths: int, dim: int, n_uniform: int):
+    def __init__(self, master_seed: int, paths: Sequence[int], dim: int, n_uniform: int):
         self.dim = dim
         self.n_uniform = n_uniform
         self._gauss = [
             np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(i, 0))))
-            for i in range(n_paths)
+            for i in paths
         ]
         self._unif = [
             np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(i, 1))))
-            for i in range(n_paths)
+            for i in paths
         ]
-        self._gbuf = np.empty((n_paths, BLOCK, dim))
-        self._gpos = np.full(n_paths, BLOCK, dtype=np.int64)
+        m = len(paths)
+        self._gbuf = np.empty((m, BLOCK, dim))
+        self._gpos = np.full(m, BLOCK, dtype=np.int64)
         if n_uniform:
-            self._ubuf = np.empty((n_paths, BLOCK, n_uniform))
-            self._upos = np.full(n_paths, BLOCK, dtype=np.int64)
+            self._ubuf = np.empty((m, BLOCK, n_uniform))
+            self._upos = np.full(m, BLOCK, dtype=np.int64)
 
     def normals(self, idx: np.ndarray) -> np.ndarray:
         need = idx[self._gpos[idx] == BLOCK]
@@ -327,21 +331,26 @@ def _check_start(x0: np.ndarray, alphas: np.ndarray):
             raise HyperplaneError("x0 lies on a reflecting hyperplane with k > 0")
 
 
-def simulate(config: SimConfig) -> EnsembleResult:
-    """Run the full ensemble and record states at the observation grid."""
+def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult:
+    """The stepping loop: row r of the run is ensemble member ``paths[r]``.
+
+    ``record(t, x, root_idx)``, if given, is called after each accepted step
+    with the new times and states of the accepted rows and their chosen
+    live-root indices (-1 for no jump; None when jumps are off).
+    """
     system = config.effective_system()
     alphas, ks, sqns = _live_root_arrays(system)
     n_roots = alphas.shape[0]
     if config.jumps and n_roots and config.scheme == "euler-fixed":
         raise SamplingError("jump thinning requires the adaptive scheme")
     n = system.dimension
-    m = config.ensemble
     obs = np.asarray(config.observation_grid())
     n_obs = len(obs)
     x0 = np.asarray([float(c) for c in config.x0])
     _check_start(x0, alphas)
 
-    streams = PathStreams(config.master_seed, m, n, n_roots + 1 if config.jumps and n_roots else 0)
+    streams = PathStreams(config.master_seed, paths, n, n_roots + 1 if config.jumps and n_roots else 0)
+    m = len(paths)
     x = np.tile(x0, (m, 1))
     t = np.zeros(m)
     h_state = np.full(m, config.dt_base)
@@ -367,6 +376,12 @@ def simulate(config: SimConfig) -> EnsembleResult:
         x_prop, h_try, viol, d_prop, rates = _step_core(
             xa, h_state[idx], t_rem, gauss, alphas, ks, sqns, config
         )
+        # an overflowing drift makes the step NaN, which no floor test or
+        # time update would ever end
+        if not np.isfinite(x_prop).all():
+            raise SamplingError(
+                "a proposal is not finite; the drift overflows at these multiplicities"
+            )
         steps[idx] += 1
         if viol.any():
             if not adaptive:
@@ -376,11 +391,13 @@ def simulate(config: SimConfig) -> EnsembleResult:
             # rejections there means the config is genuinely stuck
             at_floor = h_try[viol] <= dt_min
             strikes[vid[at_floor]] += 1
-            stuck = strikes[vid] >= MAX_FLOOR_RETRIES
-            if stuck.any():
+            stuck = vid[strikes[vid] >= MAX_FLOOR_RETRIES]
+            if stuck.size:
+                first = stuck[np.argmin(t[stuck])]
                 raise StepUnderflowError(
                     "proposals at the dt floor keep crossing a hyperplane",
-                    time=float(t[vid[stuck]].min()),
+                    time=float(t[first]),
+                    path_index=int(paths[first]),
                 )
             h_state[vid] = np.maximum(h_try[viol] / 2.0, dt_min)
             violations[vid] += 1
@@ -391,6 +408,7 @@ def simulate(config: SimConfig) -> EnsembleResult:
         strikes[aid] = 0
         x_new = x_prop[acc]
         h_acc = h_try[acc]
+        root_idx = None
         if config.jumps and n_roots:
             u = streams.uniforms(aid)
             x_new, root_idx = _apply_jumps(
@@ -404,6 +422,8 @@ def simulate(config: SimConfig) -> EnsembleResult:
         t[aid] = t_new
         if adaptive:
             h_state[aid] = np.minimum(2.0 * h_acc, config.dt_base)
+        if record is not None:
+            record(t_new, x_new, root_idx)
         hit = t_new == target[acc]
         if hit.any():
             hid = aid[hit]
@@ -419,115 +439,39 @@ def simulate(config: SimConfig) -> EnsembleResult:
     )
 
 
-def simulate_radial(config: SimConfig) -> EnsembleResult:
-    return simulate(replace(config, jumps=False))
-
-
-def simulate_dunkl(config: SimConfig) -> EnsembleResult:
-    return simulate(replace(config, jumps=True))
+def simulate(config: SimConfig) -> EnsembleResult:
+    """Run the full ensemble and record states at the observation grid."""
+    return _run(config, range(config.ensemble))
 
 
 def replay_path(config: SimConfig, path_index: int) -> Trajectory:
     """Re-run one ensemble member alone, recording every accepted step.
 
-    Uses the same step core on single-row arrays and the same per-path
-    streams, so the states agree bit for bit with ``simulate``.
+    This is the ensemble loop on the one-path index set, so the states
+    agree bit for bit with the same row of ``simulate``.
     """
     if not 0 <= path_index < config.ensemble:
         raise ConfigError("path_index outside the ensemble")
-    system = config.effective_system()
-    alphas, ks, sqns = _live_root_arrays(system)
-    n_roots = alphas.shape[0]
-    if config.jumps and n_roots and config.scheme == "euler-fixed":
-        raise SamplingError("jump thinning requires the adaptive scheme")
-    n = system.dimension
-    obs = np.asarray(config.observation_grid())
-    n_obs = len(obs)
     x0 = np.asarray([float(c) for c in config.x0])
-    _check_start(x0, alphas)
-
-    gauss_gen = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(config.master_seed, spawn_key=(path_index, 0)))
-    )
-    unif_gen = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(config.master_seed, spawn_key=(path_index, 1)))
-    )
-    n_uniform = n_roots + 1 if config.jumps and n_roots else 0
-    gbuf = np.empty((BLOCK, n))
-    gpos = BLOCK
-    ubuf = np.empty((BLOCK, n_uniform)) if n_uniform else None
-    upos = BLOCK
-
-    x = x0.reshape(1, n).copy()
-    t = 0.0
-    h_state = np.array([config.dt_base])
-    ptr = 0
-    strikes = 0
-    dt_min = config.dt_base * config.dt_floor_factor
-    adaptive = config.scheme == "euler-adaptive"
-
     times = [0.0]
-    states = [x0.copy()]
+    states = [x0]
     jump_events = []
-    intensity = 0.0
-    steps = 0
-    violations = 0
 
-    while ptr < n_obs:
-        if gpos == BLOCK:
-            gbuf = gauss_gen.standard_normal((BLOCK, n))
-            gpos = 0
-        gauss = gbuf[gpos].reshape(1, n)
-        gpos += 1
-        target = float(obs[ptr])
-        t_rem = np.array([target - t])
-        x_prop, h_try, viol, d_prop, rates = _step_core(
-            x, h_state, t_rem, gauss, alphas, ks, sqns, config
-        )
-        steps += 1
-        if viol[0]:
-            if not adaptive:
-                raise SamplingError("sign violation under fixed stepping")
-            if h_try[0] <= dt_min:
-                strikes += 1
-                if strikes >= MAX_FLOOR_RETRIES:
-                    raise StepUnderflowError(
-                        "proposals at the dt floor keep crossing a hyperplane",
-                        time=t,
-                    )
-            h_state = np.maximum(h_try / 2.0, dt_min)
-            violations += 1
-            continue
-        strikes = 0
-        x_new = x_prop
-        h_acc = float(h_try[0])
-        t_next = target if h_acc >= float(t_rem[0]) else t + h_acc
-        if config.jumps and n_roots:
-            if upos == BLOCK:
-                ubuf = unif_gen.random((BLOCK, n_uniform))
-                upos = 0
-            u = ubuf[upos].reshape(1, n_uniform)
-            upos += 1
-            x_new, root_idx = _apply_jumps(x_prop, d_prop, rates, h_try, u, alphas, sqns)
-            intensity += float(np.minimum(rates * h_try[:, None], 1.0).sum(axis=1)[0])
-            if root_idx[0] >= 0:
-                jump_events.append((t_next, int(root_idx[0])))
-        t = t_next
-        x = x_new
-        if adaptive:
-            h_state = np.minimum(2.0 * h_try, config.dt_base)
-        times.append(t)
+    def record(t, x, root_idx):
+        times.append(float(t[0]))
         states.append(x[0].copy())
-        if t == target:
-            ptr += 1
+        if root_idx is not None and root_idx[0] >= 0:
+            jump_events.append((float(t[0]), int(root_idx[0])))
+
+    res = _run(config, (path_index,), record)
     return Trajectory(
         path_index=path_index,
         times=np.asarray(times),
         states=np.asarray(states),
         jump_events=tuple(jump_events),
-        intensity_integral=intensity,
-        steps=steps,
-        violations=violations,
+        intensity_integral=float(res.intensity_integrals[0]),
+        steps=int(res.steps[0]),
+        violations=int(res.violations[0]),
     )
 
 
@@ -652,9 +596,9 @@ def laguerre_freezing_probe(
     seed: int = 0,
     eps: float = 0.01,
 ) -> dict:
-    """Exploratory check: the two-orbit chain with equal multiplicities
-    freezes onto the square roots of Laguerre zeros (a = 0).  Reports
-    statistics only; nothing here is asserted.
+    """The two-orbit chain B_N with equal multiplicities freezes onto the
+    square roots of the Laguerre zeros (a = 0).  Returns the sup-distance
+    statistics of the scaled ensemble against that configuration.
     """
     system = build_root_system("B", n_particles, [float(k), float(k)])
     config = SimConfig(

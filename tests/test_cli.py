@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -106,7 +107,10 @@ def test_step_underflow_exit_three(capsys):
         "--dt-floor-factor", "1.0", "--ensemble", "4", "--seed", "0",
     ]
     assert main(args) == 3
-    assert "floor" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "floor" in err
+    # the stuck path is named, so --csv --path-index can replay it
+    assert re.search(r"\(path [0-3], t = ", err)
 
 
 def test_config_file_merge_flags_win(tmp_path, capsys):
@@ -229,3 +233,12 @@ def test_non_finite_config_exit_one_before_stepping(args, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "finite" in err
+
+
+def test_freeze_overflowing_drift_exit_one(bounded_stepper, capsys):
+    # k = 1e308 is finite, but the drift overflows to NaN on the first step
+    args = ["freeze", "--n", "3", "--paths", "5", "--seed", "1", "--k", "1e308"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "not finite" in err

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dunkl_lab.sde as sde_mod
 from dunkl_lab.errors import (
     ConfigError,
     HyperplaneError,
@@ -20,13 +21,12 @@ from dunkl_lab.sde import (
     hermite_electrostatic_residual,
     hermite_roots,
     laguerre_electrostatic_residual,
+    laguerre_freezing_probe,
     laguerre_roots,
     moment_from_result,
     moment_law_report,
     replay_path,
     simulate,
-    simulate_dunkl,
-    simulate_radial,
 )
 
 A2 = build_root_system("A", 2, (1.0,), scale="normalized")
@@ -115,11 +115,24 @@ def test_replay_matches_ensemble(jumps):
             assert np.array_equal(traj.states[ti], res.states[i, oi])
         assert traj.intensity_integral == pytest.approx(res.intensity_integrals[i], abs=0.0)
         assert len(traj.jump_events) == res.jump_counts[i]
+        assert traj.steps == res.steps[i]
+        assert traj.violations == res.violations[i]
+
+
+def test_replay_bypasses_public_simulate(monkeypatch):
+    # wrappers around the public entry point must not see replays as runs
+    def public_entry(*args, **kwargs):
+        raise AssertionError("replay_path went through sde.simulate")
+
+    monkeypatch.setattr(sde_mod, "simulate", public_entry)
+    traj = replay_path(_cfg(system=B2, x0=B2_X0, jumps=True), 3)
+    assert traj.path_index == 3
+    assert traj.times[-1] == 0.25
 
 
 def test_radial_paths_never_cross_walls():
-    cfg = _cfg(system=B2, x0=B2_X0, horizon=0.5, ensemble=32)
-    res = simulate_radial(cfg)
+    cfg = _cfg(system=B2, x0=B2_X0, horizon=0.5, ensemble=32, jumps=False)
+    res = simulate(cfg)
     finals = res.final_states
     # both B2 coordinates keep their starting chamber: 0 < x1, |x1| < x2 is
     # not required by the chamber, only alpha.x sign preservation root-wise
@@ -130,8 +143,8 @@ def test_radial_paths_never_cross_walls():
 
 
 def test_jumping_paths_do_cross():
-    cfg = _cfg(system=B2, x0=B2_X0, horizon=0.5, ensemble=64, master_seed=7)
-    res = simulate_dunkl(cfg)
+    cfg = _cfg(system=B2, x0=B2_X0, horizon=0.5, ensemble=64, master_seed=7, jumps=True)
+    res = simulate(cfg)
     assert res.jump_counts.sum() > 0
     # at least one sign flip relative to the start somewhere in the ensemble
     alpha = np.array([1.0, 0.0])
@@ -184,6 +197,20 @@ def test_step_underflow_reported():
     assert exc.value.time >= 0.0
     with pytest.raises(StepUnderflowError):
         replay_path(cfg, 0)
+    # the reported path, replayed alone, gets stuck at the same moment
+    assert 0 <= exc.value.path_index < cfg.ensemble
+    with pytest.raises(StepUnderflowError) as replayed:
+        replay_path(cfg, exc.value.path_index)
+    assert replayed.value.time == exc.value.time
+    assert replayed.value.path_index == exc.value.path_index
+
+
+def test_overflowing_drift_raises(bounded_stepper):
+    # k = 1e308 is finite, but k / (alpha . x) overflows and the step is NaN
+    a2 = build_root_system("A", 2, (1e308,))
+    cfg = SimConfig(system=a2, x0=(0.01, 0.02, 0.03), horizon=1.0, ensemble=5, master_seed=1)
+    with pytest.raises(SamplingError, match="not finite"):
+        simulate(cfg)
 
 
 def test_moment_law_radial():
@@ -269,6 +296,15 @@ def test_freezing_experiment_small():
 def test_freezing_monotone_in_k():
     out = freezing_experiment(3, (1e2, 1e4), t=1.0, n_paths=24, seed=4)
     assert out[1].mean_sup < out[0].mean_sup
+
+
+def test_laguerre_freezing_probe_b3():
+    # B3 with equal multiplicities freezes onto sqrt of the L_3^(0) zeros
+    lo = laguerre_freezing_probe(3, 1e2, n_paths=50, seed=1)
+    hi = laguerre_freezing_probe(3, 1e4, n_paths=50, seed=1)
+    assert hi["target"] == pytest.approx(list(np.sqrt(laguerre_roots(3, 0.0))))
+    assert hi["mean_sup"] < 0.05
+    assert hi["mean_sup"] < lo["mean_sup"]
 
 
 def test_deterministic_freeze_ode():
