@@ -32,8 +32,6 @@ on (C^2)^{tensor N}, with P_ij the transposition of spin sites i and j;
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -276,33 +274,6 @@ class SpinChainMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
-
-    def magnetization(self) -> np.ndarray:
-        """Diagonal of total S^z in the same basis (in units of 1/2)."""
-        dim = self.matrix.shape[0]
-        n = self.n_sites
-        return np.array([2 * bin(b).count("1") - n for b in range(dim)]) / 2.0
-
-    def to_csv(self, path: str):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"c{j}" for j in range(self.matrix.shape[1])])
-            for row in self.matrix:
-                writer.writerow([repr(float(v)) for v in row])
-
-    def to_coordinate_json(self) -> str:
-        entries = [
-            {"row": int(i), "col": int(j), "value": float(self.matrix[i, j])}
-            for i, j in zip(*np.nonzero(self.matrix))
-        ]
-        return json.dumps(
-            {
-                "sites": self.n_sites,
-                "positions": [float(z) for z in self.positions],
-                "entries": entries,
-            },
-            sort_keys=True,
-        )
 
 
 def pf_matrix(z: Sequence[float]) -> SpinChainMatrix:

@@ -31,7 +31,7 @@ from .errors import (
     ExactModeError,
     PolynomialDivisionError,
 )
-from .rootsys import Root, signed_permutation_of
+from .rootsys import Root
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -341,30 +341,24 @@ class MultiPoly:
 # module-level operations
 
 
-def compose_reflection(p: MultiPoly, alpha: Union[Root, Sequence[Sequence[RationalLike]]]) -> MultiPoly:
-    """p o sigma_alpha for a root with rational data (or an explicit matrix).
+def compose_reflection(p: MultiPoly, alpha: Root) -> MultiPoly:
+    """p o sigma_alpha for a root with rational coordinates.
 
     Signed-permutation reflections (all A/B/D integer representatives) take
     the fast monomial-relabeling path.
     """
-    if isinstance(alpha, Root):
-        vec = alpha.vector
-        if any(isinstance(c, float) for c in vec):
-            raise ExactModeError(
-                "compose_reflection needs rational root coordinates; "
-                "use integer-representatives scale"
-            )
-        if len(vec) != p.nvars:
-            raise DimensionError("root dimension does not match polynomial variables")
-        sp = alpha.signed_permutation
-        if sp is not None:
-            return p.compose_signed_permutation(*sp)
-        return p.compose_linear(alpha.reflection_matrix)
-    matrix = [list(row) for row in alpha]
-    sp = signed_permutation_of(matrix)
+    vec = alpha.vector
+    if any(isinstance(c, float) for c in vec):
+        raise ExactModeError(
+            "compose_reflection needs rational root coordinates; "
+            "use integer-representatives scale"
+        )
+    if len(vec) != p.nvars:
+        raise DimensionError("root dimension does not match polynomial variables")
+    sp = alpha.signed_permutation
     if sp is not None:
         return p.compose_signed_permutation(*sp)
-    return p.compose_linear(matrix)
+    return p.compose_linear(alpha.reflection_matrix)
 
 
 def divide_by_linear(
@@ -422,33 +416,14 @@ def divide_by_linear(
     return q, r
 
 
-def alternating_quotient(p: MultiPoly, alpha: Union[Root, Sequence[RationalLike]]) -> MultiPoly:
+def alternating_quotient(p: MultiPoly, alpha: Root) -> MultiPoly:
     """(p - p o sigma_alpha) / (alpha . x), exactly.
 
     The numerator vanishes on the hyperplane, so the division is exact; a
     nonzero remainder indicates an internal error and raises.
     """
-    if isinstance(alpha, Root):
-        vec = alpha.vector
-        numerator = p - compose_reflection(p, alpha)
-    else:
-        vec = tuple(alpha)
-        from .rootsys import sq_norm as _sq
-
-        nrm = _sq(vec)
-        if nrm == 0:
-            raise ZeroDivisionError("zero root")
-        n = len(vec)
-        matrix = [
-            [
-                (Fraction(1) if i == j else Fraction(0))
-                - 2 * _coerce_coeff(vec[i]) * _coerce_coeff(vec[j]) / nrm
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        numerator = p - compose_reflection(p, matrix)
-    q, r = divide_by_linear(numerator, [_coerce_coeff(c) for c in vec])
+    numerator = p - compose_reflection(p, alpha)
+    q, r = divide_by_linear(numerator, [_coerce_coeff(c) for c in alpha.vector])
     if not r.is_zero():
         raise PolynomialDivisionError(
             "alternating numerator not divisible by the linear form (internal error)"

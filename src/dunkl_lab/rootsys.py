@@ -39,14 +39,14 @@ reflection matrices contain sin/cos of pi/3), so exact mode rejects them.
 Every system carries a reflection index table: entry [a][b] is the index of
 sigma_a(beta_b) in the root list.  Closure, reducedness and orbits are read
 from it.  Family systems get it from exact data shared by both scalings (the
-integer representatives for A/B/D, the dihedral rule for I2); custom exact
-sets compute it in integers, and only custom float sets match reflected
-vectors within FLOAT_MATCH_TOL.
+integer representatives for A/B/D, the dihedral rule for I2).  Custom sets
+are exact-only: make_system_from_vectors rejects float coordinates, and the
+table of a custom set is computed in integers after scaling its vectors by
+their common denominator.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -68,9 +68,6 @@ Vector = tuple[Scalar, ...]
 SCALE_INTEGER = "integer-representatives"
 SCALE_NORMALIZED = "normalized"
 FAMILIES = ("A", "B", "D", "I2")
-
-# Matching tolerance for the closure of custom float root sets.
-FLOAT_MATCH_TOL = 1e-12
 
 
 def dot(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
@@ -140,8 +137,16 @@ class Root:
 
     @cached_property
     def signed_permutation(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """The reflection as a signed permutation (see signed_permutation_of)."""
-        return signed_permutation_of(self.reflection_matrix)
+        """(perm, signs) when sigma_alpha maps x to y with
+        y_i = signs[i] * x[perm[i]], else None."""
+        perm, signs = [], []
+        for row in self.reflection_matrix:
+            nz = [(j, c) for j, c in enumerate(row) if c != 0]
+            if len(nz) != 1 or nz[0][1] not in (1, -1):
+                return None
+            perm.append(nz[0][0])
+            signs.append(int(nz[0][1]))
+        return tuple(perm), tuple(signs)
 
 
 def reflect(alpha: Union[Root, Sequence[Scalar]], x: Sequence[Scalar]) -> Vector:
@@ -170,19 +175,6 @@ def reflect(alpha: Union[Root, Sequence[Scalar]], x: Sequence[Scalar]) -> Vector
     return tuple(xi - c * ai for xi, ai in zip(x, vec))
 
 
-def signed_permutation_of(matrix) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """(perm, signs) when the matrix maps x to y with y_i = signs[i] * x[perm[i]],
-    else None."""
-    perm, signs = [], []
-    for row in matrix:
-        nz = [(j, c) for j, c in enumerate(row) if c != 0]
-        if len(nz) != 1 or nz[0][1] not in (1, -1, Fraction(1), Fraction(-1)):
-            return None
-        perm.append(nz[0][0])
-        signs.append(int(nz[0][1]))
-    return tuple(perm), tuple(signs)
-
-
 class ClosureResult:
     """Boolean verdict of a closure/reducedness check plus a diagnostic."""
 
@@ -204,8 +196,8 @@ class RootSystem:
     """A root system with multiplicities and a chosen positive subsystem.
 
     ``roots`` lists the full set R; ``positive`` holds indices into it.
-    Instances are immutable; derived data (reflection matrices, gamma,
-    signed-permutation forms) is computed lazily and cached.
+    Instances are immutable; derived data (the reflection table, gamma,
+    pair products) is computed lazily and cached.
     """
 
     dimension: int
@@ -280,33 +272,12 @@ class RootSystem:
         when that image is not a root.  Built once per system."""
         if self.family_table is not None:
             return self.family_table
-        if self.is_exact:
-            return _integer_table(_integer_vectors(self.roots))
-        return _float_table(self.roots)
+        return _integer_table(_integer_vectors(self.roots))
 
     @cached_property
     def closure(self) -> ClosureResult:
         """The verdict of check_closure, computed once per system."""
         return check_closure(self)
-
-    @property
-    def reflection_matrices(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
-        """Matrix of sigma_alpha for every root, rows acting on columns."""
-        return tuple(r.reflection_matrix for r in self.roots)
-
-    @property
-    def signed_permutations(self):
-        """Signed-permutation form of each reflection, or None.
-
-        When sigma_alpha maps x to y with y_i = s_i * x_{p_i} the entry is
-        (p, s) with integer tuples; otherwise None.  The A/B/D integer
-        representatives all have this form, which gives polynomial
-        composition a fast path.  Each root caches its own.
-        """
-        return tuple(r.signed_permutation for r in self.roots)
-
-    def reflect_index(self, root_index: int, x: Sequence[Scalar]) -> Vector:
-        return reflect(self.roots[root_index], x)
 
     # -- derived systems -------------------------------------------------
 
@@ -349,40 +320,6 @@ class RootSystem:
             "roots": [[enc(c) for c in r.vector] for r in self.roots],
             "positive": list(self.positive),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "RootSystem":
-        mults = [_decode_scalar(m) for m in data["multiplicities"]]
-        system = build_root_system(
-            data["family"], data["rank"], mults, scale=data["mode"]
-        )
-        # Stored geometry must agree with the rebuilt one.
-        got = [[_decode_scalar(c) for c in row] for row in data["roots"]]
-        want = [list(r.vector) for r in system.roots]
-        if len(got) != len(want):
-            raise InvalidRootError("serialized root list has unexpected length")
-        for a, b in zip(got, want):
-            for x, y in zip(a, b):
-                if abs(float(x) - float(y)) > FLOAT_MATCH_TOL:
-                    raise InvalidRootError("serialized roots disagree with family data")
-        if list(data["positive"]) != list(system.positive):
-            raise InvalidRootError("serialized positive subsystem disagrees")
-        return system
-
-    @staticmethod
-    def from_json(text: str) -> "RootSystem":
-        return RootSystem.from_json_dict(json.loads(text))
-
-
-def _decode_scalar(v) -> Scalar:
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    return float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -545,18 +482,24 @@ def _build_root_system(
             raw, orbits = _i2_vectors(m)
             exact = False
         dimension = 2
+        norms = [sq_norm(v) for v in raw]
+        pos = positive_indices(raw, chamber_vector(dimension))
     else:
         ints, orbits, dimension = _family_vectors(family, rank)
         if family == "A" or family == "D":
             n_orbits = 1
         else:  # B
             n_orbits = 1 if rank == 1 else 2
+        # norms and signs in int arithmetic; unit vectors keep their float norms
         if scale == SCALE_INTEGER:
             raw = [tuple(Fraction(c) for c in v) for v in ints]
+            norms = [Fraction(sum(c * c for c in v)) for v in ints]
             exact = True
         else:
             raw = [_unit(v) for v in ints]
+            norms = [sq_norm(v) for v in raw]
             exact = False
+        pos = positive_indices(ints, chamber_vector(dimension))
 
     if len(mults) != n_orbits:
         raise InvalidRootError(
@@ -569,15 +512,9 @@ def _build_root_system(
         mults = [float(m) for m in mults]
 
     roots = tuple(
-        Root(
-            vector=tuple(v),
-            sq_norm=sq_norm(v),
-            multiplicity=mults[orb],
-            orbit=orb,
-        )
-        for v, orb in zip(raw, orbits)
+        Root(vector=tuple(v), sq_norm=nrm, multiplicity=mults[orb], orbit=orb)
+        for v, nrm, orb in zip(raw, norms, orbits)
     )
-    pos = positive_indices([r.vector for r in roots], chamber_vector(dimension))
     system = RootSystem(
         dimension=dimension,
         roots=roots,
@@ -597,17 +534,21 @@ def _build_root_system(
 def make_system_from_vectors(
     vectors: Sequence[Sequence[Scalar]],
     multiplicities: Union[Scalar, Sequence[Scalar]] = 1,
-    scale: str = SCALE_INTEGER,
     family: str = "custom",
 ) -> RootSystem:
-    """Wrap raw vectors as a RootSystem without validating closure.
+    """Wrap exact (int or Fraction) vectors as a RootSystem without
+    validating closure.
 
     Intended for tests and counterexamples; run check_closure yourself.
-    A single multiplicity is broadcast to every vector.
+    A single multiplicity is broadcast to every vector.  Float coordinates
+    raise ExactModeError: a custom table is computed in integers, and the
+    float families come from build_root_system.
     """
     vecs = [tuple(v) for v in vectors]
     if not vecs:
         raise InvalidRootError("need at least one vector")
+    if not all(isinstance(c, (int, Fraction)) for v in vecs for c in v):
+        raise ExactModeError("custom root sets need int or Fraction coordinates")
     dim = len(vecs[0])
     if isinstance(multiplicities, (int, float, Fraction)):
         ms: list[Scalar] = [multiplicities] * len(vecs)
@@ -627,7 +568,7 @@ def make_system_from_vectors(
         family=family,
         rank=dim,
         multiplicities=tuple(dict.fromkeys(ms)),
-        scale=scale,
+        scale=SCALE_INTEGER,
     )
 
 
@@ -692,26 +633,12 @@ def _integer_table(vectors: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...],
     return tuple(table)
 
 
-def _float_table(roots: Sequence[Root]) -> tuple[tuple[int, ...], ...]:
-    """Reflection index table by matching images within FLOAT_MATCH_TOL."""
-    vecs = [r.fvector for r in roots]
-
-    def find(image) -> int:
-        for i, v in enumerate(vecs):
-            if all(abs(a - float(b)) <= FLOAT_MATCH_TOL for a, b in zip(v, image)):
-                return i
-        return -1
-
-    return tuple(tuple(find(reflect(a, b.vector)) for b in roots) for a in roots)
-
-
 def _non_reduced_pair(system: RootSystem) -> tuple[int, int] | None:
     """Two parallel roots a, b with b != -a, or None.
 
     sigma_a(b) = -b exactly when b is parallel to a, so the table names the
     candidates.  Cauchy-Schwarz (a.b)^2 = |a|^2 |b|^2, an equality exactly
-    for parallel vectors, confirms them: in integers for exact systems,
-    within FLOAT_MATCH_TOL relative to |a|^2 |b|^2 otherwise.
+    for parallel vectors, confirms them in integers.
     """
     table = system.reflection_table
     negs = [row[b] for b, row in enumerate(table)]
@@ -723,14 +650,10 @@ def _non_reduced_pair(system: RootSystem) -> tuple[int, int] | None:
     ]
     if not candidates:
         return None
-    if system.is_exact:
-        vecs, tol = _integer_vectors(system.roots), 0
-    else:
-        vecs, tol = [r.fvector for r in system.roots], FLOAT_MATCH_TOL
+    vecs = _integer_vectors(system.roots)
     for a, b in candidates:
         ab = sum(p * q for p, q in zip(vecs[a], vecs[b]))
-        bound = sum(p * p for p in vecs[a]) * sum(q * q for q in vecs[b])
-        if abs(ab * ab - bound) <= tol * bound:
+        if ab * ab == sum(p * p for p in vecs[a]) * sum(q * q for q in vecs[b]):
             return a, b
     return None
 
@@ -910,8 +833,3 @@ def sample_generic_point(
         f"no point with hyperplane margin {min_distance} found in {max_tries} draws"
     )
 
-
-def gamma_with_chamber(system: RootSystem, chamber: Sequence[Scalar]) -> Scalar:
-    """gamma recomputed from the positive subsystem of another chamber."""
-    idx = positive_indices([r.vector for r in system.roots], chamber)
-    return sum(system.roots[i].multiplicity for i in idx)

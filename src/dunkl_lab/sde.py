@@ -364,71 +364,74 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     dt_min = config.dt_base * config.dt_floor_factor
     adaptive = config.scheme == "euler-adaptive"
 
-    while True:
-        idx = np.flatnonzero(ptr < n_obs)
-        if idx.size == 0:
-            break
-        xa = x[idx]
-        ta = t[idx]
-        target = obs[ptr[idx]]
-        t_rem = target - ta
-        gauss = streams.normals(idx)
-        x_prop, h_try, viol, d_prop, rates = _step_core(
-            xa, h_state[idx], t_rem, gauss, alphas, ks, sqns, config
-        )
-        # an overflowing drift makes the step NaN, which no floor test or
-        # time update would ever end
-        if not np.isfinite(x_prop).all():
-            raise SamplingError(
-                "a proposal is not finite; the drift overflows at these multiplicities"
+    # overflow surfaces as the non-finite proposal check below, not as
+    # numpy warnings; one errstate per run keeps the per-step cost flat
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while True:
+            idx = np.flatnonzero(ptr < n_obs)
+            if idx.size == 0:
+                break
+            xa = x[idx]
+            ta = t[idx]
+            target = obs[ptr[idx]]
+            t_rem = target - ta
+            gauss = streams.normals(idx)
+            x_prop, h_try, viol, d_prop, rates = _step_core(
+                xa, h_state[idx], t_rem, gauss, alphas, ks, sqns, config
             )
-        steps[idx] += 1
-        if viol.any():
-            if not adaptive:
-                raise SamplingError("sign violation under fixed stepping")
-            vid = idx[viol]
-            # floor proposals are redrawn, not shrunk further; a run of
-            # rejections there means the config is genuinely stuck
-            at_floor = h_try[viol] <= dt_min
-            strikes[vid[at_floor]] += 1
-            stuck = vid[strikes[vid] >= MAX_FLOOR_RETRIES]
-            if stuck.size:
-                first = stuck[np.argmin(t[stuck])]
-                raise StepUnderflowError(
-                    "proposals at the dt floor keep crossing a hyperplane",
-                    time=float(t[first]),
-                    path_index=int(paths[first]),
+            # an overflowing drift makes the step NaN, which no floor test or
+            # time update would ever end
+            if not np.isfinite(x_prop).all():
+                raise SamplingError(
+                    "a proposal is not finite; the drift overflows at these multiplicities"
                 )
-            h_state[vid] = np.maximum(h_try[viol] / 2.0, dt_min)
-            violations[vid] += 1
-        acc = ~viol
-        if not acc.any():
-            continue
-        aid = idx[acc]
-        strikes[aid] = 0
-        x_new = x_prop[acc]
-        h_acc = h_try[acc]
-        root_idx = None
-        if config.jumps and n_roots:
-            u = streams.uniforms(aid)
-            x_new, root_idx = _apply_jumps(
-                x_new, d_prop[acc], rates[acc], h_acc, u, alphas, sqns
-            )
-            jump_counts[aid] += root_idx >= 0
-            intensity[aid] += np.minimum(rates[acc] * h_acc[:, None], 1.0).sum(axis=1)
-        capped = h_acc >= t_rem[acc]
-        t_new = np.where(capped, target[acc], ta[acc] + h_acc)
-        x[aid] = x_new
-        t[aid] = t_new
-        if adaptive:
-            h_state[aid] = np.minimum(2.0 * h_acc, config.dt_base)
-        if record is not None:
-            record(t_new, x_new, root_idx)
-        hit = t_new == target[acc]
-        if hit.any():
-            hid = aid[hit]
-            out[hid, ptr[hid], :] = x_new[hit]
-            ptr[hid] += 1
+            steps[idx] += 1
+            if viol.any():
+                if not adaptive:
+                    raise SamplingError("sign violation under fixed stepping")
+                vid = idx[viol]
+                # floor proposals are redrawn, not shrunk further; a run of
+                # rejections there means the config is genuinely stuck
+                at_floor = h_try[viol] <= dt_min
+                strikes[vid[at_floor]] += 1
+                stuck = vid[strikes[vid] >= MAX_FLOOR_RETRIES]
+                if stuck.size:
+                    first = stuck[np.argmin(t[stuck])]
+                    raise StepUnderflowError(
+                        "proposals at the dt floor keep crossing a hyperplane",
+                        time=float(t[first]),
+                        path_index=int(paths[first]),
+                    )
+                h_state[vid] = np.maximum(h_try[viol] / 2.0, dt_min)
+                violations[vid] += 1
+            acc = ~viol
+            if not acc.any():
+                continue
+            aid = idx[acc]
+            strikes[aid] = 0
+            x_new = x_prop[acc]
+            h_acc = h_try[acc]
+            root_idx = None
+            if config.jumps and n_roots:
+                u = streams.uniforms(aid)
+                x_new, root_idx = _apply_jumps(
+                    x_new, d_prop[acc], rates[acc], h_acc, u, alphas, sqns
+                )
+                jump_counts[aid] += root_idx >= 0
+                intensity[aid] += np.minimum(rates[acc] * h_acc[:, None], 1.0).sum(axis=1)
+            capped = h_acc >= t_rem[acc]
+            t_new = np.where(capped, target[acc], ta[acc] + h_acc)
+            x[aid] = x_new
+            t[aid] = t_new
+            if adaptive:
+                h_state[aid] = np.minimum(2.0 * h_acc, config.dt_base)
+            if record is not None:
+                record(t_new, x_new, root_idx)
+            hit = t_new == target[acc]
+            if hit.any():
+                hid = aid[hit]
+                out[hid, ptr[hid], :] = x_new[hit]
+                ptr[hid] += 1
     return EnsembleResult(
         obs_times=tuple(float(v) for v in obs),
         states=out,

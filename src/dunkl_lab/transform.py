@@ -38,7 +38,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -132,15 +132,8 @@ def w_value(params: TransformParams, tau, zeta):
         k = float(r.multiplicity)
         if not k:
             continue
-        acc = acc - k * _log_signed(dot_any(r.vector, zeta))
+        acc = acc - k * _log_signed(dot(r.vector, zeta))
     return acc
-
-
-def dot_any(a, b):
-    """Dot product without type coercion; complex-safe."""
-    if len(a) != len(b):
-        raise DimensionError("dimension mismatch")
-    return sum(ai * bi for ai, bi in zip(a, b))
 
 
 def w_gradient(params: TransformParams, zeta):
@@ -193,7 +186,7 @@ def w_quadratic_form(params: TransformParams, zeta):
     gamma = float(system.gamma)
     acc = omega * omega * sum(z * z for z in zeta) - (2 * gamma + n) * omega
     live = system.live_positive
-    inv = [dot_any(r.vector, zeta) for r in live]
+    inv = [dot(r.vector, zeta) for r in live]
     for a, ra in enumerate(live):
         ka = float(ra.multiplicity)
         for b, rb in enumerate(live):
@@ -525,21 +518,6 @@ class IdentityReport:
     max_rel_residual: float
     worst_point: tuple | None = None
     notes: tuple[str, ...] = ()
-
-    def merge(self, other: "IdentityReport") -> "IdentityReport":
-        if other.identity != self.identity:
-            raise ValueError("cannot merge reports for different identities")
-        take_other = other.max_rel_residual > self.max_rel_residual
-        return replace(
-            self,
-            family=self.family if self.family == other.family else "mixed",
-            params=self.params if self.params == other.params else {"merged": True},
-            points=self.points + other.points,
-            max_abs_residual=max(self.max_abs_residual, other.max_abs_residual),
-            max_rel_residual=max(self.max_rel_residual, other.max_rel_residual),
-            worst_point=other.worst_point if take_other else self.worst_point,
-            notes=tuple(dict.fromkeys(self.notes + other.notes)),
-        )
 
     def to_json(self) -> str:
         payload = {

@@ -1,6 +1,6 @@
 """Confined many-body Hamiltonian, ground state, transformed form, spin matrix."""
 
-import json
+import itertools
 import math
 from fractions import Fraction
 
@@ -22,6 +22,7 @@ from dunkl_lab.dunkl import PolyFunction
 from dunkl_lab.errors import DimensionError
 from dunkl_lab.polyx import MultiPoly, parse_poly
 from dunkl_lab.rootsys import build_root_system, sample_generic_point
+from dunkl_lab.sde import hermite_roots
 
 
 def test_ground_energy_closed_forms():
@@ -163,17 +164,17 @@ def test_pf_matrix_magnetization_commutes():
                 assert bits[a] == bits[b]
 
 
-def test_pf_matrix_csv_and_json(tmp_path):
-    mat = pf_matrix((0.0, 2.0))
-    path = tmp_path / "mat.csv"
-    mat.to_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data == pytest.approx(mat.matrix)
-    coo = json.loads(mat.to_coordinate_json())
-    assert coo["sites"] == 2
-    assert all(set(entry) == {"row", "col", "value"} for entry in coo["entries"])
-    # round trip: entries rebuild the dense matrix
-    dense = np.zeros_like(mat.matrix)
-    for entry in coo["entries"]:
-        dense[entry["row"], entry["col"]] = entry["value"]
-    assert np.array_equal(dense, mat.matrix)
+def test_pf_matrix_matches_polychronakos_frahm_spectrum():
+    # at the Hermite zeros the spectrum is sum_{i<j} (z_i - z_j)^-2 minus the
+    # sum of the descent positions i (s_i > s_{i+1}, 1-based) of s in {1,2}^N
+    # (Polychronakos, PRL 70, 1993; Frahm, J. Phys. A 26, 1993)
+    for n in range(2, 9):
+        z = hermite_roots(n)
+        pair = sum(1.0 / (z[i] - z[j]) ** 2 for i in range(n) for j in range(i + 1, n))
+        exact = np.sort([
+            pair - sum(i + 1 for i in range(n - 1) if s[i] > s[i + 1])
+            for s in itertools.product((1, 2), repeat=n)
+        ])
+        got = pf_matrix(z).eigenvalues()
+        bound = 1e-9 * max(1.0, float(np.abs(exact).max()))
+        assert np.abs(got - exact).max() <= bound, n

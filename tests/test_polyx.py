@@ -131,10 +131,10 @@ def test_divide_by_linear_remainder():
 def test_alternating_quotient():
     # (p - p o sigma) is always divisible by alpha . x
     p = parse_poly("x1^3 x2 + 2 x2^2", nvars=2)
-    alpha = (Fraction(1), Fraction(-1))
+    alpha = _root((Fraction(1), Fraction(-1)))
     q = alternating_quotient(p, alpha)
-    lin = MultiPoly.linear_form(alpha)
-    assert q * lin == p - compose_reflection(p, _root(alpha))
+    lin = MultiPoly.linear_form(alpha.vector)
+    assert q * lin == p - compose_reflection(p, alpha)
     # an even polynomial has zero alternating part
     even = parse_poly("x1^2 + x2^2", nvars=2)
     assert alternating_quotient(even, alpha).is_zero()

@@ -1,6 +1,5 @@
-"""Root system construction, closure, orbits, serialization, sampling."""
+"""Root system construction, closure, orbits, sampling."""
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -9,19 +8,18 @@ import pytest
 
 from dunkl_lab.errors import ExactModeError, InvalidRootError, SamplingError, UnsupportedFamilyError
 from dunkl_lab.rootsys import (
-    FLOAT_MATCH_TOL,
-    RootSystem,
     build_root_system,
     chamber_vector,
     check_closure,
     compute_orbits,
     discriminant,
     dot,
-    gamma_with_chamber,
     hyperplane_distance,
     make_system_from_vectors,
+    positive_indices,
     reflect,
     sample_generic_point,
+    sq_norm,
     weight,
 )
 
@@ -98,13 +96,6 @@ def test_chamber_vector_is_generic():
             assert float(dot(system.roots[i].vector, c)) > 0
 
 
-def test_gamma_chamber_independent():
-    system = build_root_system("B", 3, (Fraction(1, 2), Fraction(5, 3)))
-    # any generic chamber gives the same multiplicity sum
-    assert gamma_with_chamber(system, (7, 1, 3)) == system.gamma
-    assert gamma_with_chamber(system, (-1, -2, -4)) == system.gamma
-
-
 def test_reflection_involution():
     system = build_root_system("D", 4, (1,))
     x = (Fraction(1), Fraction(2), Fraction(-3), Fraction(5, 2))
@@ -117,20 +108,22 @@ def test_reflection_involution():
 def test_reflection_matrices_match_reflect():
     system = build_root_system("B", 2, (1, 1))
     x = (Fraction(3), Fraction(-7))
-    for i, mat in enumerate(system.reflection_matrices):
+    for r in system.roots:
+        mat = r.reflection_matrix
         via_mat = tuple(sum(row[j] * x[j] for j in range(2)) for row in mat)
-        assert via_mat == system.reflect_index(i, x)
+        assert via_mat == reflect(r, x)
 
 
 def test_signed_permutations_cover_integer_families():
     for family, rank, mults in [("A", 3, (1,)), ("B", 3, (1, 1)), ("D", 4, (1,))]:
         system = build_root_system(family, rank, mults)
         x = tuple(Fraction(i + 1, 3) for i in range(system.dimension))
-        for i, sp in enumerate(system.signed_permutations):
+        for r in system.roots:
+            sp = r.signed_permutation
             assert sp is not None
             perm, signs = sp
             image = tuple(signs[j] * x[perm[j]] for j in range(len(x)))
-            assert image == system.reflect_index(i, x)
+            assert image == reflect(r, x)
 
 
 def test_i2_exact_only_square():
@@ -177,13 +170,14 @@ def test_closure_detects_broken_sets():
     assert check_closure(ok)
 
 
-def test_closure_of_float_and_rational_custom_sets():
-    def floats(vectors):
-        return make_system_from_vectors([tuple(float(c) for c in v) for v in vectors])
+def test_custom_sets_reject_float_coordinates():
+    with pytest.raises(ExactModeError):
+        make_system_from_vectors([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+    with pytest.raises(ExactModeError):
+        make_system_from_vectors([(1, 0), (-1, 0), (0, 0.5), (0, -0.5)])
 
-    assert not check_closure(floats([(1, 0), (-1, 0), (1, 1), (-1, -1)]))
-    assert not check_closure(floats([(1, 0), (-1, 0), (2, 0), (-2, 0)]))
-    assert check_closure(floats([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+
+def test_closure_of_float_and_rational_custom_sets():
     # a missing negative
     assert not check_closure(make_system_from_vectors([(1, 0), (-1, 0), (0, 1)]))
     # rational coordinates are matched exactly after scaling to integers
@@ -195,7 +189,8 @@ def test_closure_of_float_and_rational_custom_sets():
 
 def _brute_force_table(system):
     """sigma_a(beta_b) by reflecting every root and scanning the root list:
-    exact equality for exact systems, FLOAT_MATCH_TOL otherwise."""
+    exact equality for exact systems, within 1e-12 otherwise."""
+    tol = 1e-12
     table = []
     for a in system.roots:
         row = []
@@ -205,7 +200,7 @@ def _brute_force_table(system):
                 i
                 for i, r in enumerate(system.roots)
                 if (r.vector == image if system.is_exact
-                    else all(abs(float(p) - float(q)) <= FLOAT_MATCH_TOL
+                    else all(abs(float(p) - float(q)) <= tol
                              for p, q in zip(r.vector, image)))
             ]
             assert len(hits) <= 1
@@ -248,38 +243,42 @@ def test_reflection_table_matches_brute_force(family, rank, mults, scale):
     assert all(i >= 0 for row in table for i in row)
     assert check_closure(system)
     assert compute_orbits(system) == _brute_force_orbits(table)
-    # a custom copy of the same vectors derives its own table
-    custom = make_system_from_vectors([r.vector for r in system.roots])
-    assert custom.reflection_table == table
-    assert check_closure(custom)
     # the table survives multiplicity scaling and orbit rescaling
     assert system.with_multiplicity_scale(2).reflection_table == table
     if system.is_exact:
+        # a custom copy of the same vectors derives its own table
+        custom = make_system_from_vectors([r.vector for r in system.roots])
+        assert custom.reflection_table == table
+        assert check_closure(custom)
         stretched = system.rescale_orbit(system.roots[-1].orbit, Fraction(3))
         assert stretched.reflection_table == _brute_force_table(stretched)
         assert check_closure(stretched)
 
 
-def test_json_round_trip():
-    for family, rank, mults in FAMILIES:
-        system = build_root_system(family, rank, mults)
-        text = system.to_json()
-        back = RootSystem.from_json(text)
-        assert back.family == system.family
-        assert back.rank == system.rank
-        assert back.multiplicities == system.multiplicities
-        assert back.roots == system.roots
-        assert back.positive == system.positive
-        # canonical form: serialization is byte-stable
-        assert back.to_json() == text
+NORM_CASES = (
+    [("A", r, (1,)) for r in range(1, 7)]
+    + [("B", r, (1,) if r == 1 else (1, 2)) for r in range(1, 7)]
+    + [("D", r, (1,)) for r in range(2, 7)]
+    + [("I2", 4, (1, 2))]
+)
 
 
-def test_json_rejects_tampering():
-    system = build_root_system("A", 2, (1,))
-    data = json.loads(system.to_json())
-    data["roots"][0] = [5, 5, 5]
-    with pytest.raises(InvalidRootError):
-        RootSystem.from_json_dict(data)
+def test_built_norms_and_positives_match_module_functions():
+    """Family builds take norms and signs from integer vectors; they must
+    equal what sq_norm and positive_indices give on the stored vectors, in
+    value and in type."""
+    for family, rank, mults in NORM_CASES:
+        for scale in ("integer-representatives", "normalized"):
+            system = build_root_system(family, rank, mults, scale=scale)
+            case = (family, rank, scale)
+            for r in system.roots:
+                want = sq_norm(r.vector)
+                assert r.sq_norm == want and type(r.sq_norm) is type(want), case
+            want_pos = positive_indices(
+                [r.vector for r in system.roots], chamber_vector(system.dimension)
+            )
+            assert system.positive == want_pos, case
+            assert [type(i) for i in system.positive] == [type(i) for i in want_pos], case
 
 
 def test_multiplicity_scale():
@@ -317,7 +316,7 @@ def test_discriminant_alternates():
     x = (Fraction(1, 2), Fraction(2), Fraction(-1), Fraction(4))
     base = discriminant(system, x)
     for i in system.positive:
-        assert discriminant(system, system.reflect_index(i, x)) == -base
+        assert discriminant(system, reflect(system.roots[i], x)) == -base
 
 
 def test_sample_generic_point():
