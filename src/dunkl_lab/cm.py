@@ -27,7 +27,8 @@ roots z_1..z_N is the inverse-square exchange spin chain
     H = sum_{i<j} P_ij / (z_i - z_j)^2
 
 on (C^2)^{tensor N}, with P_ij the transposition of spin sites i and j;
-``pf_matrix`` builds it densely (N <= 12) for spectra and trace checks.
+``pf_matrix`` builds it densely (N <= 12) for spectra and trace checks, and
+its spectrum is diagonalized per S^z block, since every P_ij conserves S^z.
 """
 
 from __future__ import annotations
@@ -273,7 +274,19 @@ class SpinChainMatrix:
         return float(np.trace(self.matrix))
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """The ascending spectrum, one S^z block at a time.
+
+        Every P_ij keeps the number of up spins, so the matrix is block
+        diagonal over the popcount of b; the largest block at N sites is
+        C(N, N/2) wide instead of 2^N.
+        """
+        b = np.arange(self.matrix.shape[0])
+        pop = ((b[:, None] >> np.arange(self.n_sites)) & 1).sum(axis=1)
+        blocks = []
+        for p in range(self.n_sites + 1):
+            sel = np.flatnonzero(pop == p)
+            blocks.append(np.linalg.eigvalsh(self.matrix[np.ix_(sel, sel)]))
+        return np.sort(np.concatenate(blocks))
 
 
 def pf_matrix(z: Sequence[float]) -> SpinChainMatrix:
@@ -287,16 +300,18 @@ def pf_matrix(z: Sequence[float]) -> SpinChainMatrix:
     if len(set(zs)) != n:
         raise ValueError("site positions must be distinct")
     dim = 1 << n
+    b = np.arange(dim)
+    bits = (b[:, None] >> np.arange(n)) & 1
     h = np.zeros((dim, dim))
+    diag = np.zeros(dim)
     for i in range(n):
         for j in range(i + 1, n):
             w = 1.0 / (zs[i] - zs[j]) ** 2
-            for b in range(dim):
-                bi = (b >> i) & 1
-                bj = (b >> j) & 1
-                if bi == bj:
-                    h[b, b] += w
-                else:
-                    b2 = b ^ ((1 << i) | (1 << j))
-                    h[b2, b] += w
+            same = bits[:, i] == bits[:, j]
+            # equal spins: P_ij fixes b; the diagonal sums w in pair order
+            diag[same] += w
+            # unequal spins: P_ij swaps them, one entry per state
+            flip = b[~same]
+            h[flip ^ ((1 << i) | (1 << j)), flip] = w
+    h[b, b] = diag
     return SpinChainMatrix(positions=tuple(zs), matrix=h)

@@ -475,31 +475,29 @@ def _build_root_system(
         if m < 3:
             raise UnsupportedFamilyError("I2(m) needs m >= 3")
         n_orbits = 2 if m % 2 == 0 else 1
-        if scale == SCALE_INTEGER:
-            raw, orbits = _i2_integer_vectors(m)
-            exact = True
-        else:
-            raw, orbits = _i2_vectors(m)
-            exact = False
         dimension = 2
-        norms = [sq_norm(v) for v in raw]
-        pos = positive_indices(raw, chamber_vector(dimension))
+        if scale == SCALE_INTEGER:
+            ints, orbits = _i2_integer_vectors(m)
+        else:
+            ints = None
+            raw, orbits = _i2_vectors(m)
     else:
         ints, orbits, dimension = _family_vectors(family, rank)
         if family == "A" or family == "D":
             n_orbits = 1
         else:  # B
             n_orbits = 1 if rank == 1 else 2
-        # norms and signs in int arithmetic; unit vectors keep their float norms
-        if scale == SCALE_INTEGER:
-            raw = [tuple(Fraction(c) for c in v) for v in ints]
-            norms = [Fraction(sum(c * c for c in v)) for v in ints]
-            exact = True
-        else:
+        if scale != SCALE_INTEGER:
             raw = [_unit(v) for v in ints]
-            norms = [sq_norm(v) for v in raw]
-            exact = False
-        pos = positive_indices(ints, chamber_vector(dimension))
+    # integer representatives become Fraction vectors with norms and signs
+    # from int arithmetic; float vectors keep their float norms
+    exact = scale == SCALE_INTEGER
+    if exact:
+        raw = [tuple(Fraction(c) for c in v) for v in ints]
+        norms = [Fraction(sum(c * c for c in v)) for v in ints]
+    else:
+        norms = [sq_norm(v) for v in raw]
+    pos = positive_indices(raw if ints is None else ints, chamber_vector(dimension))
 
     if len(mults) != n_orbits:
         raise InvalidRootError(

@@ -33,10 +33,12 @@ is unrealizable and would skew the jump-count comparison.
 Reproducibility.  Ensemble member i owns two PCG64 streams seeded from the
 master seed with spawn keys (i, 0) for Gaussians and (i, 1) for uniforms,
 with fixed-size block buffers.  Ensemble and replay share one stepping
-loop: ``replay_path`` runs it on the one-path index set.  All array work is
-elementwise plus length-N row sums (no matmul), so a row's arithmetic does
-not depend on the batch size, and a replayed path is bitwise identical to
-the same path inside a vectorized ensemble by construction.
+loop: ``replay_path`` runs it on the one-path index set.  Every alpha . x is
+summed over a support table of each root's nonzero coordinates, and the
+drift is accumulated column by column over the roots that touch it; all of
+it is elementwise (no matmul), so a row's arithmetic does not depend on the
+batch size, and a replayed path is bitwise identical to the same path
+inside a vectorized ensemble by construction.
 
 The freezing experiment scales X_t by sqrt(2 k t) and compares against the
 roots of the N-th Hermite polynomial; the zero-noise flow is also exposed
@@ -224,27 +226,72 @@ class PathStreams:
         return out
 
 
-def _live_root_arrays(system: RootSystem):
-    alphas, ks, sqns = [], [], []
-    for i in system.positive:
-        r = system.roots[i]
-        if r.multiplicity:
-            alphas.append([float(c) for c in r.vector])
-            ks.append(float(r.multiplicity))
-            sqns.append(float(r.sq_norm))
-    if alphas:
-        return np.asarray(alphas), np.asarray(ks), np.asarray(sqns)
+@dataclass(frozen=True)
+class _LiveRoots:
+    """The positive roots with k > 0 as float arrays, built once per run.
+
+    Row r of ``idx``/``coef`` lists root r's nonzero coordinates in
+    ascending order and their coefficients, padded to the largest support
+    size s with coordinate 0 and coefficient 0.0.  ``drift_levels`` lists,
+    for q = 0, 1, ..., the columns touched by at least q + 1 roots and the
+    flat (root * s + slot) position of the (q + 1)-th such root, in root
+    order.  ``alphas`` keeps the dense rows for the jump reflection.
+    """
+
+    alphas: np.ndarray
+    ks: np.ndarray
+    sqns: np.ndarray
+    idx: np.ndarray
+    coef: np.ndarray
+    drift_levels: tuple
+
+    @property
+    def count(self) -> int:
+        return self.ks.shape[0]
+
+    def dots(self, y: np.ndarray) -> np.ndarray:
+        """(m, R) array of alpha . y for every row of y and every root.
+
+        Summed over the support in coordinate order with no matmul, so each
+        entry is the dense row sum (x * alpha).sum() bit for bit wherever
+        that is nonzero (for supports of up to two coordinates at any
+        dimension, and of any size up to dimension 7), and a row's result
+        does not depend on the batch.  An exact zero may differ in sign.
+        """
+        acc = y[:, self.idx[:, 0]] * self.coef[:, 0]
+        for c in range(1, self.idx.shape[1]):
+            acc += y[:, self.idx[:, c]] * self.coef[:, c]
+        return acc
+
+
+def _live_root_arrays(system: RootSystem) -> _LiveRoots:
     n = system.dimension
-    return np.zeros((0, n)), np.zeros(0), np.zeros(0)
+    live = [system.roots[i] for i in system.positive if system.roots[i].multiplicity]
+    s = max((len(r.support) for r in live), default=1)
+    idx = np.zeros((len(live), s), dtype=np.int64)
+    coef = np.zeros((len(live), s))
+    column_terms = [[] for _ in range(n)]
+    for r, root in enumerate(live):
+        for c, (i, v) in enumerate(root.support):
+            idx[r, c] = i
+            coef[r, c] = float(v)
+            column_terms[i].append(r * s + c)
+    levels = []
+    for q in range(max((len(t) for t in column_terms), default=0)):
+        cols = [j for j in range(n) if len(column_terms[j]) > q]
+        pos = np.asarray([column_terms[j][q] for j in cols], dtype=np.int64)
+        levels.append((slice(None) if len(cols) == n else np.asarray(cols), pos))
+    return _LiveRoots(
+        alphas=np.asarray([r.fvector for r in live], dtype=float).reshape(len(live), n),
+        ks=np.asarray([float(r.multiplicity) for r in live]),
+        sqns=np.asarray([r.fsq_norm for r in live]),
+        idx=idx,
+        coef=coef,
+        drift_levels=tuple(levels),
+    )
 
 
-def _row_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # elementwise product plus a length-N row sum; deliberately no matmul so
-    # the rounding sequence does not depend on the batch size
-    return (x * v).sum(axis=1)
-
-
-def _step_core(x, h_state, t_rem, gauss, alphas, ks, sqns, cfg: SimConfig):
+def _step_core(x, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfig):
     """One proposal for every row of ``x``; shared by ensemble and replay.
 
     The proposal step is min(h_state, ceiling), where the ceiling applies
@@ -255,37 +302,28 @@ def _step_core(x, h_state, t_rem, gauss, alphas, ks, sqns, cfg: SimConfig):
     without ever letting model time advance.
     """
     m, n = x.shape
-    n_roots = alphas.shape[0]
     adaptive = cfg.scheme == "euler-adaptive"
 
-    d_pre = np.empty((m, n_roots))
-    for r in range(n_roots):
-        d_pre[:, r] = _row_dot(x, alphas[r])
+    d_pre = roots.dots(x)
 
+    # each column sums its roots' k alpha_j / (alpha . x) in root order
+    # from +0.0, as a dense per-root accumulation would
+    terms = ((roots.ks / d_pre)[:, :, None] * roots.coef).reshape(m, -1)
     drift = np.zeros((m, n))
-    for r in range(n_roots):
-        drift += (ks[r] / d_pre[:, r])[:, None] * alphas[r][None, :]
+    for cols, pos in roots.drift_levels:
+        drift[:, cols] += terms[:, pos]
 
     base = np.minimum(np.full(m, cfg.dt_base), t_rem)
     rates = None
     if cfg.jumps:
-        rates = np.empty((m, n_roots))
-        for r in range(n_roots):
-            rates[:, r] = (ks[r] * sqns[r] / 2.0) / (d_pre[:, r] * d_pre[:, r])
-    if adaptive and n_roots:
-        cap = np.full(m, np.inf)
-        for r in range(n_roots):
-            along = _row_dot(drift, alphas[r])
-            c = np.full(m, np.inf)
-            np.divide(
-                cfg.drift_limit * np.abs(d_pre[:, r]),
-                np.abs(along),
-                out=c,
-                where=along != 0,
-            )
-            cap = np.minimum(cap, c)
-            if cfg.jumps:
-                cap = np.minimum(cap, cfg.jump_rate_limit / rates[:, r])
+        rates = (roots.ks * roots.sqns / 2.0) / (d_pre * d_pre)
+    if adaptive and roots.count:
+        along = roots.dots(drift)
+        c = np.full(along.shape, np.inf)
+        np.divide(cfg.drift_limit * np.abs(d_pre), np.abs(along), out=c, where=along != 0)
+        cap = c.min(axis=1)
+        if cfg.jumps:
+            cap = np.minimum(cap, (cfg.jump_rate_limit / rates).min(axis=1))
         dt_min = cfg.dt_base * cfg.dt_floor_factor
         ceiling = np.minimum(base, np.maximum(cap, dt_min))
     else:
@@ -294,9 +332,7 @@ def _step_core(x, h_state, t_rem, gauss, alphas, ks, sqns, cfg: SimConfig):
 
     x_prop = x + h_try[:, None] * drift + np.sqrt(h_try)[:, None] * gauss
 
-    d_prop = np.empty((m, n_roots))
-    for r in range(n_roots):
-        d_prop[:, r] = _row_dot(x_prop, alphas[r])
+    d_prop = roots.dots(x_prop)
     viol = ((d_pre > 0) != (d_prop > 0)) | (d_prop == 0)
     return x_prop, h_try, viol.any(axis=1), d_prop, rates
 
@@ -325,10 +361,9 @@ def _apply_jumps(x_prop, d_prop, rates, h_try, u, alphas, sqns):
     return x_new, root_idx
 
 
-def _check_start(x0: np.ndarray, alphas: np.ndarray):
-    for r in range(alphas.shape[0]):
-        if float((x0 * alphas[r]).sum()) == 0.0:
-            raise HyperplaneError("x0 lies on a reflecting hyperplane with k > 0")
+def _check_start(x0: np.ndarray, roots: _LiveRoots):
+    if (roots.dots(x0[None, :]) == 0.0).any():
+        raise HyperplaneError("x0 lies on a reflecting hyperplane with k > 0")
 
 
 def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult:
@@ -339,15 +374,15 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     live-root indices (-1 for no jump; None when jumps are off).
     """
     system = config.effective_system()
-    alphas, ks, sqns = _live_root_arrays(system)
-    n_roots = alphas.shape[0]
+    roots = _live_root_arrays(system)
+    n_roots = roots.count
     if config.jumps and n_roots and config.scheme == "euler-fixed":
         raise SamplingError("jump thinning requires the adaptive scheme")
     n = system.dimension
     obs = np.asarray(config.observation_grid())
     n_obs = len(obs)
     x0 = np.asarray([float(c) for c in config.x0])
-    _check_start(x0, alphas)
+    _check_start(x0, roots)
 
     streams = PathStreams(config.master_seed, paths, n, n_roots + 1 if config.jumps and n_roots else 0)
     m = len(paths)
@@ -377,7 +412,7 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
             t_rem = target - ta
             gauss = streams.normals(idx)
             x_prop, h_try, viol, d_prop, rates = _step_core(
-                xa, h_state[idx], t_rem, gauss, alphas, ks, sqns, config
+                xa, h_state[idx], t_rem, gauss, roots, config
             )
             # an overflowing drift makes the step NaN, which no floor test or
             # time update would ever end
@@ -415,7 +450,7 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
             if config.jumps and n_roots:
                 u = streams.uniforms(aid)
                 x_new, root_idx = _apply_jumps(
-                    x_new, d_prop[acc], rates[acc], h_acc, u, alphas, sqns
+                    x_new, d_prop[acc], rates[acc], h_acc, u, roots.alphas, roots.sqns
                 )
                 jump_counts[aid] += root_idx >= 0
                 intensity[aid] += np.minimum(rates[acc] * h_acc[:, None], 1.0).sum(axis=1)

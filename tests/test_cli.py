@@ -40,6 +40,32 @@ def test_verify_exact_suites_golden_digest(tmp_path, capsys):
     assert digest == "c254582f7f4938f06b2bf243daf0a75e32a279262b2675df493ec2a3f42fbe67"
 
 
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (
+            ["simulate", "--family", "B", "--rank", "2", "--mults", "1,1/2",
+             "--x0", "0.6,1.7", "--horizon", "0.25", "--obs", "0.1",
+             "--ensemble", "200", "--seed", "1", "--jumps"],
+            "6614d852bca95301ce8b49bce307f7a68bff81c72050dca1e8d1ea1e4266d274",
+        ),
+        (
+            ["freeze", "--n", "3", "--k", "100,10000", "--paths", "20",
+             "--seed", "1", "--no-ode"],
+            "3536cedf06ec87810abf09f5588f0820b8c6e9d04383ed4120f502ef267e992f",
+        ),
+    ],
+    ids=["simulate-b2-jumps", "freeze-a2"],
+)
+def test_stochastic_golden_digest(args, expected, tmp_path, capsys):
+    # sha256 of the --out bytes of a jumping ensemble and a freezing run: a
+    # change to the stepper's arithmetic that moves any sampled bit fails here
+    out = tmp_path / "run.json"
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
 def test_verify_failure_exit_two(monkeypatch, capsys):
     def broken(seed=0):
         return SuiteResult(

@@ -168,7 +168,7 @@ def test_pf_matrix_matches_polychronakos_frahm_spectrum():
     # at the Hermite zeros the spectrum is sum_{i<j} (z_i - z_j)^-2 minus the
     # sum of the descent positions i (s_i > s_{i+1}, 1-based) of s in {1,2}^N
     # (Polychronakos, PRL 70, 1993; Frahm, J. Phys. A 26, 1993)
-    for n in range(2, 9):
+    for n in range(2, 13):
         z = hermite_roots(n)
         pair = sum(1.0 / (z[i] - z[j]) ** 2 for i in range(n) for j in range(i + 1, n))
         exact = np.sort([
@@ -178,3 +178,25 @@ def test_pf_matrix_matches_polychronakos_frahm_spectrum():
         got = pf_matrix(z).eigenvalues()
         bound = 1e-9 * max(1.0, float(np.abs(exact).max()))
         assert np.abs(got - exact).max() <= bound, n
+
+
+def _pf_matrix_loop(z):
+    # the state-by-state construction, kept as the reference for pf_matrix
+    n = len(z)
+    dim = 1 << n
+    h = np.zeros((dim, dim))
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = 1.0 / (z[i] - z[j]) ** 2
+            for b in range(dim):
+                if (b >> i) & 1 == (b >> j) & 1:
+                    h[b, b] += w
+                else:
+                    h[b ^ ((1 << i) | (1 << j)), b] += w
+    return h
+
+
+def test_pf_matrix_equals_state_loop():
+    for n in range(2, 9):
+        z = [float(v) for v in hermite_roots(n)]
+        assert np.array_equal(pf_matrix(z).matrix, _pf_matrix_loop(z)), n

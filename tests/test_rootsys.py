@@ -139,6 +139,23 @@ def test_i2_exact_only_square():
     assert len(hexagon.roots) == 12
 
 
+def test_i2_exact_roots_stay_fractions():
+    # exact I2(4) computes like the exact A/B/D families: Fraction vectors and
+    # norms, so its reflections never fall back to float division
+    system = build_root_system("I2", 4, (1, 1))
+    for r in system.roots:
+        assert all(type(c) is Fraction for c in r.vector)
+        assert type(r.sq_norm) is Fraction
+    diag = system.roots[1]
+    assert diag.vector == (1, 1)
+    matrix = diag.reflection_matrix
+    assert matrix == ((0, -1), (-1, 0))
+    assert all(type(c) is Fraction for row in matrix for c in row)
+    image = reflect(diag, (1, 2))
+    assert image == (-2, -1)
+    assert all(type(c) is Fraction for c in image)
+
+
 def test_normalized_scale_unit_roots():
     system = build_root_system("B", 3, (1.0, 0.5), scale="normalized")
     assert not system.is_exact

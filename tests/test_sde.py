@@ -1,6 +1,7 @@
 """Stochastic engine: determinism, replay, jumps, moments, root oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dunkl_lab.errors import (
     SamplingError,
     StepUnderflowError,
 )
-from dunkl_lab.rootsys import build_root_system
+from dunkl_lab.rootsys import build_root_system, make_system_from_vectors
 from dunkl_lab.sde import (
     HERMITE_CAP,
     SimConfig,
@@ -100,6 +101,55 @@ def test_paths_are_independent_of_ensemble_size():
     small = simulate(_cfg(ensemble=3))
     large = simulate(_cfg(ensemble=8))
     assert np.array_equal(small.states, large.states[:3])
+
+
+G2_VECTORS = [
+    v
+    for a, b, c in [(1, -1, 0), (0, 1, -1), (1, 0, -1), (2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
+    for v in ((a, b, c), (-a, -b, -c))
+]
+
+SUPPORT_SYSTEMS = (
+    [("A", r, (1,)) for r in range(1, 6)]
+    + [("B", 1, (1,))]
+    + [("B", r, (1, Fraction(1, 2))) for r in range(2, 5)]
+    + [("D", r, (1,)) for r in range(2, 6)]
+)
+SUPPORT_CASES = (
+    [(f, r, m, scale) for f, r, m in SUPPORT_SYSTEMS for scale in ("integer-representatives", "normalized")]
+    + [("I2", 4, (1, 2), "integer-representatives")]
+    + [("I2", m, (1,) if m % 2 else (1, 2), "normalized") for m in range(3, 9)]
+    + [("G2", 3, (1,), "custom")]
+)
+
+
+@pytest.mark.parametrize(
+    "family,rank,mults,scale", SUPPORT_CASES, ids=[f"{c[0]}{c[1]}-{c[3][:4]}" for c in SUPPORT_CASES]
+)
+def test_support_table_dots_match_dense_row_sums(family, rank, mults, scale):
+    # the stepper's support-table dots against the dense (x * alpha) row sum
+    # on random batches, a third of them pushed onto or next to a wall
+    if scale == "custom":
+        system = make_system_from_vectors(G2_VECTORS, 1)
+    else:
+        system = build_root_system(family, rank, mults, scale=scale)
+    roots = sde_mod._live_root_arrays(system)
+    assert roots.count == len(system.positive)
+    rng = np.random.default_rng(7)
+    n = system.dimension
+    x = rng.standard_normal((600, n)) * 10.0 ** rng.integers(-3, 4, size=(600, 1))
+    for row in range(0, 600, 3):
+        alpha = roots.alphas[row % roots.count]
+        x[row] -= ((x[row] * alpha).sum() / (alpha * alpha).sum()) * alpha
+        x[row] += alpha * (0.0 if row % 2 else 1e-12 * rng.standard_normal())
+    got = roots.dots(x)
+    for r in range(roots.count):
+        ref = (x * roots.alphas[r]).sum(axis=1)
+        nonzero = ref != 0
+        assert np.array_equal(got[nonzero, r].view(np.uint64), ref[nonzero].view(np.uint64)), r
+        assert np.all(got[~nonzero, r] == 0), r
+    if family == "G2":
+        assert roots.idx.shape[1] == 3
 
 
 @pytest.mark.parametrize("jumps", [False, True])
