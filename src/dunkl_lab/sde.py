@@ -30,15 +30,19 @@ count.  The recorded intensity integral accrues min(1, h * rate), the
 hazard the thinning actually realizes; below the floor depth the raw rate
 is unrealizable and would skew the jump-count comparison.
 
-Reproducibility.  Ensemble member i owns two PCG64 streams seeded from the
-master seed with spawn keys (i, 0) for Gaussians and (i, 1) for uniforms,
-with fixed-size block buffers.  Ensemble and replay share one stepping
-loop: ``replay_path`` runs it on the one-path index set.  Every alpha . x is
-summed over a support table of each root's nonzero coordinates, and the
-drift is accumulated column by column over the roots that touch it; all of
-it is elementwise (no matmul), so a row's arithmetic does not depend on the
-batch size, and a replayed path is bitwise identical to the same path
-inside a vectorized ensemble by construction.
+Reproducibility.  Ensemble member i owns two PCG64 streams, the ones numpy
+seeds from SeedSequence(master_seed, spawn_key=(i, 0)) for Gaussians and
+(i, 1) for uniforms, with fixed-size block buffers.  The streams of all
+members are seeded in one vectorized pass of numpy's seed mixing and drawn
+through one reusable bit generator, so no per-path generator objects exist
+and every sampled bit is the one numpy's own objects give.  Ensemble and
+replay share one stepping loop: ``replay_path`` runs it on the one-path
+index set.  Every alpha . x is summed over a support table of each root's
+nonzero coordinates, and the drift is accumulated column by column over the
+roots that touch it; all of it is elementwise (no matmul), so a row's
+arithmetic does not depend on the batch size, and a replayed path is
+bitwise identical to the same path inside a vectorized ensemble by
+construction.
 
 The freezing experiment scales X_t by sqrt(2 k t) and compares against the
 roots of the N-th Hermite polynomial; the zero-noise flow is also exposed
@@ -69,6 +73,15 @@ BLOCK = 128
 SCHEMES = ("euler-adaptive", "euler-fixed")
 HERMITE_CAP = 50
 MAX_FLOOR_RETRIES = 64
+
+# numpy's SeedSequence mixing constants and PCG64's 128-bit multiplier
+_WORD = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -109,8 +122,15 @@ class SimConfig:
             raise ConfigError("horizon must be positive")
         if not self.dt_base > 0:
             raise ConfigError("dt_base must be positive")
+        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int):
+            raise ConfigError(f"master_seed must be an int, got {self.master_seed!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.ensemble < 1:
             raise ConfigError("ensemble must be at least 1")
+        if self.ensemble > _WORD:
+            # a path index is one 32-bit spawn-key word of its streams
+            raise ConfigError(f"ensemble must be below 2**32, got {self.ensemble}")
         if self.k_scale < 0:
             raise ConfigError("k_scale must be nonnegative")
         if not 0 < self.drift_limit <= 1:
@@ -180,47 +200,118 @@ class Trajectory:
                 writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
 
 
+def _stream_states(master_seed: int, paths: Sequence[int], stream: int) -> tuple:
+    """PCG64 ``(state, inc)`` lists of every path's stream ``stream``.
+
+    Entry r equals the state of PCG64(SeedSequence(master_seed,
+    spawn_key=(paths[r], stream))): numpy's entropy mixing runs on uint32
+    arrays over all paths at once (the per-word hash constants do not
+    depend on the data), and PCG64's seeding step runs in Python ints.
+    """
+    words = []
+    seed = master_seed
+    while True:
+        words.append(seed & _WORD)
+        seed >>= 32
+        if not seed:
+            break
+    # with a spawn key, the run entropy is zero-padded to the pool size
+    words += [0] * (_POOL_SIZE - len(words))
+    key = np.asarray(paths, dtype=np.uint32)
+    entropy = [np.full(key.shape, w, np.uint32) for w in words]
+    entropy += [key, np.full(key.shape, stream, np.uint32)]
+
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _WORD
+        value = value * np.uint32(hash_a)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(e) for e in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(e))
+
+    # generate_state(4, np.uint64): eight uint32 words, paired little-endian
+    hash_b = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _WORD
+        value = value * np.uint32(hash_b)
+        out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    w = [(out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
+
+    states, incs = [], []
+    for hi0, lo0, hi1, lo1 in zip(*w):
+        inc = ((hi1 << 64 | lo1) << 1 | 1) & _MASK128
+        # one step from state 0 gives inc; add the initial state, step again
+        state = (inc + (hi0 << 64 | lo0)) & _MASK128
+        states.append((state * _PCG_MULT + inc) & _MASK128)
+        incs.append(inc)
+    return states, incs
+
+
 class PathStreams:
     """Per-path Gaussian and uniform streams with block buffering.
 
-    Row r draws for ensemble member ``paths[r]``: Gaussians from the stream
-    spawned at key (paths[r], 0) and uniforms from (paths[r], 1), regardless
-    of which other members run next to it, so an isolated rerun of one path
-    sees the identical random numbers.
+    Row r draws for ensemble member ``paths[r]``: Gaussians from the PCG64
+    stream of SeedSequence(master_seed, spawn_key=(paths[r], 0)) and
+    uniforms from key (paths[r], 1), regardless of which other members run
+    next to it, so an isolated rerun of one path sees the identical random
+    numbers.  The same streams as numpy's per-path generators: every row's
+    state is seeded in one vectorized pass, and a refill loads that state
+    into one reusable bit generator, fills the row's block and stores the
+    advanced state back.
     """
 
     def __init__(self, master_seed: int, paths: Sequence[int], dim: int, n_uniform: int):
-        self.dim = dim
-        self.n_uniform = n_uniform
-        self._gauss = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(i, 0))))
-            for i in paths
-        ]
-        self._unif = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(i, 1))))
-            for i in paths
-        ]
+        self._bitgen = np.random.PCG64(0)
+        self._gen = np.random.Generator(self._bitgen)
         m = len(paths)
+        self._gstate, self._ginc = _stream_states(master_seed, paths, 0)
         self._gbuf = np.empty((m, BLOCK, dim))
         self._gpos = np.full(m, BLOCK, dtype=np.int64)
         if n_uniform:
+            self._ustate, self._uinc = _stream_states(master_seed, paths, 1)
             self._ubuf = np.empty((m, BLOCK, n_uniform))
             self._upos = np.full(m, BLOCK, dtype=np.int64)
 
+    def _refill(self, rows, states, incs, draw, buf):
+        bitgen = self._bitgen
+        for r in rows:
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": states[r], "inc": incs[r]},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            draw(out=buf[r])
+            states[r] = bitgen.state["state"]["state"]
+
     def normals(self, idx: np.ndarray) -> np.ndarray:
         need = idx[self._gpos[idx] == BLOCK]
-        for i in need:
-            self._gbuf[i] = self._gauss[i].standard_normal((BLOCK, self.dim))
-            self._gpos[i] = 0
+        self._refill(need, self._gstate, self._ginc, self._gen.standard_normal, self._gbuf)
+        self._gpos[need] = 0
         out = self._gbuf[idx, self._gpos[idx], :]
         self._gpos[idx] += 1
         return out
 
     def uniforms(self, idx: np.ndarray) -> np.ndarray:
         need = idx[self._upos[idx] == BLOCK]
-        for i in need:
-            self._ubuf[i] = self._unif[i].random((BLOCK, self.n_uniform))
-            self._upos[i] = 0
+        self._refill(need, self._ustate, self._uinc, self._gen.random, self._ubuf)
+        self._upos[need] = 0
         out = self._ubuf[idx, self._upos[idx], :]
         self._upos[idx] += 1
         return out

@@ -54,8 +54,16 @@ def test_verify_exact_suites_golden_digest(tmp_path, capsys):
              "--seed", "1", "--no-ode"],
             "3536cedf06ec87810abf09f5588f0820b8c6e9d04383ed4120f502ef267e992f",
         ),
+        (
+            # 2^64 + 5 is three 32-bit entropy words: pins the multi-word
+            # padding and mixing that seeds below 2^32 never reach
+            ["simulate", "--family", "A", "--rank", "2", "--mults", "1",
+             "--x0=-1,0.1,1.2", "--horizon", "0.25", "--obs", "0.1",
+             "--ensemble", "300", "--seed", "18446744073709551621", "--jumps"],
+            "f82da719359aab98556f9625dd4bb51432f48581f5d37aee05edb1965b3cc6eb",
+        ),
     ],
-    ids=["simulate-b2-jumps", "freeze-a2"],
+    ids=["simulate-b2-jumps", "freeze-a2", "simulate-a2-jumps-wide-seed"],
 )
 def test_stochastic_golden_digest(args, expected, tmp_path, capsys):
     # sha256 of the --out bytes of a jumping ensemble and a freezing run: a

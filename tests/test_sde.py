@@ -79,6 +79,76 @@ def test_config_rejects_non_finite_values(overrides):
         _cfg(**overrides)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"master_seed": -1},
+        {"master_seed": 1.5},
+        {"master_seed": True},
+        {"master_seed": "1"},
+        {"ensemble": 2**32},
+    ],
+    ids=["negative-seed", "float-seed", "bool-seed", "str-seed", "ensemble-2^32"],
+)
+def test_config_rejects_aliasing_seeds(overrides):
+    # each path index is one 32-bit spawn-key word of a nonnegative int seed
+    with pytest.raises(ConfigError):
+        _cfg(**overrides)
+
+
+def test_config_accepts_widest_seed_and_ensemble():
+    cfg = _cfg(master_seed=2**130 + 3, ensemble=2**32 - 1)
+    assert cfg.master_seed == 2**130 + 3
+
+
+SEEDS = [0, 1, 2**31 - 1, 2**32, 2**64 - 1, 2**64, 2**130 + 3]
+SEED_PATHS = list(range(50)) + [77777, 2**32 - 1]
+
+
+@pytest.mark.parametrize("stream", [0, 1])
+@pytest.mark.parametrize("seed", SEEDS, ids=["0", "1", "2^31-1", "2^32", "2^64-1", "2^64", "2^130+3"])
+def test_stream_states_match_numpy_seeding(seed, stream):
+    states, incs = sde_mod._stream_states(seed, SEED_PATHS, stream)
+    for p, state, inc in zip(SEED_PATHS, states, incs):
+        ref = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(p, stream))).state["state"]
+        assert (state, inc) == (ref["state"], ref["inc"]), p
+
+
+@pytest.mark.parametrize(
+    "paths", [[5], [0, 3, 7, 77777, 2**32 - 1]], ids=["one-row", "five-rows"]
+)
+def test_path_streams_match_per_path_generators(paths):
+    # the parent design: one Generator per path and stream, refilled a block
+    # at a time; staggered index sets make rows refill at different calls
+    seed, dim, n_uniform, blocks = 2**64 + 5, 3, 4, 4
+    streams = sde_mod.PathStreams(seed, paths, dim, n_uniform)
+
+    def reference(stream, draw):
+        out = []
+        for p in paths:
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(p, stream))))
+            out.append(np.concatenate([draw(gen) for _ in range(blocks)]))
+        return out
+
+    ref_g = reference(0, lambda g: g.standard_normal((sde_mod.BLOCK, dim)))
+    ref_u = reference(1, lambda g: g.random((sde_mod.BLOCK, n_uniform)))
+    m = len(paths)
+    used = np.zeros(m, dtype=np.int64)
+    target = (blocks - 1) * sde_mod.BLOCK + 2  # past the third refill
+    t = 0
+    while used.min() < target:
+        idx = np.asarray([r for r in range(m) if t % (r + 1) == 0 and used[r] < target], dtype=np.int64)
+        t += 1
+        if not idx.size:
+            continue
+        g = streams.normals(idx)
+        u = streams.uniforms(idx)
+        for row, r in enumerate(idx):
+            assert np.array_equal(g[row].view(np.uint64), ref_g[r][used[r]].view(np.uint64))
+            assert np.array_equal(u[row].view(np.uint64), ref_u[r][used[r]].view(np.uint64))
+        used[idx] += 1
+
+
 def test_observation_grid_includes_horizon():
     cfg = _cfg(obs_times=(0.1, 0.2))
     assert cfg.observation_grid() == (0.1, 0.2, 0.25)
