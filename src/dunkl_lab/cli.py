@@ -5,11 +5,13 @@ path ensemble and reports the quadratic moment check, ``freeze`` runs the
 large-multiplicity collapse experiment, and ``roots`` prints classical root
 configurations or a root-system description.
 
-Options can come from flags or from a JSON file passed with --config,
-validated against the bundled schema (unknown keys are rejected); flags win
-over file values.  All file outputs are deterministic byte-for-byte for a
-fixed configuration: keys are sorted and floats are written with shortest
-round-trip precision.
+Flags are merged over the subcommand's section of an optional JSON file
+(--config; its top-level ``seed`` fills in a missing seed), flags win, and
+the result is validated once against the bundled schema before any work
+starts; the file's other sections are checked for bad keys but need not be
+complete.  Options left out take the library's defaults.  All file outputs
+are deterministic byte-for-byte for a fixed configuration: keys are sorted
+and floats are written with shortest round-trip precision.
 
 Exit codes: 0 success, 1 bad configuration or usage, 2 verification
 failure, 3 step-size underflow inside the stochastic engine.
@@ -18,15 +20,19 @@ failure, 3 step-size underflow inside the stochastic engine.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
+import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 import jsonschema
 
 from .errors import ConfigError, DunklLabError, StepUnderflowError
-from .rootsys import build_root_system
+from .rootsys import build_root_system, natural_scale
 from .sde import (
     SimConfig,
     deterministic_freeze_ode,
@@ -49,80 +55,104 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _schema() -> dict:
+def _finite_number(checker, instance) -> bool:
+    # json.load and float() both accept NaN and infinities; no option takes one
+    try:
+        return jsonschema.Draft7Validator.TYPE_CHECKER.is_type(instance, "number") and math.isfinite(instance)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+@lru_cache(maxsize=None)
+def _validator() -> jsonschema.Draft7Validator:
+    """A draft-07 validator of the bundled schema, built once per process."""
     text = (
         resources.files("dunkl_lab")
         .joinpath("schemas/run_config.schema.json")
         .read_text(encoding="utf-8")
     )
-    return json.loads(text)
+    types = jsonschema.Draft7Validator.TYPE_CHECKER.redefine("number", _finite_number)
+    validator = jsonschema.validators.extend(jsonschema.Draft7Validator, type_checker=types)
+    return validator(json.loads(text))
 
 
-def _load_config(path: str) -> dict:
+def _message(error: jsonschema.ValidationError) -> str:
+    if error.validator == "required":
+        missing = next(k for k in error.validator_value if k not in error.instance)
+        return f"missing required option: {missing}"
+    where = ".".join(str(p) for p in error.absolute_path)
+    if isinstance(error.instance, float) and not math.isfinite(error.instance):
+        return f"{where} must be a finite number, got {error.instance}"
+    return f"config rejected: {where}: {error.message}" if where else f"config rejected: {error.message}"
+
+
+def _validate(doc, command: str) -> None:
+    # missing keys count only in the command's own section (a shared file may
+    # leave another command's options to its flags), and after unknown or
+    # malformed keys, which explain a missing one better than the reverse
+    errors = sorted(
+        (e for e in _validator().iter_errors(doc)
+         if e.validator != "required" or list(e.absolute_path)[:1] == [command]),
+        key=lambda e: e.validator == "required",
+    )
+    if errors:
+        raise ConfigError(_message(errors[0]))
+
+
+def _cast(value, spec: dict):
+    """A validated value as the Python type its schema names (JSON writes 2.0 as 2)."""
+    kind = spec.get("type")
+    if kind == "array":
+        return tuple(_cast(v, spec["items"]) for v in value)
+    if kind == "integer":
+        return int(value)
+    if kind == "number":
+        return float(value)
+    return value
+
+
+def _load_config(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
+
+
+def _options(ns) -> dict:
+    """The validated options of ``ns.command``: flags over the file's section."""
+    doc = _load_config(ns.config) if ns.config else {}
+    flags = {k: v for k, v in vars(ns).items() if k not in ("config", "command")}
+    props = _validator().schema["properties"][ns.command]["properties"]
+    # a document or section that is not an object is left for the schema to reject
+    if isinstance(doc, dict) and isinstance(doc.get(ns.command, {}), dict):
+        # the file's top-level seed sits under the section's own seed and flags
+        seed = {"seed": doc["seed"]} if "seed" in doc and "seed" in props else {}
+        doc[ns.command] = {**seed, **doc.get(ns.command, {}), **flags}
+    _validate(doc, ns.command)
+    return {k: _cast(v, props[k]) for k, v in doc[ns.command].items()}
+
+
+def _call(fn, opts: dict, *args, **names) -> tuple:
+    """fn(*args, param=opts[key] for each param=key set in opts), and every
+    argument it ran with, its own defaults included."""
+    kwargs = {param: opts[key] for param, key in names.items() if key in opts}
+    bound = inspect.signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return fn(*bound.args, **bound.kwargs), bound.arguments
+
+
+def _system(opts: dict) -> tuple:
+    """The root system the options name, and its multiplicities as parsed."""
+    family, rank, given = opts["family"], opts["rank"], opts["multiplicities"]
+    # strings and ints are exact; a float from a config file stays a float
     try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config file rejected: {exc.message}")
-    return raw
-
-
-def _pick(flag, section: dict, key: str, default=None):
-    if flag is not None:
-        return flag
-    return section.get(key, default)
-
-
-def _seed(ns, section: dict, global_seed) -> int:
-    # flags bypass the schema, which asks for a nonnegative seed
-    seed = int(_pick(ns.seed, section, "seed", global_seed))
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    return seed
-
-
-def _require(value, name: str):
-    if value is None:
-        raise ConfigError(f"missing required option: {name}")
-    return value
-
-
-def _parse_mults(value):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        value = value.split(",")
-    out = []
-    for v in value:
-        if isinstance(v, bool):
-            raise ConfigError("multiplicities must be numbers")
-        if isinstance(v, str):
-            try:
-                out.append(Fraction(v))
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(f"bad multiplicity {v!r}")
-        elif isinstance(v, int):
-            out.append(Fraction(v))
-        else:
-            out.append(float(v))
-    return out
-
-
-def _parse_floats(value):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        value = value.split(",")
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad numeric list {value!r}")
+        mults = [v if isinstance(v, float) else Fraction(v) for v in given]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad multiplicities {list(given)}: {exc}") from None
+    return build_root_system(family, rank, mults, natural_scale(family, rank)), mults
 
 
 def _write_or_print(payload: dict, out_path):
@@ -137,69 +167,92 @@ def _write_or_print(payload: dict, out_path):
         print(text)
 
 
+# A number flag reads as the JSON number it spells (2 an int, 2.0 a float),
+# so the schema rejects a bad flag with the same message as a bad file value.
+def number(value: str):
+    try:
+        return int(value)
+    except ValueError:
+        return float(value)
+
+
+def number_list(value: str) -> list:
+    return [number(v) for v in value.split(",")]
+
+
+def text_list(value: str) -> list:
+    return value.split(",")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dunkl-lab", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON configuration file")
     sub = parser.add_subparsers(dest="command")
 
-    v = sub.add_parser("verify", help="run identity suites")
+    def command(name, help):
+        # a flag left out is absent from the namespace, not None
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    v = command("verify", "run identity suites")
     v.add_argument("suites", nargs="*", help=f"subset of: {', '.join(SUITES)}")
     v.add_argument("--seed", type=int)
     v.add_argument("--out", help="write a JSON report here")
 
-    s = sub.add_parser("simulate", help="run a path ensemble")
-    s.add_argument("--family", choices=["A", "B", "D", "I2"])
+    s = command("simulate", "run a path ensemble")
+    s.add_argument("--family", help="A, B, D or I2")
     s.add_argument("--rank", type=int)
-    s.add_argument("--mults", help="comma separated, fractions allowed")
-    s.add_argument("--k-scale", type=float, dest="k_scale")
-    s.add_argument("--x0", help="comma separated start point")
-    s.add_argument("--horizon", type=float)
-    s.add_argument("--dt", type=float, dest="dt_base")
-    s.add_argument("--scheme", choices=["euler-adaptive", "euler-fixed"])
+    s.add_argument("--mults", dest="multiplicities", type=text_list,
+                   help="comma separated, fractions allowed")
+    s.add_argument("--k-scale", type=number, dest="k_scale")
+    s.add_argument("--x0", type=number_list, help="comma separated start point")
+    s.add_argument("--horizon", type=number)
+    s.add_argument("--dt", type=number, dest="dt_base")
+    s.add_argument("--scheme", help="euler-adaptive or euler-fixed")
     s.add_argument("--ensemble", type=int)
     s.add_argument("--seed", type=int)
-    s.add_argument("--obs", dest="obs_times", help="comma separated observation times")
-    s.add_argument("--jumps", action="store_true", default=None)
-    s.add_argument("--drift-limit", type=float, dest="drift_limit")
-    s.add_argument("--jump-rate-limit", type=float, dest="jump_rate_limit")
-    s.add_argument("--dt-floor-factor", type=float, dest="dt_floor_factor")
+    s.add_argument("--obs", dest="obs_times", type=number_list,
+                   help="comma separated observation times")
+    s.add_argument("--jumps", action="store_true")
+    s.add_argument("--drift-limit", type=number, dest="drift_limit")
+    s.add_argument("--jump-rate-limit", type=number, dest="jump_rate_limit")
+    s.add_argument("--dt-floor-factor", type=number, dest="dt_floor_factor")
     s.add_argument("--out", help="write the JSON summary here")
     s.add_argument("--csv", help="write one replayed trajectory here")
     s.add_argument("--path-index", type=int, dest="path_index")
 
-    f = sub.add_parser("freeze", help="large-multiplicity collapse experiment")
+    f = command("freeze", "large-multiplicity collapse experiment")
     f.add_argument("--n", type=int)
-    f.add_argument("--k", dest="k_values", help="comma separated multiplicities")
-    f.add_argument("--t", type=float)
+    f.add_argument("--k", dest="k_values", type=number_list,
+                   help="comma separated multiplicities")
+    f.add_argument("--t", type=number)
     f.add_argument("--paths", type=int)
     f.add_argument("--seed", type=int)
-    f.add_argument("--no-ode", action="store_true", default=None)
+    f.add_argument("--no-ode", dest="ode", action="store_false")
     f.add_argument("--out", help="write the JSON report here")
 
-    r = sub.add_parser("roots", help="classical root configurations")
-    r.add_argument("--kind", choices=["hermite", "laguerre", "system"])
+    r = command("roots", "classical root configurations")
+    r.add_argument("--kind", help="hermite, laguerre or system")
     r.add_argument("--n", type=int)
-    r.add_argument("--alpha", type=float)
-    r.add_argument("--family", choices=["A", "B", "D", "I2"])
+    r.add_argument("--alpha", type=number)
+    r.add_argument("--family", help="A, B, D or I2")
     r.add_argument("--rank", type=int)
-    r.add_argument("--mults", help="comma separated, fractions allowed")
+    r.add_argument("--mults", dest="multiplicities", type=text_list,
+                   help="comma separated, fractions allowed")
     r.add_argument("--out", help="write JSON here")
     return parser
 
 
-def cmd_verify(ns, section: dict, global_seed) -> int:
-    names = ns.suites or section.get("suites") or list(SUITES)
-    for name in names:
+def cmd_verify(opts: dict) -> int:
+    names = opts.get("suites")
+    for name in names or ():
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    seed = _seed(ns, section, global_seed)
-    results = run_suites(names, seed=seed)
+    results, args = _call(run_suites, opts, names, seed="seed")
     for res in results:
         print(res.line())
-    out = _pick(ns.out, section, "out")
-    if out:
+    if opts.get("out"):
         payload = {
-            "seed": seed,
+            "seed": args["seed"],
             "results": [
                 {
                     "name": r.name,
@@ -212,54 +265,29 @@ def cmd_verify(ns, section: dict, global_seed) -> int:
                 for r in results
             ],
         }
-        _write_or_print(payload, out)
+        _write_or_print(payload, opts["out"])
     return 0 if all(r.passed for r in results) else 2
 
 
-def cmd_simulate(ns, section: dict, global_seed) -> int:
-    family = _require(_pick(ns.family, section, "family"), "family")
-    rank = _require(_pick(ns.rank, section, "rank"), "rank")
-    mults = _require(
-        _parse_mults(_pick(ns.mults, section, "multiplicities")), "multiplicities"
-    )
-    x0 = _require(_parse_floats(_pick(ns.x0, section, "x0")), "x0")
-    horizon = _require(_pick(ns.horizon, section, "horizon"), "horizon")
-    seed = _seed(ns, section, global_seed)
-    system = build_root_system(family, rank, mults)
-    config = SimConfig(
-        system=system,
-        x0=x0,
-        horizon=float(horizon),
-        k_scale=float(_pick(ns.k_scale, section, "k_scale", 1.0)),
-        dt_base=float(_pick(ns.dt_base, section, "dt_base", 1e-3)),
-        scheme=_pick(ns.scheme, section, "scheme", "euler-adaptive"),
-        ensemble=int(_pick(ns.ensemble, section, "ensemble", 1)),
-        master_seed=seed,
-        obs_times=_parse_floats(_pick(ns.obs_times, section, "obs_times")) or (),
-        jumps=bool(_pick(ns.jumps, section, "jumps", False)),
-        drift_limit=float(_pick(ns.drift_limit, section, "drift_limit", 0.2)),
-        jump_rate_limit=float(_pick(ns.jump_rate_limit, section, "jump_rate_limit", 0.1)),
-        dt_floor_factor=float(_pick(ns.dt_floor_factor, section, "dt_floor_factor", 2.0**-20)),
-    )
+_SIM_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.name != "system"]
+
+
+def cmd_simulate(opts: dict) -> int:
+    system, mults = _system(opts)
+    fields = {k: v for k, v in opts.items() if k in _SIM_FIELDS}
+    if "seed" in opts:
+        fields["master_seed"] = opts["seed"]
+    config = SimConfig(system=system, **fields)
+    # the one cross-key check: the replayed path must lie in the ensemble
+    path_index = opts.get("path_index", 0)
+    if opts.get("csv") and path_index >= config.ensemble:
+        raise ConfigError(
+            f"path_index {path_index} lies outside the ensemble of {config.ensemble} paths"
+        )
     result = simulate(config)
     moment = moment_from_result(config, result)
-    resolved = {
-        "family": family,
-        "rank": int(rank),
-        "multiplicities": [str(m) for m in mults],
-        "k_scale": config.k_scale,
-        "x0": list(config.x0),
-        "horizon": config.horizon,
-        "dt_base": config.dt_base,
-        "scheme": config.scheme,
-        "ensemble": config.ensemble,
-        "master_seed": config.master_seed,
-        "obs_times": list(config.obs_times),
-        "jumps": config.jumps,
-        "drift_limit": config.drift_limit,
-        "jump_rate_limit": config.jump_rate_limit,
-        "dt_floor_factor": config.dt_floor_factor,
-    }
+    resolved = {name: getattr(config, name) for name in _SIM_FIELDS}
+    resolved.update(family=system.family, rank=system.rank, multiplicities=[str(m) for m in mults])
     payload = {
         "config": resolved,
         "summary": result.summary(),
@@ -271,88 +299,61 @@ def cmd_simulate(ns, section: dict, global_seed) -> int:
         },
         "final_mean": [float(v) for v in result.final_states.mean(axis=0)],
     }
-    _write_or_print(payload, _pick(ns.out, section, "out"))
-    csv_path = _pick(ns.csv, section, "csv")
-    if csv_path:
-        idx = int(_pick(ns.path_index, section, "path_index", 0))
-        replay_path(config, idx).to_csv(csv_path)
+    _write_or_print(payload, opts.get("out"))
+    if opts.get("csv"):
+        replay_path(config, path_index).to_csv(opts["csv"])
     return 0
 
 
-def cmd_freeze(ns, section: dict, global_seed) -> int:
-    n = int(_require(_pick(ns.n, section, "n"), "n"))
-    k_values = _require(
-        _parse_floats(_pick(ns.k_values, section, "k_values")), "k_values"
+def cmd_freeze(opts: dict) -> int:
+    samples, args = _call(
+        freezing_experiment, opts, opts["n"], opts["k_values"], t="t", n_paths="paths", seed="seed"
     )
-    if not all(k > 0 for k in k_values):
-        raise ConfigError(f"multiplicities must be positive, got {list(k_values)}")
-    t = float(_pick(ns.t, section, "t", 1.0))
-    paths = int(_pick(ns.paths, section, "paths", 200))
-    seed = _seed(ns, section, global_seed)
-    no_ode = ns.no_ode if ns.no_ode is not None else not section.get("ode", True)
-    samples = freezing_experiment(n, k_values, t=t, n_paths=paths, seed=seed)
     payload = {
-        "config": {"n": n, "k_values": list(k_values), "t": t, "paths": paths, "seed": seed},
-        "samples": [
-            {
-                "k": s.k,
-                "mean_sup": s.mean_sup,
-                "max_sup": s.max_sup,
-                "scaled_mean": [float(v) for v in s.scaled_mean],
-                "target": [float(v) for v in s.target],
-            }
-            for s in samples
-        ],
+        "config": {
+            "n": args["n_particles"],
+            "k_values": list(args["k_values"]),
+            "t": args["t"],
+            "paths": args["n_paths"],
+            "seed": args["seed"],
+        },
+        "samples": [s.as_dict() for s in samples],
     }
-    if not no_ode:
-        ode = deterministic_freeze_ode(n)
+    if opts.get("ode", True):
+        ode = deterministic_freeze_ode(opts["n"])
         payload["ode"] = {
             "sup_error": ode["sup_error"],
             "t_end": ode["t_end"],
             "y": [float(v) for v in ode["y"]],
             "target": [float(v) for v in ode["target"]],
         }
-    _write_or_print(payload, _pick(ns.out, section, "out"))
+    _write_or_print(payload, opts.get("out"))
     return 0
 
 
-def cmd_roots(ns, section: dict, _global_seed) -> int:
-    kind = _require(_pick(ns.kind, section, "kind"), "kind")
+def cmd_roots(opts: dict) -> int:
+    kind = opts["kind"]
     if kind == "hermite":
-        n = int(_require(_pick(ns.n, section, "n"), "n"))
-        try:
-            z = hermite_roots(n)
-        except ValueError as exc:
-            raise ConfigError(f"hermite roots: {exc}") from None
+        z = hermite_roots(opts["n"])
         payload = {
             "kind": "hermite",
-            "n": n,
+            "n": opts["n"],
             "roots": [float(v) for v in z],
             "electrostatic_residual": hermite_electrostatic_residual(z),
         }
     elif kind == "laguerre":
-        n = int(_require(_pick(ns.n, section, "n"), "n"))
-        a = float(_pick(ns.alpha, section, "alpha", 0.0))
-        try:
-            z = laguerre_roots(n, a)
-        except ValueError as exc:
-            raise ConfigError(f"laguerre roots: {exc}") from None
+        z, args = _call(laguerre_roots, opts, opts["n"], a="alpha")
         payload = {
             "kind": "laguerre",
-            "n": n,
-            "alpha": a,
+            "n": opts["n"],
+            "alpha": args["a"],
             "roots": [float(v) for v in z],
-            "electrostatic_residual": laguerre_electrostatic_residual(z, a),
+            "electrostatic_residual": laguerre_electrostatic_residual(z, args["a"]),
         }
     else:
-        family = _require(_pick(ns.family, section, "family"), "family")
-        rank = int(_require(_pick(ns.rank, section, "rank"), "rank"))
-        mults = _require(
-            _parse_mults(_pick(ns.mults, section, "multiplicities")), "multiplicities"
-        )
-        system = build_root_system(family, rank, mults)
+        system, _ = _system(opts)
         payload = {"kind": "system", "system": system.to_json_dict()}
-    _write_or_print(payload, _pick(ns.out, section, "out"))
+    _write_or_print(payload, opts.get("out"))
     return 0
 
 
@@ -370,16 +371,10 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         if ns.command is None:
             raise ConfigError("a subcommand is required (verify, simulate, freeze, roots)")
-        config = _load_config(ns.config) if ns.config else {}
-        section = config.get(ns.command, {})
-        global_seed = config.get("seed", 0)
-        return _HANDLERS[ns.command](ns, section, global_seed)
+        return _HANDLERS[ns.command](_options(ns))
     except StepUnderflowError as exc:
         print(f"error: {exc} (path {exc.path_index}, t = {exc.time})", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DunklLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

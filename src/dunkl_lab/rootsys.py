@@ -415,8 +415,13 @@ def _i2_vectors(m: int) -> tuple[list[tuple[float, float]], list[int]]:
     return vecs, orbits
 
 
+def natural_scale(family: str, rank: int) -> str:
+    """Integer representatives where the system has them: all but I2(m != 4)."""
+    return SCALE_NORMALIZED if family == "I2" and rank != 4 else SCALE_INTEGER
+
+
 def _i2_integer_vectors(m: int) -> tuple[list[tuple[int, int]], list[int]]:
-    if m != 4:
+    if natural_scale("I2", m) != SCALE_INTEGER:
         raise ExactModeError(
             "I2(m) has irrational reflection matrices in the plane for m != 4; "
             "use normalized scale (or family A/B for the crystallographic cases)"

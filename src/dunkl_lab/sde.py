@@ -636,24 +636,24 @@ def laguerre_roots(n: int, a: float = 0.0) -> np.ndarray:
     return eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
-def hermite_electrostatic_residual(z: np.ndarray) -> float:
-    """max_i | sum_{j != i} 1/(z_i - z_j) - z_i |; zero at the Hermite zeros."""
+def _electrostatic_residual(z: np.ndarray, field) -> float:
+    """max_i | sum_{j != i} 1/(z_i - z_j) - field(z_i) |."""
     z = np.asarray(z, dtype=float)
     worst = 0.0
     for i in range(len(z)):
         s = sum(1.0 / (z[i] - z[j]) for j in range(len(z)) if j != i)
-        worst = max(worst, abs(s - z[i]))
+        worst = max(worst, abs(s - field(z[i])))
     return worst
+
+
+def hermite_electrostatic_residual(z: np.ndarray) -> float:
+    """max_i | sum_{j != i} 1/(z_i - z_j) - z_i |; zero at the Hermite zeros."""
+    return _electrostatic_residual(z, lambda zi: zi)
 
 
 def laguerre_electrostatic_residual(z: np.ndarray, a: float) -> float:
     """max_i | sum_{j != i} 1/(z_i - z_j) - (z_i - a - 1)/(2 z_i) |."""
-    z = np.asarray(z, dtype=float)
-    worst = 0.0
-    for i in range(len(z)):
-        s = sum(1.0 / (z[i] - z[j]) for j in range(len(z)) if j != i)
-        worst = max(worst, abs(s - (z[i] - a - 1.0) / (2.0 * z[i])))
-    return worst
+    return _electrostatic_residual(z, lambda zi: (zi - a - 1.0) / (2.0 * zi))
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +667,43 @@ class FreezeSample:
     max_sup: float
     scaled_mean: np.ndarray
     target: np.ndarray
+
+    def as_dict(self) -> dict:
+        return {
+            "k": self.k,
+            "mean_sup": self.mean_sup,
+            "max_sup": self.max_sup,
+            "scaled_mean": [float(v) for v in self.scaled_mean],
+            "target": [float(v) for v in self.target],
+        }
+
+
+def _freeze_sample(system, target, k, t, n_paths, seed, spawn, eps, dt_base, drift_limit):
+    """Run the radial ensemble from eps * (1, ..., N) to time t, scale the
+    sorted particle vectors by 1/sqrt(2 k t) and measure their sup-distance
+    to ``target``.  The run seed is spawned from ``seed`` with key (spawn,).
+    """
+    n = len(target)
+    config = SimConfig(
+        system=system,
+        x0=tuple(eps * (j + 1) for j in range(n)),
+        horizon=t,
+        dt_base=dt_base,
+        ensemble=n_paths,
+        master_seed=int(np.random.SeedSequence(seed, spawn_key=(spawn,)).generate_state(1, np.uint64)[0]),
+        jumps=False,
+        drift_limit=drift_limit,
+    )
+    res = simulate(config)
+    zeta = np.sort(res.final_states, axis=1) / math.sqrt(2.0 * k * t)
+    sup = np.abs(zeta - target[None, :]).max(axis=1)
+    return FreezeSample(
+        k=float(k),
+        mean_sup=float(sup.mean()),
+        max_sup=float(sup.max()),
+        scaled_mean=zeta.mean(axis=0),
+        target=target,
+    )
 
 
 def freezing_experiment(
@@ -688,33 +725,13 @@ def freezing_experiment(
     never reshuffles the others.
     """
     target = hermite_roots(n_particles)
-    out = []
-    for i, k in enumerate(k_values):
-        sub = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1, np.uint64)[0])
-        system = build_root_system("A", n_particles - 1, [float(k)])
-        config = SimConfig(
-            system=system,
-            x0=tuple(eps * (j + 1) for j in range(n_particles)),
-            horizon=t,
-            dt_base=dt_base,
-            ensemble=n_paths,
-            master_seed=sub,
-            jumps=False,
-            drift_limit=drift_limit,
+    return [
+        _freeze_sample(
+            build_root_system("A", n_particles - 1, [float(k)]),
+            target, k, t, n_paths, seed, i, eps, dt_base, drift_limit,
         )
-        res = simulate(config)
-        zeta = np.sort(res.final_states, axis=1) / math.sqrt(2.0 * k * t)
-        sup = np.abs(zeta - target[None, :]).max(axis=1)
-        out.append(
-            FreezeSample(
-                k=float(k),
-                mean_sup=float(sup.mean()),
-                max_sup=float(sup.max()),
-                scaled_mean=zeta.mean(axis=0),
-                target=target,
-            )
-        )
-    return out
+        for i, k in enumerate(k_values)
+    ]
 
 
 def laguerre_freezing_probe(
@@ -730,27 +747,8 @@ def laguerre_freezing_probe(
     statistics of the scaled ensemble against that configuration.
     """
     system = build_root_system("B", n_particles, [float(k), float(k)])
-    config = SimConfig(
-        system=system,
-        x0=tuple(eps * (j + 1) for j in range(n_particles)),
-        horizon=t,
-        dt_base=1e-3,
-        ensemble=n_paths,
-        master_seed=int(np.random.SeedSequence(seed, spawn_key=(0,)).generate_state(1, np.uint64)[0]),
-        jumps=False,
-        drift_limit=0.05,
-    )
-    res = simulate(config)
     target = np.sqrt(laguerre_roots(n_particles, 0.0))
-    zeta = np.sort(res.final_states, axis=1) / math.sqrt(2.0 * k * t)
-    sup = np.abs(zeta - target[None, :]).max(axis=1)
-    return {
-        "k": float(k),
-        "mean_sup": float(sup.mean()),
-        "max_sup": float(sup.max()),
-        "scaled_mean": [float(v) for v in zeta.mean(axis=0)],
-        "target": [float(v) for v in target],
-    }
+    return _freeze_sample(system, target, k, t, n_paths, seed, 0, eps, 1e-3, 0.05).as_dict()
 
 
 def deterministic_freeze_ode(

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 
+import jsonschema
 import pytest
 
 import dunkl_lab.cli as cli_mod
@@ -276,3 +277,188 @@ def test_freeze_overflowing_drift_exit_one(bounded_stepper, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "not finite" in err
+
+
+# Each bad value, once as flags and once as the same section in a --config
+# file: both reach the one schema check, so both must fail alike.
+PARITY = [
+    ("freeze", "--n 1 --k 10 --paths 2 --no-ode", '{"n": 1, "k_values": [10], "paths": 2, "ode": false}'),
+    ("freeze", "--n 51 --k 10 --paths 2 --no-ode", '{"n": 51, "k_values": [10], "paths": 2, "ode": false}'),
+    ("freeze", "--n 60 --k 10 --paths 2 --no-ode", '{"n": 60, "k_values": [10], "paths": 2, "ode": false}'),
+    ("freeze", "--n 3 --k 10,0 --paths 2 --no-ode", '{"n": 3, "k_values": [10, 0], "paths": 2, "ode": false}'),
+    ("freeze", "--n 3 --k -1 --paths 2 --no-ode", '{"n": 3, "k_values": [-1], "paths": 2, "ode": false}'),
+    ("freeze", "--n 3 --k 10,nan --paths 2 --no-ode", '{"n": 3, "k_values": [10, NaN], "paths": 2, "ode": false}'),
+    ("freeze", "--n 3 --k 1e400 --paths 2 --no-ode", '{"n": 3, "k_values": [1e400], "paths": 2, "ode": false}'),
+    ("freeze", "--n 3 --k 10 --t nan --paths 2 --no-ode", '{"n": 3, "k_values": [10], "t": NaN, "paths": 2, "ode": false}'),
+    ("freeze", "--n 3 --k 10 --paths 2 --seed -1 --no-ode", '{"n": 3, "k_values": [10], "paths": 2, "seed": -1, "ode": false}'),
+    (
+        "simulate",
+        "--family A --rank 2 --mults 1 --x0 0,1,2 --horizon 0.01 --drift-limit 2",
+        '{"family": "A", "rank": 2, "multiplicities": [1], "x0": [0, 1, 2], "horizon": 0.01, "drift_limit": 2}',
+    ),
+    (
+        "simulate",
+        "--family A --rank 2 --mults 1 --x0 0,1,2 --horizon 0.01 --ensemble 0",
+        '{"family": "A", "rank": 2, "multiplicities": [1], "x0": [0, 1, 2], "horizon": 0.01, "ensemble": 0}',
+    ),
+    (
+        "simulate",
+        "--family A --rank 2 --mults 1 --x0 0,1,2 --horizon 0.01 --k-scale nan",
+        '{"family": "A", "rank": 2, "multiplicities": [1], "x0": [0, 1, 2], "horizon": 0.01, "k_scale": NaN}',
+    ),
+    ("roots", "--kind laguerre --n 3 --alpha nan", '{"kind": "laguerre", "n": 3, "alpha": NaN}'),
+    ("roots", "--kind system --rank 3 --mults 1", '{"kind": "system", "rank": 3, "multiplicities": [1]}'),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, section",
+    PARITY,
+    ids=[
+        "freeze-n-1", "freeze-n-51", "freeze-n-60", "k-zero", "k-negative", "k-nan",
+        "k-1e400", "t-nan", "seed-negative", "drift-limit-2", "ensemble-0",
+        "k-scale-nan", "alpha-nan", "system-without-family",
+    ],
+)
+def test_bad_value_same_message_from_flag_or_file(command, flags, section, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_mod, "simulate", _stepper_started)
+    monkeypatch.setattr(sde_mod, "simulate", _stepper_started)
+    assert main([command, *flags.split()]) == 1
+    by_flag = capsys.readouterr()
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(f'{{"{command}": {section}}}')
+    assert main(["--config", str(cfg_path), command]) == 1
+    by_file = capsys.readouterr()
+    assert by_flag.err.startswith("error: ")
+    assert by_flag.out == by_file.out == ""
+    assert by_file.err == by_flag.err
+
+
+def test_freeze_n_13_passes_by_flag_and_by_file(tmp_path, capsys):
+    # the schema used to cap n at 12 while the flag took up to 50
+    by_flag = tmp_path / "flag.json"
+    by_file = tmp_path / "file.json"
+    assert main(["freeze", "--n", "13", "--k", "10", "--paths", "2", "--no-ode",
+                 "--out", str(by_flag)]) == 0
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(
+        {"freeze": {"n": 13, "k_values": [10], "paths": 2, "ode": False, "out": str(by_file)}}
+    ))
+    assert main(["--config", str(cfg_path), "freeze"]) == 0
+    assert by_file.read_bytes() == by_flag.read_bytes()
+    capsys.readouterr()
+
+
+def test_path_index_outside_ensemble_exit_one_before_running(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_mod, "simulate", _stepper_started)
+    out = tmp_path / "run.json"
+    args = SIM_ARGS[:SIM_ARGS.index("--ensemble")] + [
+        "--ensemble", "2", "--seed", "1", "--csv", str(tmp_path / "p.csv"),
+        "--path-index", "5", "--out", str(out),
+    ]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "path_index" in captured.err
+    assert not out.exists()
+
+
+def test_path_index_without_csv_is_not_checked(capsys):
+    # path_index only picks the path that --csv replays
+    args = SIM_ARGS[:SIM_ARGS.index("--ensemble")] + [
+        "--ensemble", "2", "--seed", "1", "--path-index", "5",
+    ]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["paths"] == 2
+
+
+def test_partial_section_of_another_command_is_not_required(tmp_path, capsys):
+    # a shared file may leave one command's required options to its flags
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"simulate": {"ensemble": 1000}}')
+    assert main(["--config", str(cfg_path), "roots", "--kind", "hermite", "--n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
+    # its keys are still checked
+    cfg_path.write_text('{"simulate": {"ensemble": 0}}')
+    assert main(["--config", str(cfg_path), "roots", "--kind", "hermite", "--n", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config rejected: simulate.ensemble")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "oscillator"],
+        ["freeze", "--n", "3", "--k", "10", "--paths", "2", "--no-ode"],
+        SIM_ARGS[:SIM_ARGS.index("--seed")],
+    ],
+    ids=["verify", "freeze", "simulate"],
+)
+def test_top_level_seed_written_as_float_reads_as_int(args, tmp_path, capsys):
+    # JSON 1.0 is an integer to the schema; the run must match --seed 1
+    by_flag = tmp_path / "flag.json"
+    by_file = tmp_path / "file.json"
+    assert main(args + ["--seed", "1", "--out", str(by_flag)]) == 0
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"seed": 1.0}')
+    assert main(["--config", str(cfg_path), *args, "--out", str(by_file)]) == 0
+    assert by_file.read_bytes() == by_flag.read_bytes()
+    capsys.readouterr()
+
+
+def test_simulate_i2_odd_order_uses_normalized_scale(tmp_path, capsys):
+    # I2(5) has no integer representatives; the CLI picks the normalized scale
+    out = tmp_path / "i2.json"
+    args = ["simulate", "--family", "I2", "--rank", "5", "--mults", "1",
+            "--x0", "0.3,1", "--horizon", "0.25", "--ensemble", "8", "--seed", "1"]
+    assert main(args + ["--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["moment"]["predicted"] == (2 + 2 * 5) * 0.25
+    capsys.readouterr()
+
+
+def test_bundled_schema_is_valid_draft7():
+    jsonschema.Draft7Validator.check_schema(cli_mod._validator().schema)
+
+
+def _schema_required(command: str, section: dict) -> set:
+    spec = cli_mod._validator().schema["properties"][command]
+    required = set(spec.get("required", ()))
+    for branch in spec.get("allOf", ()):
+        if jsonschema.Draft7Validator(branch["if"]).is_valid(section):
+            required |= set(branch["then"]["required"])
+    return required
+
+
+# Per subcommand (and roots kind): the options its handler cannot do
+# without, and options with library defaults that keep the run small.
+REQUIRED = [
+    ("verify", {}, {"suites": ["oscillator"]}),
+    (
+        "simulate",
+        {"family": "A", "rank": 1, "multiplicities": [1], "x0": [0, 1], "horizon": 0.01},
+        {"ensemble": 2},
+    ),
+    ("freeze", {"n": 2, "k_values": [10]}, {"paths": 2, "ode": False}),
+    ("roots", {"kind": "hermite", "n": 2}, {}),
+    ("roots", {"kind": "laguerre", "n": 2}, {}),
+    ("roots", {"kind": "system", "family": "A", "rank": 1, "multiplicities": [1]}, {}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, required, extra",
+    REQUIRED,
+    ids=["verify", "simulate", "freeze", "roots-hermite", "roots-laguerre", "roots-system"],
+)
+def test_schema_required_matches_handler(command, required, extra, tmp_path, capsys):
+    assert _schema_required(command, required) == set(required)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({command: {**required, **extra}}))
+    assert main(["--config", str(cfg_path), command]) == 0
+    for key in required:
+        section = {k: v for k, v in {**required, **extra}.items() if k != key}
+        cfg_path.write_text(json.dumps({command: section}))
+        assert main(["--config", str(cfg_path), command]) == 1
+        assert capsys.readouterr().err == f"error: missing required option: {key}\n"

@@ -16,6 +16,7 @@ from dunkl_lab.rootsys import (
     dot,
     hyperplane_distance,
     make_system_from_vectors,
+    natural_scale,
     positive_indices,
     reflect,
     sample_generic_point,
@@ -137,6 +138,16 @@ def test_i2_exact_only_square():
     assert not hexagon.is_exact
     assert check_closure(hexagon)
     assert len(hexagon.roots) == 12
+
+
+def test_natural_scale_is_integer_wherever_the_system_has_one():
+    for family, rank, mults in (("A", 3, (1,)), ("B", 2, (1, 2)), ("D", 4, (1,)), ("I2", 4, (1, 2))):
+        assert natural_scale(family, rank) == "integer-representatives"
+        assert build_root_system(family, rank, mults, natural_scale(family, rank)).is_exact
+    for m in (3, 5, 6, 7, 8):
+        mults = (1,) if m % 2 else (1, 2)
+        assert natural_scale("I2", m) == "normalized"
+        assert check_closure(build_root_system("I2", m, mults, natural_scale("I2", m)))
 
 
 def test_i2_exact_roots_stay_fractions():
