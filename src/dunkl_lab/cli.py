@@ -373,7 +373,12 @@ def main(argv=None) -> int:
             raise ConfigError("a subcommand is required (verify, simulate, freeze, roots)")
         return _HANDLERS[ns.command](_options(ns))
     except StepUnderflowError as exc:
-        print(f"error: {exc} (path {exc.path_index}, t = {exc.time})", file=sys.stderr)
+        state = ", ".join(repr(v) for v in exc.state)
+        print(
+            f"error: {exc} (path {exc.path_index}, t = {exc.time}, x = ({state}),"
+            f" live root {exc.root}, dt = {exc.dt})",
+            file=sys.stderr,
+        )
         return 3
     except DunklLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,12 +46,21 @@ class StepUnderflowError(DunklLabError):
         time: simulation time at which the underflow occurred.
         path_index: ensemble index of the stuck path; ``replay_path`` with
             this index raises at the same time.
+        state: the stuck path's coordinates, from which every floor
+            proposal crossed a wall.
+        root: live-root index (positive roots with k > 0, in root order) of
+            the first wall the last floor proposal crossed or landed on.
+        dt: the step h of that proposal.
     """
 
-    def __init__(self, message: str, time: float, path_index: int):
+    def __init__(self, message: str, time: float, path_index: int, state: tuple, root: int,
+                 dt: float):
         super().__init__(message)
         self.time = time
         self.path_index = path_index
+        self.state = state
+        self.root = root
+        self.dt = dt
 
 
 class ConfigError(DunklLabError):

@@ -32,17 +32,23 @@ is unrealizable and would skew the jump-count comparison.
 
 Reproducibility.  Ensemble member i owns two PCG64 streams, the ones numpy
 seeds from SeedSequence(master_seed, spawn_key=(i, 0)) for Gaussians and
-(i, 1) for uniforms, with fixed-size block buffers.  The streams of all
-members are seeded in one vectorized pass of numpy's seed mixing and drawn
-through one reusable bit generator, so no per-path generator objects exist
-and every sampled bit is the one numpy's own objects give.  Ensemble and
-replay share one stepping loop: ``replay_path`` runs it on the one-path
-index set.  Every alpha . x is summed over a support table of each root's
-nonzero coordinates, and the drift is accumulated column by column over the
-roots that touch it; all of it is elementwise (no matmul), so a row's
-arithmetic does not depend on the batch size, and a replayed path is
-bitwise identical to the same path inside a vectorized ensemble by
-construction.
+(i, 1) for uniforms, read in order through block buffers.  The streams of
+all members are seeded in one vectorized pass of numpy's seed mixing and
+drawn through one reusable bit generator, so no per-path generator objects
+exist and every sampled bit is the one numpy's own objects give.  A run
+sizes its blocks to the draws of a path that never slows down (at most
+BLOCK); each row's stream is read in order, so the block size changes no
+sample.  Every active row draws one Gaussian per proposal, so the active
+rows read their Gaussians at one shared buffer position, and their
+uniforms too until the first rejection; a shared position is read as one
+buffer column, not by a two-index gather.  Ensemble and replay share one
+stepping loop: ``replay_path`` runs it on the one-path index set.  Every
+alpha . x is summed over a support table of each root's nonzero
+coordinates, and the drift is accumulated column by column over the roots
+that touch it; all of it is elementwise (no matmul), so a row's arithmetic
+does not depend on the batch size or on whether the rows are addressed by
+a slice or an index array, and a replayed path is bitwise identical to
+the same path inside a vectorized ensemble by construction.
 
 The freezing experiment scales X_t by sqrt(2 k t) and compares against the
 roots of the N-th Hermite polynomial; the zero-noise flow is also exposed
@@ -263,6 +269,20 @@ def _stream_states(master_seed: int, paths: Sequence[int], stream: int) -> tuple
     return states, incs
 
 
+class _Stream:
+    """One PCG64 stream per row, read through a (rows, block, width) buffer.
+
+    ``shared`` is the buffer position that every row reads next; once the
+    rows part it is None and ``pos`` holds one position per row.
+    """
+
+    def __init__(self, states, incs, block, width, draw):
+        self.states, self.incs, self.draw = states, incs, draw
+        self.buf = np.empty((len(states), block, width))
+        self.pos = np.empty(len(states), dtype=np.int64)
+        self.shared = block
+
+
 class PathStreams:
     """Per-path Gaussian and uniform streams with block buffering.
 
@@ -272,49 +292,72 @@ class PathStreams:
     next to it, so an isolated rerun of one path sees the identical random
     numbers.  The same streams as numpy's per-path generators: every row's
     state is seeded in one vectorized pass, and a refill loads that state
-    into one reusable bit generator, fills the row's block and stores the
-    advanced state back.
+    into one reusable bit generator, fills the row's next ``block`` draws
+    and stores the advanced state back.  Each row's stream is read in
+    order, so the block size changes no sample, only how often rows refill.
+
+    ``normals(idx)`` and ``uniforms(idx)`` return one draw per row of
+    ``idx``, an index array or slice(None) for every row.  While the rows of
+    a call sit at one buffer position, the read is the slice ``buf[:, p]``
+    (a view for every row) or the row gather ``buf[idx, p]``, and rows that
+    run out refill in one wave; rows at staggered positions are gathered
+    one position each.  Callers must not write into what they are given.
     """
 
-    def __init__(self, master_seed: int, paths: Sequence[int], dim: int, n_uniform: int):
+    def __init__(self, master_seed: int, paths: Sequence[int], dim: int, n_uniform: int,
+                 block: int = BLOCK):
         self._bitgen = np.random.PCG64(0)
-        self._gen = np.random.Generator(self._bitgen)
-        m = len(paths)
-        self._gstate, self._ginc = _stream_states(master_seed, paths, 0)
-        self._gbuf = np.empty((m, BLOCK, dim))
-        self._gpos = np.full(m, BLOCK, dtype=np.int64)
+        gen = np.random.Generator(self._bitgen)
+        self._rows = np.arange(len(paths))
+        self._block = block
+        self._gauss = _Stream(*_stream_states(master_seed, paths, 0), block, dim, gen.standard_normal)
         if n_uniform:
-            self._ustate, self._uinc = _stream_states(master_seed, paths, 1)
-            self._ubuf = np.empty((m, BLOCK, n_uniform))
-            self._upos = np.full(m, BLOCK, dtype=np.int64)
+            self._unif = _Stream(*_stream_states(master_seed, paths, 1), block, n_uniform, gen.random)
 
-    def _refill(self, rows, states, incs, draw, buf):
+    def _refill(self, s: _Stream, rows):
         bitgen = self._bitgen
-        for r in rows:
+        for r in rows.tolist():
             bitgen.state = {
                 "bit_generator": "PCG64",
-                "state": {"state": states[r], "inc": incs[r]},
+                "state": {"state": s.states[r], "inc": s.incs[r]},
                 "has_uint32": 0,
                 "uinteger": 0,
             }
-            draw(out=buf[r])
-            states[r] = bitgen.state["state"]["state"]
+            s.draw(out=s.buf[r])
+            s.states[r] = bitgen.state["state"]["state"]
 
-    def normals(self, idx: np.ndarray) -> np.ndarray:
-        need = idx[self._gpos[idx] == BLOCK]
-        self._refill(need, self._gstate, self._ginc, self._gen.standard_normal, self._gbuf)
-        self._gpos[need] = 0
-        out = self._gbuf[idx, self._gpos[idx], :]
-        self._gpos[idx] += 1
-        return out
+    def _read(self, s: _Stream, idx) -> np.ndarray:
+        block = self._block
+        p = s.shared
+        if p is None:
+            pos = s.pos[idx]
+            if not pos.size or (pos != pos[0]).any():
+                rows = self._rows[idx]
+                need = rows[pos == block]
+                self._refill(s, need)
+                s.pos[need] = 0
+                pos = s.pos[rows]
+                s.pos[rows] = pos + 1
+                return s.buf[rows, pos]
+            p = int(pos[0])
+        if p == block:
+            self._refill(s, self._rows[idx])
+            p = 0
+        if s.shared is not None and isinstance(idx, slice):
+            s.shared = p + 1
+        else:
+            if s.shared is not None:
+                # the rows outside idx stay where every row was
+                s.pos.fill(s.shared)
+                s.shared = None
+            s.pos[idx] = p + 1
+        return s.buf[idx, p]
 
-    def uniforms(self, idx: np.ndarray) -> np.ndarray:
-        need = idx[self._upos[idx] == BLOCK]
-        self._refill(need, self._ustate, self._uinc, self._gen.random, self._ubuf)
-        self._upos[need] = 0
-        out = self._ubuf[idx, self._upos[idx], :]
-        self._upos[idx] += 1
-        return out
+    def normals(self, idx) -> np.ndarray:
+        return self._read(self._gauss, idx)
+
+    def uniforms(self, idx) -> np.ndarray:
+        return self._read(self._unif, idx)
 
 
 @dataclass(frozen=True)
@@ -385,6 +428,10 @@ def _live_root_arrays(system: RootSystem) -> _LiveRoots:
 def _step_core(x, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfig):
     """One proposal for every row of ``x``; shared by ensemble and replay.
 
+    Returns the proposals, their steps h, the (rows, roots) mask of the
+    walls each proposal crosses or lands on, the proposals' alpha . x and
+    the jump rates at x (None without jumps).
+
     The proposal step is min(h_state, ceiling), where the ceiling applies
     dt_base, the time left to the next observation, and the adaptive drift
     and jump-rate caps.  The caps are clamped from below at the floor
@@ -424,8 +471,8 @@ def _step_core(x, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfig):
     x_prop = x + h_try[:, None] * drift + np.sqrt(h_try)[:, None] * gauss
 
     d_prop = roots.dots(x_prop)
-    viol = ((d_pre > 0) != (d_prop > 0)) | (d_prop == 0)
-    return x_prop, h_try, viol.any(axis=1), d_prop, rates
+    cross = ((d_pre > 0) != (d_prop > 0)) | (d_prop == 0)
+    return x_prop, h_try, cross, d_prop, rates
 
 
 def _apply_jumps(x_prop, d_prop, rates, h_try, u, alphas, sqns):
@@ -457,12 +504,22 @@ def _check_start(x0: np.ndarray, roots: _LiveRoots):
         raise HyperplaneError("x0 lies on a reflecting hyperplane with k > 0")
 
 
+def _members(rows, mask: np.ndarray) -> np.ndarray:
+    """The run rows where ``mask`` holds, for ``rows`` the slice of every
+    row or an index array."""
+    return np.flatnonzero(mask) if isinstance(rows, slice) else rows[mask]
+
+
 def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult:
     """The stepping loop: row r of the run is ensemble member ``paths[r]``.
 
     ``record(t, x, root_idx)``, if given, is called after each accepted step
     with the new times and states of the accepted rows and their chosen
     live-root indices (-1 for no jump; None when jumps are off).
+
+    While every row is active the rows are addressed by a full slice, and a
+    step that accepts every proposal writes back without a scatter; index
+    arrays appear only once some row has finished or been rejected.
     """
     system = config.effective_system()
     roots = _live_root_arrays(system)
@@ -475,7 +532,11 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     x0 = np.asarray([float(c) for c in config.x0])
     _check_start(x0, roots)
 
-    streams = PathStreams(config.master_seed, paths, n, n_roots + 1 if config.jumps and n_roots else 0)
+    # a path that always steps at dt_base reads at most this many draws, so
+    # it refills once; slower paths refill again
+    block = min(BLOCK, math.ceil(min(config.horizon / config.dt_base, BLOCK)) + n_obs)
+    n_uniform = n_roots + 1 if config.jumps and n_roots else 0
+    streams = PathStreams(config.master_seed, paths, n, n_uniform, block)
     m = len(paths)
     x = np.tile(x0, (m, 1))
     t = np.zeros(m)
@@ -489,21 +550,19 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     strikes = np.zeros(m, dtype=np.int64)
     dt_min = config.dt_base * config.dt_floor_factor
     adaptive = config.scheme == "euler-adaptive"
+    active = slice(None)
 
     # overflow surfaces as the non-finite proposal check below, not as
     # numpy warnings; one errstate per run keeps the per-step cost flat
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while True:
-            idx = np.flatnonzero(ptr < n_obs)
-            if idx.size == 0:
-                break
-            xa = x[idx]
-            ta = t[idx]
-            target = obs[ptr[idx]]
+            xa = x[active]
+            ta = t[active]
+            target = obs[ptr[active]]
             t_rem = target - ta
-            gauss = streams.normals(idx)
-            x_prop, h_try, viol, d_prop, rates = _step_core(
-                xa, h_state[idx], t_rem, gauss, roots, config
+            gauss = streams.normals(active)
+            x_prop, h_try, cross, d_prop, rates = _step_core(
+                xa, h_state[active], t_rem, gauss, roots, config
             )
             # an overflowing drift makes the step NaN, which no floor test or
             # time update would ever end
@@ -511,53 +570,63 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
                 raise SamplingError(
                     "a proposal is not finite; the drift overflows at these multiplicities"
                 )
-            steps[idx] += 1
+            steps[active] += 1
+            viol = cross.any(axis=1)
+            aid = active
             if viol.any():
                 if not adaptive:
                     raise SamplingError("sign violation under fixed stepping")
-                vid = idx[viol]
+                vid = _members(active, viol)
                 # floor proposals are redrawn, not shrunk further; a run of
                 # rejections there means the config is genuinely stuck
-                at_floor = h_try[viol] <= dt_min
-                strikes[vid[at_floor]] += 1
-                stuck = vid[strikes[vid] >= MAX_FLOOR_RETRIES]
+                strikes[vid[h_try[viol] <= dt_min]] += 1
+                stuck = np.flatnonzero(strikes[vid] >= MAX_FLOOR_RETRIES)
                 if stuck.size:
-                    first = stuck[np.argmin(t[stuck])]
+                    j = stuck[np.argmin(t[vid[stuck]])]
+                    row, loc = vid[j], np.flatnonzero(viol)[j]
                     raise StepUnderflowError(
                         "proposals at the dt floor keep crossing a hyperplane",
-                        time=float(t[first]),
-                        path_index=int(paths[first]),
+                        time=float(t[row]),
+                        path_index=int(paths[row]),
+                        state=tuple(float(v) for v in x[row]),
+                        root=int(np.argmax(cross[loc])),
+                        dt=float(h_try[loc]),
                     )
                 h_state[vid] = np.maximum(h_try[viol] / 2.0, dt_min)
                 violations[vid] += 1
-            acc = ~viol
-            if not acc.any():
-                continue
-            aid = idx[acc]
+                acc = ~viol
+                if not acc.any():
+                    continue
+                aid = _members(active, acc)
+                x_prop, h_try, d_prop = x_prop[acc], h_try[acc], d_prop[acc]
+                target, ta, t_rem = target[acc], ta[acc], t_rem[acc]
+                if rates is not None:
+                    rates = rates[acc]
             strikes[aid] = 0
-            x_new = x_prop[acc]
-            h_acc = h_try[acc]
             root_idx = None
             if config.jumps and n_roots:
                 u = streams.uniforms(aid)
-                x_new, root_idx = _apply_jumps(
-                    x_new, d_prop[acc], rates[acc], h_acc, u, roots.alphas, roots.sqns
+                x_prop, root_idx = _apply_jumps(
+                    x_prop, d_prop, rates, h_try, u, roots.alphas, roots.sqns
                 )
                 jump_counts[aid] += root_idx >= 0
-                intensity[aid] += np.minimum(rates[acc] * h_acc[:, None], 1.0).sum(axis=1)
-            capped = h_acc >= t_rem[acc]
-            t_new = np.where(capped, target[acc], ta[acc] + h_acc)
-            x[aid] = x_new
+                intensity[aid] += np.minimum(rates * h_try[:, None], 1.0).sum(axis=1)
+            t_new = np.where(h_try >= t_rem, target, ta + h_try)
+            x[aid] = x_prop
             t[aid] = t_new
             if adaptive:
-                h_state[aid] = np.minimum(2.0 * h_acc, config.dt_base)
+                h_state[aid] = np.minimum(2.0 * h_try, config.dt_base)
             if record is not None:
-                record(t_new, x_new, root_idx)
-            hit = t_new == target[acc]
+                record(t_new, x_prop, root_idx)
+            hit = t_new == target
             if hit.any():
-                hid = aid[hit]
-                out[hid, ptr[hid], :] = x_new[hit]
+                hid = _members(aid, hit)
+                out[hid, ptr[hid], :] = x_prop[hit]
                 ptr[hid] += 1
+                if (ptr[hid] == n_obs).any():
+                    active = np.flatnonzero(ptr < n_obs)
+                    if not active.size:
+                        break
     return EnsembleResult(
         obs_times=tuple(float(v) for v in obs),
         states=out,
@@ -811,13 +880,16 @@ class MomentReport:
     n_paths: int
 
     @property
-    def z_score(self) -> float:
+    def z_score(self) -> float | None:
+        """(observed - predicted) / std_error; None when the standard error
+        is zero (one path) and the observation misses the prediction."""
         if self.std_error == 0:
-            return 0.0 if self.observed == self.predicted else math.inf
+            return 0.0 if self.observed == self.predicted else None
         return (self.observed - self.predicted) / self.std_error
 
     def within(self, n_sigma: float = 3.0) -> bool:
-        return abs(self.z_score) <= n_sigma
+        z = self.z_score
+        return z is not None and abs(z) <= n_sigma
 
 
 def moment_from_result(config: SimConfig, res: EnsembleResult) -> MomentReport:

@@ -148,6 +148,33 @@ def test_step_underflow_exit_three(capsys):
     assert re.search(r"\(path [0-3], t = ", err)
 
 
+def test_step_underflow_message_names_state_root_and_dt(capsys):
+    args = [
+        "simulate",
+        "--family", "B", "--rank", "2", "--mults", "20,0.01",
+        "--x0", "0.5,1.0", "--horizon", "10", "--dt", "0.2",
+        "--dt-floor-factor", "1.0", "--ensemble", "4", "--seed", "0",
+    ]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"x = \(\S+, \S+\), live root [0-3], dt = 0\.2\)", err)
+
+
+def test_simulate_default_ensemble_of_one(tmp_path, capsys):
+    # one path has no standard error: the z-score is null, not inf
+    out = tmp_path / "one.json"
+    args = ["simulate", "--family", "A", "--rank", "1", "--mults", "1",
+            "--x0", "0,1", "--horizon", "0.01"]
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["paths"] == 1
+    assert payload["moment"]["std_error"] == 0.0
+    assert payload["moment"]["z_score"] is None
+    assert main(args) == 0
+    assert '"z_score": null' in capsys.readouterr().out
+
+
 def test_config_file_merge_flags_win(tmp_path, capsys):
     cfg = {
         "seed": 9,

@@ -1,5 +1,6 @@
 """Stochastic engine: determinism, replay, jumps, moments, root oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -149,6 +150,46 @@ def test_path_streams_match_per_path_generators(paths):
         used[idx] += 1
 
 
+@pytest.mark.parametrize("block", [1, 7, 53, sde_mod.BLOCK])
+def test_block_size_changes_no_sample(block):
+    # every row reads its own stream in order, so any block size gives the
+    # per-path generators' draws; the schedule reads all rows in lockstep,
+    # then a subset in lockstep, then one row, then staggered index sets,
+    # then all rows again at staggered positions
+    seed, dim, n_uniform, draws = 2**64 + 5, 3, 4, 2 * sde_mod.BLOCK + 350
+    paths = [0, 3, 7, 77777, 2**32 - 1]
+    m = len(paths)
+    streams = sde_mod.PathStreams(seed, paths, dim, n_uniform, block)
+
+    def reference(stream, draw):
+        return [
+            draw(np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(p, stream)))))
+            for p in paths
+        ]
+
+    ref_g = reference(0, lambda g: g.standard_normal((draws, dim)))
+    ref_u = reference(1, lambda g: g.random((draws, n_uniform)))
+    everyone = np.arange(m)
+    schedule = (
+        [slice(None)] * (2 * sde_mod.BLOCK + 10)
+        + [np.asarray([1, 2, 4])] * 20
+        + [np.asarray([0])] * 7
+        + [np.asarray([r for r in range(m) if t % (r + 1) == 0]) for t in range(300)]
+        + [slice(None)] * 10
+    )
+    used = np.zeros(m, dtype=np.int64)
+    for idx in schedule:
+        rows = everyone[idx]
+        g = streams.normals(idx)
+        u = streams.uniforms(idx)
+        assert g.shape == (len(rows), dim) and u.shape == (len(rows), n_uniform)
+        for k, r in enumerate(rows):
+            assert np.array_equal(g[k].view(np.uint64), ref_g[r][used[r]].view(np.uint64))
+            assert np.array_equal(u[k].view(np.uint64), ref_u[r][used[r]].view(np.uint64))
+        used[rows] += 1
+    assert used.min() > 2 * sde_mod.BLOCK and used.max() <= draws
+
+
 def test_observation_grid_includes_horizon():
     cfg = _cfg(obs_times=(0.1, 0.2))
     assert cfg.observation_grid() == (0.1, 0.2, 0.25)
@@ -239,6 +280,31 @@ def test_replay_matches_ensemble(jumps):
         assert traj.violations == res.violations[i]
 
 
+def test_lockstep_and_staggered_rows_replay_bitwise():
+    # started next to the x1 = 0 wall, some proposals are rejected while
+    # every row is active and rows finish at different steps, so the loop
+    # runs both its full-slice and its index-array branches
+    cfg = _cfg(system=B2, x0=(0.02, 1.7), jumps=True, obs_times=(0.05, 0.2),
+               k_scale=0.5, ensemble=24, master_seed=9)
+    res = simulate(cfg)
+    assert res.violations.sum() > 0
+    assert len(set(res.steps.tolist())) > 1
+    for i in range(cfg.ensemble):
+        traj = replay_path(cfg, i)
+        at_obs = [np.flatnonzero(traj.times == t)[0] for t in res.obs_times]
+        assert np.array_equal(traj.states[at_obs].view(np.uint64), res.states[i].view(np.uint64))
+        assert traj.steps == res.steps[i]
+        assert traj.violations == res.violations[i]
+        assert len(traj.jump_events) == res.jump_counts[i]
+        assert traj.intensity_integral == res.intensity_integrals[i]
+    small = simulate(dataclasses.replace(cfg, ensemble=3))
+    assert np.array_equal(small.states.view(np.uint64), res.states[:3].view(np.uint64))
+    assert np.array_equal(small.steps, res.steps[:3])
+    assert np.array_equal(small.violations, res.violations[:3])
+    assert np.array_equal(small.jump_counts, res.jump_counts[:3])
+    assert np.array_equal(small.intensity_integrals, res.intensity_integrals[:3])
+
+
 def test_replay_bypasses_public_simulate(monkeypatch):
     # wrappers around the public entry point must not see replays as runs
     def public_entry(*args, **kwargs):
@@ -325,6 +391,24 @@ def test_step_underflow_reported():
     assert replayed.value.path_index == exc.value.path_index
 
 
+def test_step_underflow_names_state_root_and_dt():
+    # the ensemble's report carries what a replay of the stuck path needs
+    b2 = build_root_system("B", 2, (20.0, 0.01), scale="normalized")
+    cfg = SimConfig(system=b2, x0=(0.5, 1.0), horizon=10.0, dt_base=0.2,
+                    dt_floor_factor=1.0, ensemble=4, master_seed=0)
+    with pytest.raises(StepUnderflowError) as exc:
+        simulate(cfg)
+    err = exc.value
+    assert len(err.state) == 2 and all(math.isfinite(v) for v in err.state)
+    assert 0 <= err.root < len(b2.positive)
+    assert 0 < err.dt <= cfg.dt_base * cfg.dt_floor_factor
+    with pytest.raises(StepUnderflowError) as replayed:
+        replay_path(cfg, err.path_index)
+    assert replayed.value.state == err.state
+    assert replayed.value.root == err.root
+    assert replayed.value.dt == err.dt
+
+
 def test_overflowing_drift_raises(bounded_stepper):
     # k = 1e308 is finite, but k / (alpha . x) overflows and the step is NaN
     a2 = build_root_system("A", 2, (1e308,))
@@ -347,6 +431,13 @@ def test_moment_law_jumping():
     res = simulate(cfg)
     rep = moment_from_result(cfg, res)
     assert abs(rep.z_score) < 3.0
+
+
+def test_one_path_moment_has_no_z_score():
+    rep = moment_law_report(_cfg(ensemble=1))
+    assert rep.std_error == 0.0 and rep.observed != rep.predicted
+    assert rep.z_score is None
+    assert rep.within(3.0) is False
 
 
 def test_trajectory_csv(tmp_path):
