@@ -32,10 +32,11 @@ is unrealizable and would skew the jump-count comparison.
 
 Reproducibility.  Ensemble member i owns two PCG64 streams, the ones numpy
 seeds from SeedSequence(master_seed, spawn_key=(i, 0)) for Gaussians and
-(i, 1) for uniforms, read in order through block buffers.  The streams of
-all members are seeded in one vectorized pass of numpy's seed mixing and
-drawn through one reusable bit generator, so no per-path generator objects
-exist and every sampled bit is the one numpy's own objects give.  A run
+(i, 1) for uniforms, read in order through block buffers.  One vectorized
+pass of numpy's seed mixing gives every member's PCG64 state words, and a
+refill writes a row's words into a view of one bit generator's own state
+and reads them back after the draw, so no per-path generator objects exist
+and every sampled bit is the one numpy's own objects give.  A run
 sizes its blocks to the draws of a path that never slows down (at most
 BLOCK); each row's stream is read in order, so the block size changes no
 sample.  Every active row draws one Gaussian per proposal, so the active
@@ -58,6 +59,7 @@ as an ODE in log-time whose attractor is exactly that root configuration.
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -86,8 +88,7 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_PCG_MULT = (np.uint64(0x4385DF649FCCF645), np.uint64(0x2360ED051FC65DA4))
 
 
 @dataclass(frozen=True)
@@ -206,13 +207,27 @@ class Trajectory:
                 writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
 
 
-def _stream_states(master_seed: int, paths: Sequence[int], stream: int) -> tuple:
-    """PCG64 ``(state, inc)`` lists of every path's stream ``stream``.
+def _add128(a, b):
+    """Sum mod 2^128 of (lo, hi) uint64 word pairs."""
+    lo = a[0] + b[0]
+    return lo, a[1] + b[1] + (lo < a[0])
 
-    Entry r equals the state of PCG64(SeedSequence(master_seed,
-    spawn_key=(paths[r], stream))): numpy's entropy mixing runs on uint32
-    arrays over all paths at once (the per-word hash constants do not
-    depend on the data), and PCG64's seeding step runs in Python ints.
+
+def _mul128(a, b):
+    """Product mod 2^128 of (lo, hi) uint64 word pairs; lo * lo's high word from 32-bit halves."""
+    half, shift = np.uint64(_WORD), np.uint64(32)
+    a0, a1, b0, b1 = a[0] & half, a[0] >> shift, b[0] & half, b[0] >> shift
+    mid = (a0 * b0 >> shift) + (a0 * b1 & half) + (a1 * b0 & half)
+    carry = a1 * b1 + (a0 * b1 >> shift) + (a1 * b0 >> shift) + (mid >> shift)
+    return a[0] * b[0], carry + a[0] * b[1] + a[1] * b[0]
+
+
+def _stream_states(master_seed: int, paths: Sequence[int], stream: int) -> np.ndarray:
+    """PCG64 state words of every path's stream ``stream``, shape (rows, 4).
+
+    Row r is ``[state_lo, state_hi, inc_lo, inc_hi]`` of PCG64(SeedSequence(
+    master_seed, spawn_key=(paths[r], stream))), mixed on uint32 and seeded
+    on uint64 arrays over all paths at once.
     """
     words = []
     seed = master_seed
@@ -257,30 +272,44 @@ def _stream_states(master_seed: int, paths: Sequence[int], stream: int) -> tuple
         hash_b = hash_b * _MULT_B & _WORD
         value = value * np.uint32(hash_b)
         out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    w = [(out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
-
-    states, incs = [], []
-    for hi0, lo0, hi1, lo1 in zip(*w):
-        inc = ((hi1 << 64 | lo1) << 1 | 1) & _MASK128
-        # one step from state 0 gives inc; add the initial state, step again
-        state = (inc + (hi0 << 64 | lo0)) & _MASK128
-        states.append((state * _PCG_MULT + inc) & _MASK128)
-        incs.append(inc)
-    return states, incs
+    hi0, lo0, hi1, lo1 = (out[2 * j] | out[2 * j + 1] << np.uint64(32) for j in range(4))
+    inc = (lo1 << np.uint64(1) | np.uint64(1), hi1 << np.uint64(1) | lo1 >> np.uint64(63))
+    # one step from state 0 gives inc; add the initial state, step again
+    state = _add128(_mul128(_add128(inc, (lo0, hi0)), _PCG_MULT), inc)
+    return np.stack(state + inc, axis=1)
 
 
 class _Stream:
     """One PCG64 stream per row, read through a (rows, block, width) buffer.
 
-    ``shared`` is the buffer position that every row reads next; once the
-    rows part it is None and ``pos`` holds one position per row.
+    ``words`` holds each row's PCG64 state words in the bit generator's
+    column order.  ``shared`` is the buffer position that every row reads
+    next; once the rows part it is None and ``pos`` holds one position per
+    row.
     """
 
-    def __init__(self, states, incs, block, width, draw):
-        self.states, self.incs, self.draw = states, incs, draw
-        self.buf = np.empty((len(states), block, width))
-        self.pos = np.empty(len(states), dtype=np.int64)
+    def __init__(self, words, block, width, draw):
+        self.words, self.draw = words, draw
+        self.buf = np.empty((len(words), block, width))
+        self.pos = np.empty(len(words), dtype=np.int64)
         self.shared = block
+
+
+def _state_view(bitgen: np.random.PCG64) -> tuple:
+    """A writable uint64 view of ``bitgen``'s ``pcg_state`` words, and their order.
+
+    Four distinct words set through ``bitgen.state`` tell the layout: native
+    128-bit integers read back in ``_stream_states`` order, numpy's emulated
+    ``{high, low}`` structs with each pair swapped; any other layout raises.
+    """
+    address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    view = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+    probe = {"state": 2 << 64 | 1, "inc": 5 << 64 | 3}
+    bitgen.state = {"bit_generator": "PCG64", "state": probe, "has_uint32": 0, "uinteger": 0}
+    for order in ([0, 1, 2, 3], [1, 0, 3, 2]):
+        if view.tolist() == [(1, 2, 3, 5)[c] for c in order]:
+            return view, order
+    raise RuntimeError(f"unknown PCG64 state layout: words 1, 2, 3, 5 read back as {view.tolist()}")
 
 
 class PathStreams:
@@ -291,10 +320,10 @@ class PathStreams:
     uniforms from key (paths[r], 1), regardless of which other members run
     next to it, so an isolated rerun of one path sees the identical random
     numbers.  The same streams as numpy's per-path generators: every row's
-    state is seeded in one vectorized pass, and a refill loads that state
-    into one reusable bit generator, fills the row's next ``block`` draws
-    and stores the advanced state back.  Each row's stream is read in
-    order, so the block size changes no sample, only how often rows refill.
+    state words are seeded in one vectorized pass; a refill writes them into
+    a layout-checked view of one bit generator's state, fills the row's next
+    ``block`` draws and reads the advanced state back.  Each row's stream is
+    read in order, so the block size changes no sample, only refill counts.
 
     ``normals(idx)`` and ``uniforms(idx)`` return one draw per row of
     ``idx``, an index array or slice(None) for every row.  While the rows of
@@ -308,23 +337,20 @@ class PathStreams:
                  block: int = BLOCK):
         self._bitgen = np.random.PCG64(0)
         gen = np.random.Generator(self._bitgen)
+        self._view, order = _state_view(self._bitgen)
         self._rows = np.arange(len(paths))
         self._block = block
-        self._gauss = _Stream(*_stream_states(master_seed, paths, 0), block, dim, gen.standard_normal)
+        self._gauss = _Stream(_stream_states(master_seed, paths, 0)[:, order], block, dim, gen.standard_normal)
         if n_uniform:
-            self._unif = _Stream(*_stream_states(master_seed, paths, 1), block, n_uniform, gen.random)
+            self._unif = _Stream(_stream_states(master_seed, paths, 1)[:, order], block, n_uniform, gen.random)
 
     def _refill(self, s: _Stream, rows):
-        bitgen = self._bitgen
+        # the state is read back, so a draw may take any number of outputs
+        view, words, buf, draw = self._view, s.words, s.buf, s.draw
         for r in rows.tolist():
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": s.states[r], "inc": s.incs[r]},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            s.draw(out=s.buf[r])
-            s.states[r] = bitgen.state["state"]["state"]
+            view[:] = words[r]
+            draw(out=buf[r])
+            words[r, :2] = view[:2]
 
     def _read(self, s: _Stream, idx) -> np.ndarray:
         block = self._block

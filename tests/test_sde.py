@@ -1,8 +1,10 @@
 """Stochastic engine: determinism, replay, jumps, moments, root oracles."""
 
+import ctypes
 import dataclasses
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,8 +111,9 @@ SEED_PATHS = list(range(50)) + [77777, 2**32 - 1]
 @pytest.mark.parametrize("stream", [0, 1])
 @pytest.mark.parametrize("seed", SEEDS, ids=["0", "1", "2^31-1", "2^32", "2^64-1", "2^64", "2^130+3"])
 def test_stream_states_match_numpy_seeding(seed, stream):
-    states, incs = sde_mod._stream_states(seed, SEED_PATHS, stream)
-    for p, state, inc in zip(SEED_PATHS, states, incs):
+    words = sde_mod._stream_states(seed, SEED_PATHS, stream).tolist()
+    for p, (state_lo, state_hi, inc_lo, inc_hi) in zip(SEED_PATHS, words):
+        state, inc = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
         ref = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(p, stream))).state["state"]
         assert (state, inc) == (ref["state"], ref["inc"]), p
 
@@ -188,6 +191,81 @@ def test_block_size_changes_no_sample(block):
             assert np.array_equal(u[k].view(np.uint64), ref_u[r][used[r]].view(np.uint64))
         used[rows] += 1
     assert used.min() > 2 * sde_mod.BLOCK and used.max() <= draws
+
+
+def _words(state: dict) -> list:
+    mask = (1 << 64) - 1
+    return [state["state"] & mask, state["state"] >> 64, state["inc"] & mask, state["inc"] >> 64]
+
+
+def test_refill_writes_back_each_rows_state():
+    # after lockstep, subset and staggered reads, every row's stored words are
+    # the per-path generator's state after the same whole blocks of draws; the
+    # Gaussian ziggurat takes a variable number of outputs per draw
+    seed, dim, n_uniform, block = 2**64 + 5, 3, 4, 7
+    paths = [0, 3, 7, 77777, 2**32 - 1]
+    m = len(paths)
+    streams = sde_mod.PathStreams(seed, paths, dim, n_uniform, block)
+    schedule = (
+        [slice(None)] * 30
+        + [np.asarray([1, 2, 4])] * 20
+        + [np.asarray([r for r in range(m) if t % (r + 1) == 0]) for t in range(60)]
+    )
+    used = np.zeros(m, dtype=np.int64)
+    for idx in schedule:
+        streams.normals(idx)
+        streams.uniforms(idx)
+        used[np.arange(m)[idx]] += 1
+    refills = -(-used // block)
+    assert refills.min() >= 3
+    order = sde_mod._state_view(np.random.PCG64())[1]
+    for stream, s, draw in ((0, streams._gauss, "standard_normal"), (1, streams._unif, "random")):
+        words = s.words[:, order].tolist()
+        for r, p in enumerate(paths):
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(p, stream))))
+            getattr(gen, draw)((refills[r] * block, s.buf.shape[2]))
+            assert words[r] == _words(gen.bit_generator.state["state"]), (stream, p)
+
+
+class _LaidOutBitGen:
+    """A PCG64 stand-in whose state setter stores the four words in ``layout`` order."""
+
+    def __init__(self, layout):
+        self.layout, self.words = layout, (ctypes.c_uint64 * 4)()
+        self.pointer = ctypes.c_void_p(ctypes.addressof(self.words))
+        self.ctypes = SimpleNamespace(state_address=ctypes.addressof(self.pointer))
+
+    def _set(self, value):
+        words = _words(value["state"])
+        self.words[:] = [words[c] for c in self.layout]
+
+    state = property(fset=_set)
+
+
+def test_state_view_aliases_the_bit_generator():
+    bitgen = np.random.PCG64(0)
+    view, order = sde_mod._state_view(bitgen)
+    view[order] = [11, 12, 13, 15]  # the order is its own inverse
+    assert _words(bitgen.state["state"]) == [11, 12, 13, 15]
+    bitgen.random_raw(3)
+    assert view[order].tolist() == _words(bitgen.state["state"])
+
+
+@pytest.mark.parametrize(
+    "layout, order",
+    [((0, 1, 2, 3), [0, 1, 2, 3]), ((1, 0, 3, 2), [1, 0, 3, 2]), ((2, 3, 0, 1), None), ((1, 0, 2, 3), None)],
+    ids=["native", "emulated", "inc-first", "half-swapped"],
+)
+def test_state_view_checks_the_layout(layout, order):
+    bitgen = _LaidOutBitGen(layout)
+    if order is None:
+        with pytest.raises(RuntimeError, match="unknown PCG64 state layout"):
+            sde_mod._state_view(bitgen)
+        return
+    view, got = sde_mod._state_view(bitgen)
+    assert got == order
+    view[:] = [21, 22, 23, 25]
+    assert list(bitgen.words) == [21, 22, 23, 25]
 
 
 def test_observation_grid_includes_horizon():
