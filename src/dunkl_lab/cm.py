@@ -10,16 +10,21 @@ frequency omega acts on a function f as
 
 i.e. the exchange operator in the potential is realized by reflecting the
 argument of f.  Its ground energy is E0 = omega (gamma + N/2), with ground
-state proportional to exp(-omega |x|^2 / 2) * sqrt(w_k).
+state Phi0 = exp(-W0), proportional to exp(-omega |x|^2 / 2) * sqrt(w_k).
+``w_value``, ``w_gradient`` and ``w_laplacian`` are the one closed form of
+the gauge W(tau, x) = omega |x|^2/2 - sum_{R+} k log|alpha . x| + omega N tau,
+its x-gradient and its x-Laplacian, for any params with ``system`` and
+``omega`` (``transform`` uses them too); W0 is W at tau = 0.
 
 For type A the operator is conjugate to the Dunkl heat-type operator: with
 W(x) = |x|^2/2 - sum_{i<j} log|x_i - x_j| and E = (k N + k^2 N(N-1))/2,
 
     -e^{kW} (H - E) e^{-kW} p = [ 1/2 sum_i T_i^2 - k sum_j x_j d_j ] p.
 
-``transformed_hamiltonian_check`` evaluates both sides of that identity on
-an exact polynomial: the left via closed-form product-rule expansion, the
-right via the exact Dunkl operators.
+``pair_gauge`` gives grad W and Delta W of that W in pair sums, with no root
+machinery, and ``transformed_hamiltonian_check`` evaluates both sides of the
+identity on an exact polynomial: the left via closed-form product-rule
+expansion, the right via the exact Dunkl operators.
 
 The frozen (k -> infinity) limit of the spin Calogero model on Hermite
 roots z_1..z_N is the inverse-square exchange spin chain
@@ -33,6 +38,7 @@ its spectrum is diagonalized per S^z block, since every P_ij conserves S^z.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,9 +48,9 @@ from typing import Sequence
 import numpy as np
 
 from .dunkl import DunklContext, PointFunction, dunkl_apply, dunkl_direction
-from .errors import DimensionError, ExactModeError
+from .errors import DimensionError, ExactModeError, HyperplaneError
 from .polyx import MultiPoly
-from .rootsys import RootSystem, Scalar, build_root_system, reflect
+from .rootsys import RootSystem, Scalar, build_root_system, dot, reflect
 
 SPIN_SITE_CAP = 12
 
@@ -75,7 +81,7 @@ def cm_apply(params: CMParams, f: PointFunction, x: Sequence[Scalar]) -> Scalar:
             continue
         d = r.dot(x)
         if d == 0:
-            raise ZeroDivisionError("point on a reflecting hyperplane")
+            raise HyperplaneError("point lies on a reflecting hyperplane")
         acc = acc + (r.sq_norm * k) * (k * fx - f.value(reflect(r, x))) / (2 * d * d)
     if params.omega:
         acc = acc + (params.omega * params.omega) * sum(c * c for c in x) * fx / 2
@@ -94,34 +100,54 @@ def ground_energy_a_type(n_particles: int, k: Scalar) -> Scalar:
     return (k * n + k * k * n * (n - 1)) / 2
 
 
-def _log_weight_half_gradient(system: RootSystem, x):
-    """grad of (1/2) log w_k at x, i.e. sum over R+ of k alpha / (alpha . x)."""
+def _log_signed(s):
+    # holomorphic continuation of log|s| off the real axis; valid while the
+    # real part keeps the sign of the underlying real point
+    if isinstance(s, complex):
+        return cmath.log(s) if s.real > 0 else cmath.log(-s)
+    if s == 0:
+        raise HyperplaneError("log|alpha . x| undefined on a hyperplane")
+    return math.log(abs(s))
+
+
+def w_value(params, tau, x):
+    """W(tau, x); accepts complex tau or x entries (analytic branch)."""
+    system = params.system
+    omega = params.omega
+    acc = omega * sum(z * z for z in x) / 2 + omega * system.dimension * tau
+    for r in system.live_positive:
+        acc = acc - float(r.multiplicity) * _log_signed(dot(r.vector, x))
+    return acc
+
+
+def w_gradient(params, x):
+    """grad_x W = omega x - sum_{R+} k alpha / (alpha . x)."""
+    system = params.system
     n = system.dimension
-    g = [0.0] * n
-    for idx in system.positive:
-        r = system.roots[idx]
+    g = [params.omega * z for z in x]
+    for r in system.live_positive:
         k = float(r.multiplicity)
-        if not k:
-            continue
-        d = float(r.dot(x))
+        d = r.dot(x)
+        if d == 0:
+            raise HyperplaneError("point lies on a reflecting hyperplane")
         for i in range(n):
-            g[i] += k * r.fvector[i] / d
+            g[i] = g[i] - k * r.fvector[i] / d
     return g
+
+
+def w_laplacian(params, x):
+    """Delta_x W = omega N + sum_{R+} k |alpha|^2 / (alpha . x)^2."""
+    system = params.system
+    acc = params.omega * system.dimension
+    for r in system.live_positive:
+        d = r.dot(x)
+        acc = acc + float(r.multiplicity) * r.fsq_norm / (d * d)
+    return acc
 
 
 def groundstate_value(params: CMParams, x: Sequence[Scalar]) -> float:
     """Phi0(x) = exp(-omega |x|^2 / 2) * prod_{R+} |alpha . x|^k, unnormalized."""
-    system = params.system
-    xs = [float(c) for c in x]
-    log_phi = -float(params.omega) * sum(c * c for c in xs) / 2
-    for idx in system.positive:
-        r = system.roots[idx]
-        k = float(r.multiplicity)
-        if not k:
-            continue
-        d = float(r.dot(xs))
-        log_phi += k * math.log(abs(d))
-    return math.exp(log_phi)
+    return math.exp(-w_value(params, 0.0, [float(c) for c in x]))
 
 
 def groundstate_residual(params: CMParams, x: Sequence[Scalar]) -> float:
@@ -131,31 +157,41 @@ def groundstate_residual(params: CMParams, x: Sequence[Scalar]) -> float:
     conjugated value (H Phi0)/Phi0 is assembled from grad W0 and
     Delta W0 without invoking any summation identity, then scaled by Phi0.
     """
-    system = params.system
     omega = float(params.omega)
     xs = [float(c) for c in x]
-    n = system.dimension
-    s = _log_weight_half_gradient(system, xs)
-    grad_w0 = [omega * xi - si for xi, si in zip(xs, s)]
-    lap_w0 = omega * n
+    grad_w0 = w_gradient(params, xs)
+    lap_w0 = w_laplacian(params, xs)
+    # Phi0 is reflection invariant, so the exchange term contributes
+    # k(k-1) per root.
     exchange = 0.0
-    log_phi = -omega * sum(c * c for c in xs) / 2
-    for idx in system.positive:
-        r = system.roots[idx]
+    for r in params.system.live_positive:
         k = float(r.multiplicity)
-        if not k:
-            continue
-        d = float(r.dot(xs))
-        a2 = r.fsq_norm
-        lap_w0 += k * a2 / (d * d)
-        # Phi0 is reflection invariant, so the exchange term contributes
-        # k(k-1) per root.
-        exchange += (a2 / 2) * k * (k - 1) / (d * d)
-        log_phi += k * math.log(abs(d))
+        d = r.dot(xs)
+        exchange += (r.fsq_norm / 2) * k * (k - 1) / (d * d)
     sq_grad = sum(g * g for g in grad_w0)
     ratio = -0.5 * (sq_grad - lap_w0) + exchange + omega * omega * sum(c * c for c in xs) / 2
     e0 = float(ground_energy(params))
-    return (ratio - e0) * math.exp(log_phi)
+    return (ratio - e0) * groundstate_value(params, xs)
+
+
+def pair_gauge(x: Sequence[float]) -> tuple[list[float], float]:
+    """(grad W, Delta W) for W = |x|^2/2 - sum_{i<j} log|x_i - x_j|, in pair sums."""
+    n = len(x)
+    if len(set(x)) < n:
+        raise HyperplaneError("two particles coincide")
+    grad = []
+    for i in range(n):
+        gi = x[i]
+        for j in range(n):
+            if j != i:
+                gi -= 1.0 / (x[i] - x[j])
+        grad.append(gi)
+    lap = float(n)
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                lap += 1.0 / (x[i] - x[j]) ** 2
+    return grad, lap
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +240,7 @@ def transformed_hamiltonian_check(
     pf = p.eval(xs)
     grad = [g.eval(xs) for g in p.gradient()]
     lap = p.laplacian().eval(xs)
-    gw = []
-    for i in range(n):
-        gi = xs[i]
-        for j in range(n):
-            if j != i:
-                gi -= 1.0 / (xs[i] - xs[j])
-        gw.append(gi)
-    lap_w = float(n)
-    for i in range(n):
-        for j in range(n):
-            if j != i:
-                lap_w += 1.0 / (xs[i] - xs[j]) ** 2
+    gw, lap_w = pair_gauge(xs)
     sq_gw = sum(g * g for g in gw)
     exch = 0.0
     for i in range(n):

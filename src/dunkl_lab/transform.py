@@ -14,7 +14,10 @@ and the gauge factor exp(-W) with
     W(tau, zeta) = omega |zeta|^2 / 2
                  - sum_{R+} k(alpha) log|alpha . zeta| + omega N tau,
 
-onto minus the trapped Hamiltonian shifted by its ground energy.  Writing
+onto minus the trapped Hamiltonian shifted by its ground energy.  W, its
+gradient and its Laplacian are defined once, in ``cm`` (``w_value``,
+``w_gradient``, ``w_laplacian``), and shared with the ground state there.
+Writing
 u(tau, zeta) = exp(-W) U(tau, zeta), the pointwise identity checked here is
 
     e^W { [L u + omega zeta . grad u] - du/dtau }
@@ -22,14 +25,15 @@ u(tau, zeta) = exp(-W) U(tau, zeta), the pointwise identity checked here is
 
 Both sides are assembled from U and its derivatives; the common exp(-W)
 factor is cancelled analytically, so the check stays well conditioned for
-any multiplicity.  The gauge derivative formulas themselves are validated
-independently against complex-step differentiation of the literal
-exponential in ``similarity_identities_check``.
+any multiplicity.  The closed forms ``w_gradient`` and ``w_laplacian`` are
+validated independently in ``similarity_identities_check``, against
+complex-step differentiation of the literal exponential of ``w_value``.
 
 The type-A specialization at omega = k (``corollary1_sides``) is written
 as a separate code path in particle coordinates, with all root sums
-reorganized into pair sums, so agreement with the general machinery is a
-real cross-check rather than a tautology.
+reorganized into pair sums (its gauge is ``cm.pair_gauge``, which uses no
+root machinery), so agreement with the general machinery is a real
+cross-check rather than a tautology.
 """
 
 from __future__ import annotations
@@ -43,7 +47,10 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .cm import CMParams, SideBySide, cm_apply, ground_energy
+from .cm import (
+    CMParams, SideBySide, cm_apply, ground_energy, ground_energy_a_type, pair_gauge,
+    w_gradient, w_laplacian, w_value,
+)
 from .dunkl import PointFunction, PolyFunction
 from .errors import DimensionError, HyperplaneError
 from .polyx import MultiPoly
@@ -110,60 +117,6 @@ class TestFunction:
     def laplacian(self, tau, zeta):
         e = cmath.exp(self.lam * tau) if isinstance(tau, complex) else math.exp(self.lam * tau)
         return e * self.spatial.laplacian(zeta)
-
-
-def _log_signed(s):
-    # holomorphic continuation of log|s| off the real axis; valid while the
-    # real part keeps the sign of the underlying real point
-    if isinstance(s, complex):
-        return cmath.log(s) if s.real > 0 else cmath.log(-s)
-    if s == 0:
-        raise HyperplaneError("log|alpha . zeta| undefined on a hyperplane")
-    return math.log(abs(s))
-
-
-def w_value(params: TransformParams, tau, zeta):
-    """W(tau, zeta); accepts complex tau or zeta entries (analytic branch)."""
-    system = params.system
-    omega = params.omega
-    acc = omega * sum(z * z for z in zeta) / 2 + omega * system.dimension * tau
-    for idx in system.positive:
-        r = system.roots[idx]
-        k = float(r.multiplicity)
-        if not k:
-            continue
-        acc = acc - k * _log_signed(dot(r.vector, zeta))
-    return acc
-
-
-def w_gradient(params: TransformParams, zeta):
-    """grad_zeta W = omega zeta - sum_{R+} k alpha / (alpha . zeta)."""
-    system = params.system
-    n = system.dimension
-    g = [params.omega * z for z in zeta]
-    for idx in system.positive:
-        r = system.roots[idx]
-        k = float(r.multiplicity)
-        if not k:
-            continue
-        d = r.dot(zeta)
-        for i in range(n):
-            g[i] = g[i] - k * r.fvector[i] / d
-    return g
-
-
-def w_laplacian(params: TransformParams, zeta):
-    """Delta_zeta W = omega N + sum_{R+} k |alpha|^2 / (alpha . zeta)^2."""
-    system = params.system
-    acc = params.omega * system.dimension
-    for idx in system.positive:
-        r = system.roots[idx]
-        k = float(r.multiplicity)
-        if not k:
-            continue
-        d = r.dot(zeta)
-        acc = acc + k * r.fsq_norm / (d * d)
-    return acc
 
 
 def w_tau(params: TransformParams) -> float:
@@ -330,7 +283,8 @@ def _gauged_generator(system: RootSystem, x, jet, gauge, value_at):
     ``jet`` is (u, grad u, Laplacian u) at x and ``gauge`` is
     (grad W, Laplacian W); W must be reflection invariant, so the jump term
     needs only ``value_at``, u at the reflected points.  The trap and time
-    terms are left to the caller.
+    terms are left to the caller, and so is the hyperplane check, which
+    ``w_gradient`` makes when the gauge is built.
     """
     u0, grad_u, lap_u = jet
     g, dw = gauge
@@ -341,8 +295,6 @@ def _gauged_generator(system: RootSystem, x, jet, gauge, value_at):
     for r in system.live_positive:
         k = float(r.multiplicity)
         d = r.dot(x)
-        if d == 0:
-            raise HyperplaneError("point lies on a reflecting hyperplane")
         lhs = lhs - k * r.dot(hat_grad) / d
         lhs = lhs + (k * r.fsq_norm / 2) * (u0 + value_at(reflect(r, x))) / (d * d)
     return lhs, hat_grad
@@ -399,9 +351,9 @@ def corollary1_sides(
 ) -> SideBySide:
     """Type-A specialization at omega = k, written purely in pair sums.
 
-    Independent of the root-system machinery: gauge gradient, Laplacian,
-    generator and Hamiltonian are all spelled out over particle pairs, and
-    reflections are coordinate swaps.  E0 = k N / 2 + k^2 N (N - 1) / 2.
+    Independent of the root-system machinery: the gauge is k times
+    ``pair_gauge``, generator and Hamiltonian are spelled out over particle
+    pairs, and reflections are coordinate swaps.  E0 = k N / 2 + k^2 N (N - 1) / 2.
     """
     n = n_particles
     kf = float(k)
@@ -414,18 +366,9 @@ def corollary1_sides(
     lap_u = fn.laplacian(tau, zs)
     du_tau = fn.tau_derivative(tau, zs)
 
-    g = []
-    for i in range(n):
-        gi = zs[i]
-        for j in range(n):
-            if j != i:
-                gi -= 1.0 / (zs[i] - zs[j])
-        g.append(kf * gi)
-    dw = kf * n
-    for i in range(n):
-        for j in range(n):
-            if j != i:
-                dw += kf / (zs[i] - zs[j]) ** 2
+    grad_w, lap_w = pair_gauge(zs)
+    g = [kf * gi for gi in grad_w]
+    dw = kf * lap_w
     sq_g = sum(gi * gi for gi in g)
 
     hat_grad = [grad_u[i] - u0 * g[i] for i in range(n)]
@@ -454,7 +397,7 @@ def corollary1_sides(
     for i in range(n):
         for j in range(i + 1, n):
             h_u += kf * (kf * u0 - swapped[i, j]) / (zs[i] - zs[j]) ** 2
-    e0 = kf * n / 2 + kf * kf * n * (n - 1) / 2
+    e0 = ground_energy_a_type(n, kf)
     rhs = -(du_tau + h_u - e0 * u0)
     return SideBySide(lhs=lhs, rhs=rhs)
 
@@ -478,27 +421,11 @@ def unconfined_map_check(
     factored like the scaling identity, right side through ``cm_apply``.
     """
     xs = [float(c) for c in x]
-    n = system.dimension
-    f0 = f.value(xs)
-    grad_f = f.gradient(xs)
-    lap_f = f.laplacian(xs)
-
-    g = [0.0] * n
-    dw = 0.0
-    for idx in system.positive:
-        r = system.roots[idx]
-        k = float(r.multiplicity)
-        if not k:
-            continue
-        d = r.dot(xs)
-        if d == 0:
-            raise HyperplaneError("point lies on a reflecting hyperplane")
-        for i in range(n):
-            g[i] -= k * r.fvector[i] / d
-        dw += k * r.fsq_norm / (d * d)
-
-    lhs, _ = _gauged_generator(system, xs, (f0, grad_f, lap_f), (g, dw), f.value)
-    rhs = -float(cm_apply(CMParams(system=system, omega=0), f, xs))
+    params = CMParams(system=system, omega=0)
+    jet = (f.value(xs), f.gradient(xs), f.laplacian(xs))
+    gauge = (w_gradient(params, xs), w_laplacian(params, xs))
+    lhs, _ = _gauged_generator(system, xs, jet, gauge, f.value)
+    rhs = -float(cm_apply(params, f, xs))
     return SideBySide(lhs=lhs, rhs=rhs)
 
 

@@ -30,15 +30,28 @@ def test_verify_subset_exit_zero(tmp_path, capsys):
     assert payload["results"][0]["name"] == "oscillator"
 
 
-def test_verify_exact_suites_golden_digest(tmp_path, capsys):
-    # sha256 of the --out bytes of three suites whose float work is + - * /
-    # and integer powers, so the digest pins every exact value and float bit
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (
+            ["verify", "lemma1", "lemma2", "transformed-hamiltonian", "--seed", "0"],
+            "c254582f7f4938f06b2bf243daf0a75e32a279262b2675df493ec2a3f42fbe67",
+        ),
+        (
+            ["verify", "unconfined", "--seed", "0"],
+            "06d0cb47a9807629e1bc8e5d8f8d3a89c953233cd787bf31b8aeb1dcc33b5ea7",
+        ),
+    ],
+    ids=["lemmas-transformed-hamiltonian", "unconfined"],
+)
+def test_verify_exact_suites_golden_digest(args, expected, tmp_path, capsys):
+    # sha256 of the --out bytes of suites whose float work is + - * / and
+    # integer powers, so the digest pins every exact value and float bit
     out = tmp_path / "report.json"
-    args = ["verify", "lemma1", "lemma2", "transformed-hamiltonian", "--seed", "0"]
     assert main(args + ["--out", str(out)]) == 0
     capsys.readouterr()
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "c254582f7f4938f06b2bf243daf0a75e32a279262b2675df493ec2a3f42fbe67"
+    assert digest == expected
 
 
 @pytest.mark.parametrize(

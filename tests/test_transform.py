@@ -6,9 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from dunkl_lab.cm import SideBySide
+from dunkl_lab.cm import (
+    CMParams,
+    SideBySide,
+    cm_apply,
+    groundstate_residual,
+    groundstate_value,
+    transformed_hamiltonian_check,
+)
 from dunkl_lab.dunkl import PolyFunction
-from dunkl_lab.errors import DimensionError
+from dunkl_lab.errors import DimensionError, HyperplaneError
 from dunkl_lab.polyx import parse_poly
 from dunkl_lab.rootsys import build_root_system, sample_generic_point
 from dunkl_lab.transform import (
@@ -180,6 +187,30 @@ def test_unconfined_map():
             x = tuple(float(c) for c in sample_generic_point(system, seed=seed, min_distance=0.15))
             pair = unconfined_map_check(system, f, x)
             assert abs(pair.residual) < 1e-9 * pair.scale
+
+
+_A2 = build_root_system("A", 2, (1,))
+_ON_WALL = (1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: cm_apply(CMParams(_A2, omega=1), PolyFunction(parse_poly("x1", nvars=3)), _ON_WALL),
+        lambda: groundstate_residual(CMParams(_A2, omega=1), _ON_WALL),
+        lambda: groundstate_value(CMParams(_A2, omega=1), _ON_WALL),
+        lambda: theorem1_sides(TransformParams(_A2), _fn("x1 x2", 3), 0.1, _ON_WALL),
+        lambda: corollary1_sides(3, 1.0, _fn("x1 x2", 3), 0.1, _ON_WALL),
+        lambda: transformed_hamiltonian_check(3, 1, parse_poly("x1 x2", nvars=3), _ON_WALL),
+        lambda: unconfined_map_check(_A2, PolyFunction(parse_poly("x1", nvars=3)), _ON_WALL),
+    ],
+    ids=["cm_apply", "groundstate_residual", "groundstate_value", "theorem1_sides",
+         "corollary1_sides", "transformed_hamiltonian_check", "unconfined_map_check"],
+)
+def test_gauge_closed_forms_reject_a_wall_point(check):
+    # x1 = x2 lies on the hyperplane of e1 - e2: every closed form says so
+    with pytest.raises(HyperplaneError):
+        check()
 
 
 def test_identity_report_merge_and_json():
