@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dunkl import DunklContext, PointFunction, dunkl_apply, dunkl_direction
+from .dunkl import DunklContext, PointFunction, dunkl_laplacian_direct
 from .errors import DimensionError, ExactModeError, HyperplaneError
 from .polyx import MultiPoly
 from .rootsys import RootSystem, Scalar, build_root_system, dot, reflect
@@ -63,26 +63,27 @@ class CMParams:
     omega: Scalar = 0
 
     def __post_init__(self):
-        if self.omega < 0:
+        if not self.omega >= 0:
             raise ValueError("omega must be nonnegative")
 
 
 def cm_apply(params: CMParams, f: PointFunction, x: Sequence[Scalar]) -> Scalar:
-    """(H f)(x) with the exchange term acting by argument reflection."""
+    """(H f)(x) with the exchange term acting by argument reflection.
+
+    At an all-float point k and k |alpha|^2 are the root's cached floats.
+    """
     system = params.system
     if len(x) != system.dimension:
         raise DimensionError("point dimension mismatch")
+    floats = all(type(c) is float for c in x)
     fx = f.value(x)
     acc = -f.laplacian(x) / 2
-    for idx in system.positive:
-        r = system.roots[idx]
-        k = r.multiplicity
-        if not k:
-            continue
+    for r in system.live_positive:
+        k, w = (r.fmultiplicity, r.fweight) if floats else (r.multiplicity, r.multiplicity * r.sq_norm)
         d = r.dot(x)
         if d == 0:
             raise HyperplaneError("point lies on a reflecting hyperplane")
-        acc = acc + (r.sq_norm * k) * (k * fx - f.value(reflect(r, x))) / (2 * d * d)
+        acc = acc + w * (k * fx - f.value(reflect(r, x))) / (2 * d * d)
     if params.omega:
         acc = acc + (params.omega * params.omega) * sum(c * c for c in x) * fx / 2
     return acc
@@ -116,7 +117,7 @@ def w_value(params, tau, x):
     omega = params.omega
     acc = omega * sum(z * z for z in x) / 2 + omega * system.dimension * tau
     for r in system.live_positive:
-        acc = acc - float(r.multiplicity) * _log_signed(dot(r.vector, x))
+        acc = acc - r.fmultiplicity * _log_signed(dot(r.vector, x))
     return acc
 
 
@@ -126,12 +127,11 @@ def w_gradient(params, x):
     n = system.dimension
     g = [params.omega * z for z in x]
     for r in system.live_positive:
-        k = float(r.multiplicity)
         d = r.dot(x)
         if d == 0:
             raise HyperplaneError("point lies on a reflecting hyperplane")
         for i in range(n):
-            g[i] = g[i] - k * r.fvector[i] / d
+            g[i] = g[i] - r.fmultiplicity * r.fvector[i] / d
     return g
 
 
@@ -141,7 +141,9 @@ def w_laplacian(params, x):
     acc = params.omega * system.dimension
     for r in system.live_positive:
         d = r.dot(x)
-        acc = acc + float(r.multiplicity) * r.fsq_norm / (d * d)
+        if d == 0:
+            raise HyperplaneError("point lies on a reflecting hyperplane")
+        acc = acc + r.fmultiplicity * r.fsq_norm / (d * d)
     return acc
 
 
@@ -165,7 +167,7 @@ def groundstate_residual(params: CMParams, x: Sequence[Scalar]) -> float:
     # k(k-1) per root.
     exchange = 0.0
     for r in params.system.live_positive:
-        k = float(r.multiplicity)
+        k = r.fmultiplicity
         d = r.dot(xs)
         exchange += (r.fsq_norm / 2) * k * (k - 1) / (d * d)
     sq_grad = sum(g * g for g in grad_w0)
@@ -266,14 +268,10 @@ def _conjugated_rhs(n: int, k: Fraction, terms: tuple) -> MultiPoly:
     """(1/2 sum T_i^2 - k sum x_j d_j) p, exactly, built once per (n, k, p)."""
     p = MultiPoly(n, dict(terms))
     ctx = DunklContext(build_root_system("A", n - 1, [k]))
-    half_lap = MultiPoly.zero(n)
-    for i in range(n):
-        e = dunkl_direction(ctx, i)
-        half_lap = half_lap + dunkl_apply(ctx, e, dunkl_apply(ctx, e, p))
     euler = MultiPoly.zero(n)
     for j in range(n):
         euler = euler + MultiPoly.variable(n, j) * p.partial_derivative(j)
-    return Fraction(1, 2) * half_lap - k * euler
+    return Fraction(1, 2) * dunkl_laplacian_direct(ctx, p) - k * euler
 
 
 # ---------------------------------------------------------------------------

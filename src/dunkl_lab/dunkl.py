@@ -23,8 +23,10 @@ the jump numerator:
 
 Exact mode works on MultiPoly inputs with rational multiplicities; float
 mode evaluates the expanded formulas on PointFunction oracles at a point.
-Both share the same code for the pointwise formulas, which accept Fraction
-or float data transparently.
+Both share one loop for the pointwise formulas.  At an all-float point it
+reads each root's cached float constants (``Root.fmultiplicity`` and
+``Root.fweight``, k |alpha|^2 rounded once), which give the bits that the
+Fraction-times-float mix gives, without its dispatch.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Protocol, Sequence
 
 from .errors import DimensionError, ExactModeError, HyperplaneError
 from .polyx import MultiPoly, alternating_quotient
-from .rootsys import RootSystem, Scalar, Vector, dot, reflect
+from .rootsys import RootSystem, Scalar, Vector, reflect
 
 HYPERPLANE_FLOOR = 1e-8
 
@@ -150,25 +152,27 @@ class DunklContext:
                     "polynomial Dunkl operators need rational multiplicities"
                 )
 
-    def guard_point(self, x: Sequence[Scalar]):
-        """Reject points too close to a hyperplane that actually carries k > 0."""
+    def guard_point(self, x: Sequence[Scalar]) -> list:
+        """Reject points too close to a hyperplane that actually carries k > 0.
+
+        Returns alpha . x for each root of ``system.live_positive``, in order.
+        """
         if len(x) != self.system.dimension:
             raise DimensionError(
                 f"point of length {len(x)} in dimension {self.system.dimension}"
             )
-        for i in self.system.positive:
-            r = self.system.roots[i]
-            if r.multiplicity == 0:
-                continue
+        dots = []
+        for r in self.system.live_positive:
             d = r.dot(x)
             if isinstance(d, (int, Fraction)):
                 if d == 0:
                     raise HyperplaneError(f"point lies on the hyperplane of {r.vector}")
-            else:
-                if abs(float(d)) < self.hyperplane_floor * math.sqrt(float(r.sq_norm)):
-                    raise HyperplaneError(
-                        f"point within {self.hyperplane_floor} of the hyperplane of {r.vector}"
-                    )
+            elif abs(d) < self.hyperplane_floor * math.sqrt(r.fsq_norm):
+                raise HyperplaneError(
+                    f"point within {self.hyperplane_floor} of the hyperplane of {r.vector}"
+                )
+            dots.append(d)
+        return dots
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +198,8 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence[Scalar], p: MultiPoly) -> MultiP
     for i, c in enumerate(xs):
         if c:
             out = out + c * p.partial_derivative(i)
-    for idx in system.positive:
-        r = system.roots[idx]
+    for r in system.live_positive:
         k = Fraction(r.multiplicity)
-        if not k:
-            continue
         a_dot_xi = r.dot(xs)
         if a_dot_xi:
             out = out + (k * a_dot_xi) * alternating_quotient(p, r)
@@ -247,24 +248,19 @@ def _pointwise_generator(
         + jump_sign * k |alpha|^2 [f(x) + jump_sign f(sigma x)] / (jump_den (alpha . x)^2),
 
     the one formula behind the three generators below.  Unit signs and
-    factors change no bits of a float result.
+    factors change no bits of a float result.  At an all-float point k and
+    k |alpha|^2 are the root's cached floats.
     """
-    ctx.guard_point(x)
+    dots = ctx.guard_point(x)
+    floats = all(type(c) is float for c in x)
     acc = f.laplacian(x) / jump_den
     grad = f.gradient(x)
     fx = f.value(x)
-    for idx in ctx.system.positive:
-        r = ctx.system.roots[idx]
-        k = r.multiplicity
-        if not k:
-            continue
-        d = r.dot(x)
-        # the full dot: oracle gradients may mix Fraction and float entries
-        acc = acc + drift * k * dot(r.vector, grad) / d
+    for r, d in zip(ctx.system.live_positive, dots):
+        k, w = (r.fmultiplicity, r.fweight) if floats else (r.multiplicity, r.multiplicity * r.sq_norm)
+        acc = acc + drift * k * r.dot(grad) / d
         f_ref = f.value(reflect(r, x))
-        acc = acc + jump_sign * (
-            k * r.sq_norm * (fx + jump_sign * f_ref) / (jump_den * d * d)
-        )
+        acc = acc + jump_sign * (w * (fx + jump_sign * f_ref) / (jump_den * d * d))
     return acc
 
 

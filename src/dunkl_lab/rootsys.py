@@ -103,6 +103,15 @@ class Root:
         return float(self.sq_norm)
 
     @cached_property
+    def fmultiplicity(self) -> float:
+        return float(self.multiplicity)
+
+    @cached_property
+    def fweight(self) -> float:
+        """k |alpha|^2 rounded once, as Fraction * Fraction then * float rounds it."""
+        return float(self.multiplicity * self.sq_norm)
+
+    @cached_property
     def support(self) -> tuple[tuple[int, Scalar], ...]:
         """(i, c) for each nonzero coordinate, with c an int when it is integral."""
         return tuple(

@@ -17,15 +17,17 @@ and the gauge factor exp(-W) with
 onto minus the trapped Hamiltonian shifted by its ground energy.  W, its
 gradient and its Laplacian are defined once, in ``cm`` (``w_value``,
 ``w_gradient``, ``w_laplacian``), and shared with the ground state there.
-Writing
-u(tau, zeta) = exp(-W) U(tau, zeta), the pointwise identity checked here is
+Writing u(tau, zeta) = exp(-W) U(tau, zeta), the pointwise identity checked
+here is
 
     e^W { [L u + omega zeta . grad u] - du/dtau }
         = -[ dU/dtau + (H - E0) U ].
 
 Both sides are assembled from U and its derivatives; the common exp(-W)
 factor is cancelled analytically, so the check stays well conditioned for
-any multiplicity.  The closed forms ``w_gradient`` and ``w_laplacian`` are
+any multiplicity: L is ``dunkl.kfe_generator``, and e^W L u at a point is
+L applied to e^{W(point)} u, whose jet there comes from those of U and W
+(``_GaugedJet``).  The closed forms ``w_gradient`` and ``w_laplacian`` are
 validated independently in ``similarity_identities_check``, against
 complex-step differentiation of the literal exponential of ``w_value``.
 
@@ -51,10 +53,10 @@ from .cm import (
     CMParams, SideBySide, cm_apply, ground_energy, ground_energy_a_type, pair_gauge,
     w_gradient, w_laplacian, w_value,
 )
-from .dunkl import PointFunction, PolyFunction
+from .dunkl import DunklContext, PointFunction, PolyFunction, kfe_generator
 from .errors import DimensionError, HyperplaneError
 from .polyx import MultiPoly
-from .rootsys import RootSystem, Scalar, dot, reflect
+from .rootsys import RootSystem, Scalar, dot
 
 EPS = sys.float_info.epsilon
 CS_STEP = 1e-60
@@ -277,27 +279,26 @@ def similarity_identities_check(
 # the main pointwise identity
 
 
-def _gauged_generator(system: RootSystem, x, jet, gauge, value_at):
-    """e^W L (e^{-W} u) at x, and the gauged gradient grad u - u grad W.
+class _GaugedJet:
+    """e^{W(x)} e^{-W} U near one point x, for ``kfe_generator`` to read there.
 
-    ``jet`` is (u, grad u, Laplacian u) at x and ``gauge`` is
-    (grad W, Laplacian W); W must be reflection invariant, so the jump term
-    needs only ``value_at``, u at the reflected points.  The trap and time
-    terms are left to the caller, and so is the hyperplane check, which
-    ``w_gradient`` makes when the gauge is built.
+    W is reflection invariant, so the values are U's.  The gradient and the
+    Laplacian at x are grad U - U grad W and
+    Delta U - 2 grad W . grad U + (|grad W|^2 - Delta W) U.
     """
-    u0, grad_u, lap_u = jet
-    g, dw = gauge
-    sq_g = sum(gi * gi for gi in g)
-    hat_grad = [du - u0 * gi for du, gi in zip(grad_u, g)]
-    hat_lap = lap_u - 2 * sum(gi * du for gi, du in zip(g, grad_u)) + (sq_g - dw) * u0
-    lhs = 0.5 * hat_lap
-    for r in system.live_positive:
-        k = float(r.multiplicity)
-        d = r.dot(x)
-        lhs = lhs - k * r.dot(hat_grad) / d
-        lhs = lhs + (k * r.fsq_norm / 2) * (u0 + value_at(reflect(r, x))) / (d * d)
-    return lhs, hat_grad
+
+    def __init__(self, params, x, value, u0, grad_u, lap_u):
+        g = w_gradient(params, x)
+        quad = sum(gi * gi for gi in g) - w_laplacian(params, x)
+        self.value = value
+        self.grad = [du - u0 * gi for du, gi in zip(grad_u, g)]
+        self.lap = lap_u - 2 * sum(gi * du for gi, du in zip(g, grad_u)) + quad * u0
+
+    def gradient(self, x):
+        return self.grad
+
+    def laplacian(self, x):
+        return self.lap
 
 
 def theorem1_sides(
@@ -324,14 +325,9 @@ def theorem1_sides(
     du_tau = fn.tau_derivative(tau, zs)
 
     hat_tau = du_tau - w_tau(params) * u0
-    lhs, hat_grad = _gauged_generator(
-        system,
-        zs,
-        (u0, grad_u, lap_u),
-        (w_gradient(params, zs), w_laplacian(params, zs)),
-        lambda z: fn.value(tau, z),
-    )
-    lhs = lhs + omega * sum(z * hg for z, hg in zip(zs, hat_grad))
+    jet = _GaugedJet(params, zs, lambda z: fn.value(tau, z), u0, grad_u, lap_u)
+    lhs = kfe_generator(DunklContext(system, mode="float"), jet, zs)
+    lhs = lhs + omega * sum(z * hg for z, hg in zip(zs, jet.grad))
     lhs = lhs - hat_tau
 
     cm = CMParams(system=system, omega=omega)
@@ -422,9 +418,8 @@ def unconfined_map_check(
     """
     xs = [float(c) for c in x]
     params = CMParams(system=system, omega=0)
-    jet = (f.value(xs), f.gradient(xs), f.laplacian(xs))
-    gauge = (w_gradient(params, xs), w_laplacian(params, xs))
-    lhs, _ = _gauged_generator(system, xs, jet, gauge, f.value)
+    jet = _GaugedJet(params, xs, f.value, f.value(xs), f.gradient(xs), f.laplacian(xs))
+    lhs = kfe_generator(DunklContext(system, mode="float"), jet, xs)
     rhs = -float(cm_apply(params, f, xs))
     return SideBySide(lhs=lhs, rhs=rhs)
 

@@ -43,6 +43,11 @@ def test_ground_energy_rejects_negative_omega():
         CMParams(build_root_system("A", 2, (1,)), omega=-1)
 
 
+def test_cm_params_rejects_nan_omega():
+    with pytest.raises(ValueError):
+        CMParams(build_root_system("A", 2, (1,)), omega=float("nan"))
+
+
 def test_cm_apply_harmonic_oscillator():
     # k = 0, N = 1: H f = -f''/2 + omega^2 x^2 f / 2 on f = x
     params = CMParams(build_root_system("B", 1, (0,)), omega=Fraction(2))

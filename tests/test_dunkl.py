@@ -16,6 +16,7 @@ from dunkl_lab.dunkl import (
     kbe_generator,
     kfe_generator,
 )
+from dunkl_lab.cm import CMParams, cm_apply
 from dunkl_lab.errors import ExactModeError, HyperplaneError
 from dunkl_lab.polyx import MultiPoly, parse_poly
 from dunkl_lab.rootsys import build_root_system, make_system_from_vectors, sample_generic_point
@@ -195,3 +196,36 @@ def test_kfe_drops_to_kbe_at_zero_multiplicity():
     f = PolyFunction(p)
     x = sample_generic_point(ctx.system, seed=4)
     assert kfe_generator(ctx, f, x) == kbe_generator(ctx, f, x) == p.laplacian().eval(x) / 2
+
+
+# At an all-float point the generators and cm_apply run on the roots' cached
+# float constants.  k |alpha|^2 is rounded once from the exact product: on A2
+# scaled by 3, float(2/7) * 18.0 differs from float(36/7), so a double-rounded
+# weight moves these bits.  Values recorded with the Fraction-times-float mix
+# that the cached constants replace.
+@pytest.mark.parametrize(
+    "system,poly,x,want",
+    [
+        (
+            build_root_system("A", 2, (Fraction(2, 7),)).rescale_orbit(0, 3),
+            "x1^3 x2 - 2 x2^2 x3 + x1 x3^2 + x2",
+            (0.31, -0.77, 1.18),
+            ("-0x1.54a55e2d148dcp+1", "-0x1.27b824fb24b04p+2",
+             "-0x1.27b824fb24b04p+3", "0x1.8b122adac62a3p+1"),
+        ),
+        (
+            build_root_system("B", 2, (Fraction(5, 3), Fraction(7, 5))),
+            "x1^4 - 3 x1 x2^2 + x2^3 + x1",
+            (0.83, -1.37),
+            ("0x1.778f16b4e4444p+4", "-0x1.d7b69984a0e46p+2",
+             "-0x1.d7b69984a0e46p+3", "-0x1.0e6930a9d0e9dp+6"),
+        ),
+    ],
+    ids=["A2-scaled-3", "B2"],
+)
+def test_float_route_bits(system, poly, x, want):
+    ctx = DunklContext(system, mode="float")
+    f = PolyFunction(parse_poly(poly, nvars=system.dimension))
+    got = [g(ctx, f, x) for g in (kfe_generator, kbe_generator, dunkl_laplacian_expanded)]
+    got.append(cm_apply(CMParams(system, omega=Fraction(1, 3)), f, x))
+    assert tuple(v.hex() for v in got) == want

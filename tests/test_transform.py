@@ -13,6 +13,7 @@ from dunkl_lab.cm import (
     groundstate_residual,
     groundstate_value,
     transformed_hamiltonian_check,
+    w_laplacian,
 )
 from dunkl_lab.dunkl import PolyFunction
 from dunkl_lab.errors import DimensionError, HyperplaneError
@@ -203,14 +204,30 @@ _ON_WALL = (1.0, 1.0, 0.5)
         lambda: corollary1_sides(3, 1.0, _fn("x1 x2", 3), 0.1, _ON_WALL),
         lambda: transformed_hamiltonian_check(3, 1, parse_poly("x1 x2", nvars=3), _ON_WALL),
         lambda: unconfined_map_check(_A2, PolyFunction(parse_poly("x1", nvars=3)), _ON_WALL),
+        lambda: w_laplacian(CMParams(_A2, omega=1), _ON_WALL),
     ],
     ids=["cm_apply", "groundstate_residual", "groundstate_value", "theorem1_sides",
-         "corollary1_sides", "transformed_hamiltonian_check", "unconfined_map_check"],
+         "corollary1_sides", "transformed_hamiltonian_check", "unconfined_map_check",
+         "w_laplacian"],
 )
 def test_gauge_closed_forms_reject_a_wall_point(check):
     # x1 = x2 lies on the hyperplane of e1 - e2: every closed form says so
     with pytest.raises(HyperplaneError):
         check()
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda x: theorem1_sides(TransformParams(_A2), _fn("x1 x2", 3), 0.1, x),
+        lambda x: unconfined_map_check(_A2, PolyFunction(parse_poly("x1", nvars=3)), x),
+    ],
+    ids=["theorem1_sides", "unconfined_map_check"],
+)
+def test_generator_sides_reject_a_point_near_a_wall(check):
+    # 1e-12 off x1 = x2 is inside the hyperplane floor of the forward generator
+    with pytest.raises(HyperplaneError, match="within"):
+        check((1.0, 1.0 + 1e-12, 0.5))
 
 
 def test_identity_report_merge_and_json():
