@@ -207,7 +207,6 @@ def build_parser() -> _Parser:
     s.add_argument("--x0", type=number_list, help="comma separated start point")
     s.add_argument("--horizon", type=number)
     s.add_argument("--dt", type=number, dest="dt_base")
-    s.add_argument("--scheme", help="euler-adaptive or euler-fixed")
     s.add_argument("--ensemble", type=int)
     s.add_argument("--seed", type=int)
     s.add_argument("--obs", dest="obs_times", type=number_list,

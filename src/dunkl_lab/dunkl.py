@@ -131,7 +131,6 @@ class DunklContext:
 
     system: RootSystem
     mode: str = "exact"
-    hyperplane_floor: float = HYPERPLANE_FLOOR
 
     def __post_init__(self):
         if self.mode not in ("exact", "float"):
@@ -167,9 +166,9 @@ class DunklContext:
             if isinstance(d, (int, Fraction)):
                 if d == 0:
                     raise HyperplaneError(f"point lies on the hyperplane of {r.vector}")
-            elif abs(d) < self.hyperplane_floor * math.sqrt(r.fsq_norm):
+            elif abs(d) < HYPERPLANE_FLOOR * math.sqrt(r.fsq_norm):
                 raise HyperplaneError(
-                    f"point within {self.hyperplane_floor} of the hyperplane of {r.vector}"
+                    f"point within {HYPERPLANE_FLOOR} of the hyperplane of {r.vector}"
                 )
             dots.append(d)
         return dots

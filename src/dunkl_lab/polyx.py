@@ -260,16 +260,18 @@ class MultiPoly:
         return total
 
     def _eval_float(self, point: Sequence[float]) -> object:
-        # Fraction * float is float(c) * float, so the generic loop's
-        # operations in its order give the same bits.  A constant term keeps
-        # its Fraction, as in the generic loop.  The compilation is keyed to
-        # the terms dict it was built from, so reassigning terms rebuilds it.
+        # Fraction * float and Fraction + float, in either order, are
+        # float(c) op float, so the generic loop's operations in its order
+        # give the same bits.  Only a constant-only polynomial keeps its
+        # Fraction, as in the generic loop.  The compilation is keyed to the
+        # terms dict it was built from, so reassigning terms rebuilds it.
         compiled = self._compiled
         if compiled is None or compiled[0] is not self.terms:
             compiled = self._compiled = (self.terms, [])
+            lone = len(self.terms) == 1
             for e, c in self.terms.items():
                 factors = tuple((v, p) for v, p in enumerate(e) if p)
-                compiled[1].append((float(c) if factors else c, factors))
+                compiled[1].append((c if lone and not factors else float(c), factors))
         total = None
         for term, factors in compiled[1]:
             for v, p in factors:
@@ -446,8 +448,8 @@ def discriminant_poly(system) -> MultiPoly:
     return out
 
 
-def weight_poly(system, cap: int = 64) -> MultiPoly:
-    """w_k as a polynomial, for integer multiplicities.
+def weight_poly(system) -> MultiPoly:
+    """w_k as a polynomial of degree at most 64, for integer multiplicities.
 
     Uses |alpha.x|^k * |-alpha.x|^k = (alpha.x)^{2k} pairwise over R+, which
     is a polynomial identity, so no absolute values are needed.
@@ -462,7 +464,7 @@ def weight_poly(system, cap: int = 64) -> MultiPoly:
             raise ExactModeError("weight_poly needs integer multiplicities")
         form = MultiPoly.linear_form([Fraction(c) for c in r.vector])
         for _ in range(2 * int(k)):
-            out = out.mul_capped(form, cap)
+            out = out.mul_capped(form, 64)
     return out
 
 

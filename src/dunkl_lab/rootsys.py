@@ -802,14 +802,13 @@ def sample_generic_point(
     system: RootSystem,
     seed: int,
     min_distance: float = 0.05,
-    box: float = 2.0,
     max_tries: int = 1000,
 ) -> Vector:
     """Deterministic point with normalized hyperplane distance >= min_distance.
 
-    Exact systems get rational coordinates (denominator 64); float systems
-    get uniform floats in [-box, box].  Raises SamplingError when the margin
-    cannot be met within ``max_tries`` draws.
+    Coordinates lie in [-2, 2]: rationals of denominator 64 on exact systems,
+    uniform floats otherwise.  Raises SamplingError when the margin cannot be
+    met within ``max_tries`` draws.
     """
     if min_distance <= 0:
         raise ValueError("min_distance must be positive")
@@ -817,11 +816,10 @@ def sample_generic_point(
     exact = system.is_exact
     d2 = Fraction(min_distance) ** 2 if exact else min_distance * min_distance
     q = 64
-    lim = int(box * q)
     for _ in range(max_tries):
         if exact:
             x: Vector = tuple(
-                Fraction(rng.randint(-lim, lim), q) for _ in range(system.dimension)
+                Fraction(rng.randint(-2 * q, 2 * q), q) for _ in range(system.dimension)
             )
             ok = True
             for i in system.positive:
@@ -831,7 +829,7 @@ def sample_generic_point(
                     ok = False
                     break
         else:
-            x = tuple(rng.uniform(-box, box) for _ in range(system.dimension))
+            x = tuple(rng.uniform(-2.0, 2.0) for _ in range(system.dimension))
             ok = True
             for i in system.positive:
                 r = system.roots[i]

@@ -1,4 +1,4 @@
-"""Euler schemes for the reflection-group diffusions, and their frozen limits.
+"""The adaptive Euler scheme for the reflection-group diffusions, and their frozen limits.
 
 Two processes share one engine.  The radial process solves
 
@@ -78,7 +78,6 @@ from .errors import (
 from .rootsys import RootSystem, build_root_system
 
 BLOCK = 128
-SCHEMES = ("euler-adaptive", "euler-fixed")
 HERMITE_CAP = 50
 MAX_FLOOR_RETRIES = 64
 
@@ -100,7 +99,6 @@ class SimConfig:
     horizon: float
     k_scale: float = 1.0
     dt_base: float = 1e-3
-    scheme: str = "euler-adaptive"
     ensemble: int = 1
     master_seed: int = 0
     obs_times: tuple = ()
@@ -110,8 +108,6 @@ class SimConfig:
     dt_floor_factor: float = 2.0**-20
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if len(self.x0) != self.system.dimension:
             raise DimensionError("x0 dimension does not match the root system")
         # a NaN or infinite value would never let the stepper reach the horizon
@@ -466,8 +462,6 @@ def _step_core(x, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfig):
     without ever letting model time advance.
     """
     m, n = x.shape
-    adaptive = cfg.scheme == "euler-adaptive"
-
     d_pre = roots.dots(x)
 
     # each column sums its roots' k alpha_j / (alpha . x) in root order
@@ -481,7 +475,7 @@ def _step_core(x, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfig):
     rates = None
     if cfg.jumps:
         rates = (roots.ks * roots.sqns / 2.0) / (d_pre * d_pre)
-    if adaptive and roots.count:
+    if roots.count:
         along = roots.dots(drift)
         c = np.full(along.shape, np.inf)
         np.divide(cfg.drift_limit * np.abs(d_pre), np.abs(along), out=c, where=along != 0)
@@ -550,8 +544,6 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     system = config.effective_system()
     roots = _live_root_arrays(system)
     n_roots = roots.count
-    if config.jumps and n_roots and config.scheme == "euler-fixed":
-        raise SamplingError("jump thinning requires the adaptive scheme")
     n = system.dimension
     obs = np.asarray(config.observation_grid())
     n_obs = len(obs)
@@ -575,7 +567,6 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     violations = np.zeros(m, dtype=np.int64)
     strikes = np.zeros(m, dtype=np.int64)
     dt_min = config.dt_base * config.dt_floor_factor
-    adaptive = config.scheme == "euler-adaptive"
     active = slice(None)
 
     # overflow surfaces as the non-finite proposal check below, not as
@@ -600,8 +591,6 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
             viol = cross.any(axis=1)
             aid = active
             if viol.any():
-                if not adaptive:
-                    raise SamplingError("sign violation under fixed stepping")
                 vid = _members(active, viol)
                 # floor proposals are redrawn, not shrunk further; a run of
                 # rejections there means the config is genuinely stuck
@@ -640,8 +629,7 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
             t_new = np.where(h_try >= t_rem, target, ta + h_try)
             x[aid] = x_prop
             t[aid] = t_new
-            if adaptive:
-                h_state[aid] = np.minimum(2.0 * h_try, config.dt_base)
+            h_state[aid] = np.minimum(2.0 * h_try, config.dt_base)
             if record is not None:
                 record(t_new, x_prop, root_idx)
             hit = t_new == target
@@ -718,9 +706,9 @@ def hermite_roots(n: int) -> np.ndarray:
 
 
 def laguerre_roots(n: int, a: float = 0.0) -> np.ndarray:
-    """Zeros of the generalized Laguerre polynomial L_n^(a), ascending."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """Zeros of the generalized Laguerre polynomial L_n^(a), ascending; n up to 50."""
+    if not 1 <= n <= HERMITE_CAP:
+        raise ValueError(f"n must lie in 1..{HERMITE_CAP}")
     if a <= -1:
         raise ValueError("a must exceed -1")
     j = np.arange(n)
@@ -773,21 +761,20 @@ class FreezeSample:
         }
 
 
-def _freeze_sample(system, target, k, t, n_paths, seed, spawn, eps, dt_base, drift_limit):
-    """Run the radial ensemble from eps * (1, ..., N) to time t, scale the
-    sorted particle vectors by 1/sqrt(2 k t) and measure their sup-distance
-    to ``target``.  The run seed is spawned from ``seed`` with key (spawn,).
+def _freeze_sample(system, target, k, t, n_paths, seed, spawn):
+    """Run the radial ensemble from 0.01 * (1, ..., N) to time t with drift
+    cap 0.05, scale the sorted particle vectors by 1/sqrt(2 k t) and measure
+    their sup-distance to ``target``.  The run seed is spawned from ``seed``
+    with key (spawn,).
     """
     n = len(target)
     config = SimConfig(
         system=system,
-        x0=tuple(eps * (j + 1) for j in range(n)),
+        x0=tuple(0.01 * (j + 1) for j in range(n)),
         horizon=t,
-        dt_base=dt_base,
         ensemble=n_paths,
         master_seed=int(np.random.SeedSequence(seed, spawn_key=(spawn,)).generate_state(1, np.uint64)[0]),
-        jumps=False,
-        drift_limit=drift_limit,
+        drift_limit=0.05,
     )
     res = simulate(config)
     zeta = np.sort(res.final_states, axis=1) / math.sqrt(2.0 * k * t)
@@ -807,13 +794,10 @@ def freezing_experiment(
     t: float = 1.0,
     n_paths: int = 200,
     seed: int = 0,
-    eps: float = 0.01,
-    dt_base: float = 1e-3,
-    drift_limit: float = 0.05,
 ) -> list:
     """Large-multiplicity collapse of the radial process onto Hermite zeros.
 
-    For each k the ensemble starts at eps * (1, ..., N), runs to time t, and
+    For each k the ensemble starts at 0.01 * (1, ..., N), runs to time t, and
     the sorted particle vector is scaled by 1/sqrt(2 k t).  Returns one
     FreezeSample per k with the sup-distance statistics against the zero
     configuration.  The per-k seeds are spawned from ``seed`` so adding a k
@@ -823,7 +807,7 @@ def freezing_experiment(
     return [
         _freeze_sample(
             build_root_system("A", n_particles - 1, [float(k)]),
-            target, k, t, n_paths, seed, i, eps, dt_base, drift_limit,
+            target, k, t, n_paths, seed, i,
         )
         for i, k in enumerate(k_values)
     ]
@@ -835,7 +819,6 @@ def laguerre_freezing_probe(
     t: float = 1.0,
     n_paths: int = 100,
     seed: int = 0,
-    eps: float = 0.01,
 ) -> dict:
     """The two-orbit chain B_N with equal multiplicities freezes onto the
     square roots of the Laguerre zeros (a = 0).  Returns the sup-distance
@@ -843,30 +826,21 @@ def laguerre_freezing_probe(
     """
     system = build_root_system("B", n_particles, [float(k), float(k)])
     target = np.sqrt(laguerre_roots(n_particles, 0.0))
-    return _freeze_sample(system, target, k, t, n_paths, seed, 0, eps, 1e-3, 0.05).as_dict()
+    return _freeze_sample(system, target, k, t, n_paths, seed, 0).as_dict()
 
 
-def deterministic_freeze_ode(
-    n_particles: int,
-    t_end: float = 1e3,
-    t_start: float = 1e-12,
-    y0: Sequence[float] = None,
-    rtol: float = 1e-12,
-) -> dict:
+def deterministic_freeze_ode(n_particles: int, t_end: float = 1e3) -> dict:
     """Zero-noise freezing flow integrated in log-time.
 
     In y = x / sqrt(2 t) and s = log t the unit-multiplicity radial flow
     reads dy/ds = (F(y) - y) / 2 with F(y)_i = sum_{j != i} 1/(y_i - y_j).
     Its unique equilibrium in the ordered chamber is the Hermite zero set,
     attracting with spectral rate at most -1/2, so by s = log(t_end) the
-    trajectory sits on the attractor to solver precision.
+    trajectory, started at t = 1e-12 from 0.01-spaced centred points, sits
+    on the attractor to solver precision.
     """
     n = n_particles
-    if y0 is None:
-        y0 = [0.01 * (i - (n - 1) / 2.0) for i in range(n)]
-    y0 = np.asarray(y0, dtype=float)
-    if len(y0) != n:
-        raise DimensionError("y0 length mismatch")
+    y0 = np.asarray([0.01 * (i - (n - 1) / 2.0) for i in range(n)])
 
     def rhs(_s, y):
         f = np.empty(n)
@@ -876,19 +850,20 @@ def deterministic_freeze_ode(
 
     sol = solve_ivp(
         rhs,
-        (math.log(t_start), math.log(t_end)),
+        (math.log(1e-12), math.log(t_end)),
         y0,
         method="DOP853",
-        rtol=rtol,
+        rtol=1e-12,
         atol=1e-14,
     )
     if not sol.success:
         raise SamplingError(f"freezing flow integration failed: {sol.message}")
     final = sol.y[:, -1]
+    target = hermite_roots(n)
     return {
         "y": final,
-        "target": hermite_roots(n),
-        "sup_error": float(np.abs(final - hermite_roots(n)).max()),
+        "target": target,
+        "sup_error": float(np.abs(final - target).max()),
         "scaled_positions": final * math.sqrt(2.0 * t_end),
         "t_end": float(t_end),
     }

@@ -322,7 +322,7 @@ def theorem1_sides(
     u0 = fn.value(tau, zs)
     grad_u = fn.gradient(tau, zs)
     lap_u = fn.laplacian(tau, zs)
-    du_tau = fn.tau_derivative(tau, zs)
+    du_tau = fn.lam * u0
 
     hat_tau = du_tau - w_tau(params) * u0
     jet = _GaugedJet(params, zs, lambda z: fn.value(tau, z), u0, grad_u, lap_u)
@@ -360,7 +360,7 @@ def corollary1_sides(
     u0 = fn.value(tau, zs)
     grad_u = fn.gradient(tau, zs)
     lap_u = fn.laplacian(tau, zs)
-    du_tau = fn.tau_derivative(tau, zs)
+    du_tau = fn.lam * u0
 
     grad_w, lap_w = pair_gauge(zs)
     g = [kf * gi for gi in grad_w]
@@ -455,7 +455,7 @@ class IdentityReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def report_from_samples(identity, family, params, samples, notes=()) -> IdentityReport:
+def report_from_samples(identity, family, params, samples) -> IdentityReport:
     """Fold (point, SideBySide) pairs into an IdentityReport."""
     max_abs = 0.0
     max_rel = 0.0
@@ -478,5 +478,4 @@ def report_from_samples(identity, family, params, samples, notes=()) -> Identity
         max_abs_residual=max_abs,
         max_rel_residual=max_rel,
         worst_point=worst,
-        notes=tuple(notes),
     )

@@ -1,5 +1,7 @@
 """Command line behavior: exit codes, config merging, deterministic output."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import re
@@ -12,6 +14,7 @@ import dunkl_lab.sde as sde_mod
 import dunkl_lab.suites as suites_mod
 from dunkl_lab.cli import _write_or_print, main
 from dunkl_lab.errors import ConfigError
+from dunkl_lab.sde import SimConfig
 from dunkl_lab.suites import SuiteResult
 
 SIM_ARGS = [
@@ -61,7 +64,7 @@ def test_verify_exact_suites_golden_digest(args, expected, tmp_path, capsys):
             ["simulate", "--family", "B", "--rank", "2", "--mults", "1,1/2",
              "--x0", "0.6,1.7", "--horizon", "0.25", "--obs", "0.1",
              "--ensemble", "200", "--seed", "1", "--jumps"],
-            "6614d852bca95301ce8b49bce307f7a68bff81c72050dca1e8d1ea1e4266d274",
+            "083e7a0dbdd9bb5e0d526f1e779ba4de4c257a2da308720c34d559dcf166c96a",
         ),
         (
             ["freeze", "--n", "3", "--k", "100,10000", "--paths", "20",
@@ -74,7 +77,7 @@ def test_verify_exact_suites_golden_digest(args, expected, tmp_path, capsys):
             ["simulate", "--family", "A", "--rank", "2", "--mults", "1",
              "--x0=-1,0.1,1.2", "--horizon", "0.25", "--obs", "0.1",
              "--ensemble", "300", "--seed", "18446744073709551621", "--jumps"],
-            "f82da719359aab98556f9625dd4bb51432f48581f5d37aee05edb1965b3cc6eb",
+            "bf8415c20019ea58ce48710d353f9fa17a46ef21488578574c795653ef1e9cc1",
         ),
     ],
     ids=["simulate-b2-jumps", "freeze-a2", "simulate-a2-jumps-wide-seed"],
@@ -262,6 +265,7 @@ def test_roots_outputs(tmp_path, capsys):
         SIM_ARGS[:-1] + ["-1"],
         ["freeze", "--n", "2", "--k", "5", "--paths", "2", "--no-ode", "--seed", "-1"],
         ["freeze", "--n", "2", "--k", "0", "--paths", "2", "--no-ode"],
+        SIM_ARGS + ["--scheme", "euler-adaptive"],
     ],
 )
 def test_bad_inputs_exit_one_with_message(args, capsys):
@@ -347,6 +351,7 @@ PARITY = [
         '{"family": "A", "rank": 2, "multiplicities": [1], "x0": [0, 1, 2], "horizon": 0.01, "k_scale": NaN}',
     ),
     ("roots", "--kind laguerre --n 3 --alpha nan", '{"kind": "laguerre", "n": 3, "alpha": NaN}'),
+    ("roots", "--kind laguerre --n 51", '{"kind": "laguerre", "n": 51}'),
     ("roots", "--kind system --rank 3 --mults 1", '{"kind": "system", "rank": 3, "multiplicities": [1]}'),
 ]
 
@@ -357,7 +362,7 @@ PARITY = [
     ids=[
         "freeze-n-1", "freeze-n-51", "freeze-n-60", "k-zero", "k-negative", "k-nan",
         "k-1e400", "t-nan", "seed-negative", "drift-limit-2", "ensemble-0",
-        "k-scale-nan", "alpha-nan", "system-without-family",
+        "k-scale-nan", "alpha-nan", "laguerre-n-51", "system-without-family",
     ],
 )
 def test_bad_value_same_message_from_flag_or_file(command, flags, section, tmp_path, monkeypatch, capsys):
@@ -460,6 +465,18 @@ def test_simulate_i2_odd_order_uses_normalized_scale(tmp_path, capsys):
 
 def test_bundled_schema_is_valid_draft7():
     jsonschema.Draft7Validator.check_schema(cli_mod._validator().schema)
+
+
+def test_sim_config_schema_and_flags_in_step():
+    # a SimConfig knob is settable by file and by flag, and the schema names
+    # no simulate option that neither SimConfig nor the handler reads
+    fields = {f.name for f in dataclasses.fields(SimConfig)} - {"system", "master_seed"}
+    props = set(cli_mod._validator().schema["properties"]["simulate"]["properties"])
+    sub = next(a for a in cli_mod.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["simulate"]._actions}
+    assert fields <= props
+    assert fields <= dests
+    assert props - {"family", "rank", "multiplicities", "seed", "out", "csv", "path_index"} <= fields
 
 
 def _schema_required(command: str, section: dict) -> set:

@@ -58,8 +58,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _cfg(ensemble=0)
     with pytest.raises(ConfigError):
-        _cfg(scheme="heun")
-    with pytest.raises(ConfigError):
         _cfg(obs_times=(0.1, 0.5))  # beyond the horizon
     with pytest.raises(HyperplaneError):
         simulate(_cfg(x0=(0.0, 0.0, 0.0)))  # starts on every hyperplane
@@ -432,21 +430,10 @@ def test_zero_multiplicity_is_brownian():
     res = simulate(cfg)
     assert res.jump_counts.sum() == 0
     assert res.violations.sum() == 0
+    assert np.all(res.steps == 125)
     traj = replay_path(cfg, 0)
     dts = np.diff(traj.times)
     assert np.all(dts <= cfg.dt_base + 1e-15)
-
-
-def test_euler_fixed_scheme():
-    cfg = _cfg(scheme="euler-fixed", k_scale=0.0)
-    res = simulate(cfg)
-    assert res.steps[0] == 250
-    with pytest.raises(SamplingError):
-        simulate(_cfg(scheme="euler-fixed", jumps=True))
-    # with drift on, a fixed step will eventually cross a wall and raise
-    with pytest.raises(SamplingError):
-        simulate(_cfg(scheme="euler-fixed", system=B2, x0=(0.05, 1.9),
-                      horizon=2.0, dt_base=0.05, ensemble=16))
 
 
 def test_step_underflow_reported():
@@ -566,6 +553,8 @@ def test_laguerre_roots_and_electrostatics():
 
     z = laguerre_roots(7, 0.0)
     assert z == pytest.approx(roots_laguerre(7)[0], rel=1e-12)
+    with pytest.raises(ValueError):
+        laguerre_roots(HERMITE_CAP + 1)
 
 
 # -- freezing ----------------------------------------------------------------
