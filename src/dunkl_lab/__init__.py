@@ -22,7 +22,6 @@ from .cm import (
 )
 from .dunkl import (
     DunklContext,
-    NumericFunction,
     PolyFunction,
     commutator,
     dunkl_apply,

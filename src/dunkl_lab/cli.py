@@ -242,11 +242,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_verify(opts: dict) -> int:
-    names = opts.get("suites")
-    for name in names or ():
-        if name not in SUITES:
-            raise ConfigError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    results, args = _call(run_suites, opts, names, seed="seed")
+    results, args = _call(run_suites, opts, opts.get("suites"), seed="seed")
     for res in results:
         print(res.line())
     if opts.get("out"):

@@ -34,17 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .errors import DimensionError, ExactModeError, HyperplaneError
 from .polyx import MultiPoly, alternating_quotient
 from .rootsys import RootSystem, Scalar, Vector, reflect
 
 HYPERPLANE_FLOOR = 1e-8
-
-_EPS = 2.0**-52
-FD_STEP_GRAD = _EPS ** (1 / 3)  # central first difference
-FD_STEP_LAP = _EPS ** 0.25  # central second difference
 
 
 class PointFunction(Protocol):
@@ -73,51 +69,6 @@ class PolyFunction:
 
     def laplacian(self, x):
         return self._lap.eval(x)
-
-
-class NumericFunction:
-    """PointFunction from a plain callable, using central differences.
-
-    Step sizes follow the usual optimum for the respective difference
-    order: eps^(1/3) * scale for the gradient, eps^(1/4) * scale for the
-    second derivatives in the Laplacian.
-    """
-
-    def __init__(self, fn: Callable[[Sequence[float]], float], scale: float = 1.0):
-        self.fn = fn
-        self.scale = scale
-
-    def value(self, x):
-        return self.fn(x)
-
-    def gradient(self, x):
-        h = FD_STEP_GRAD * self.scale
-        out = []
-        xs = list(x)
-        for i in range(len(xs)):
-            xi = xs[i]
-            xs[i] = xi + h
-            up = self.fn(xs)
-            xs[i] = xi - h
-            dn = self.fn(xs)
-            xs[i] = xi
-            out.append((up - dn) / (2 * h))
-        return tuple(out)
-
-    def laplacian(self, x):
-        h = FD_STEP_LAP * self.scale
-        xs = list(x)
-        mid = self.fn(xs)
-        acc = 0.0
-        for i in range(len(xs)):
-            xi = xs[i]
-            xs[i] = xi + h
-            up = self.fn(xs)
-            xs[i] = xi - h
-            dn = self.fn(xs)
-            xs[i] = xi
-            acc += (up - 2 * mid + dn) / (h * h)
-        return acc
 
 
 @dataclass(frozen=True)

@@ -456,7 +456,12 @@ class IdentityReport:
 
 
 def report_from_samples(identity, family, params, samples) -> IdentityReport:
-    """Fold (point, SideBySide) pairs into an IdentityReport."""
+    """Fold (point, SideBySide) pairs into an IdentityReport.
+
+    A NaN residual is kept (every comparison with NaN is false, so the
+    plain folds would skip it), and the last NaN sample's point is the
+    worst point.
+    """
     max_abs = 0.0
     max_rel = 0.0
     worst = None
@@ -465,9 +470,9 @@ def report_from_samples(identity, family, params, samples) -> IdentityReport:
         count += 1
         a = abs(side.residual)
         r = a / side.scale
-        if a > max_abs:
+        if a > max_abs or math.isnan(a):
             max_abs = a
-        if r >= max_rel:
+        if r >= max_rel or math.isnan(r):
             max_rel = r
             worst = tuple(float(c) for c in point)
     return IdentityReport(

@@ -7,7 +7,6 @@ import pytest
 
 from dunkl_lab.dunkl import (
     DunklContext,
-    NumericFunction,
     PolyFunction,
     commutator,
     dunkl_apply,
@@ -180,14 +179,28 @@ def test_a2_kfe_independent_sum():
     assert want == Fraction(8, 3) * k  # hand-collapsed value at this point
 
 
-def test_numeric_function_wrapper():
+class _Sine:
+    """PointFunction for sin(x1) with exact value, gradient and Laplacian."""
+
+    def value(self, x):
+        return math.sin(x[0])
+
+    def gradient(self, x):
+        return (math.cos(x[0]),)
+
+    def laplacian(self, x):
+        return -math.sin(x[0])
+
+
+def test_kbe_generator_on_exact_sine_oracles():
+    # kbe_generator on a non-polynomial PointFunction
     ctx = _ctx("B", 1, (1.0,), mode="float")
-    f = NumericFunction(lambda x: math.sin(x[0]))
     x = (0.7,)
-    got = kbe_generator(ctx, f, x)
+    got = kbe_generator(ctx, _Sine(), x)
     # (1/2) f'' + k (f'/x - (f(x) - f(-x))/(2x^2)) for even reflection part
     want = -0.5 * math.sin(0.7) + 1.0 * (math.cos(0.7) / 0.7 - math.sin(0.7) / 0.49)
-    assert got == pytest.approx(want, rel=1e-6)
+    # the exact oracles give want to the last bit; the bound leaves a few ulps
+    assert got == pytest.approx(want, rel=1e-15)
 
 
 def test_kfe_drops_to_kbe_at_zero_multiplicity():

@@ -246,3 +246,13 @@ def test_identity_report_merge_and_json():
     # serialization is canonical: repeated calls are byte-identical
     assert report.to_json() == report.to_json()
     assert list(data) == sorted(data)
+
+
+def test_identity_report_keeps_a_nan_residual():
+    # every comparison with NaN is false, so a plain max-fold skips it
+    good = SideBySide(lhs=1.0 + 1e-12, rhs=1.0)
+    bad = SideBySide(lhs=math.nan, rhs=1.0)
+    report = report_from_samples("theorem1", "A2", {}, [((0.0,), good), ((1.0,), bad)])
+    assert not math.isfinite(report.max_rel_residual)
+    assert not math.isfinite(report.max_abs_residual)
+    assert report.worst_point == (1.0,)
