@@ -49,7 +49,11 @@ coordinates, and the drift is accumulated column by column over the roots
 that touch it; all of it is elementwise (no matmul), so a row's arithmetic
 does not depend on the batch size or on whether the rows are addressed by
 a slice or an index array, and a replayed path is bitwise identical to
-the same path inside a vectorized ensemble by construction.
+the same path inside a vectorized ensemble by construction.  For the same
+reason ``simulate`` runs the loop over consecutive chunks of at most CHUNK
+path indices, which bounds the stream buffers and step temporaries by the
+chunk, not the ensemble, and changes no sampled bit; a StepUnderflowError
+then names the earliest stuck path of the first chunk that sticks.
 
 The freezing experiment scales X_t by sqrt(2 k t) and compares against the
 roots of the N-th Hermite polynomial; the zero-noise flow is also exposed
@@ -78,6 +82,7 @@ from .errors import (
 from .rootsys import RootSystem, build_root_system
 
 BLOCK = 128
+CHUNK = 4096
 HERMITE_CAP = 50
 MAX_FLOOR_RETRIES = 64
 
@@ -502,20 +507,20 @@ def _apply_jumps(x_prop, d_prop, rates, h_try, u, alphas, sqns):
     law to taking the first firing in a random root order.  Returns the new
     states and the chosen live-root index per row (-1 for no jump).
     """
-    m, n_roots = rates.shape
+    n_roots = rates.shape[1]
     trig = u[:, :n_roots] < rates * h_try[:, None]
-    n_trig = trig.sum(axis=1)
-    jumped = n_trig > 0
-    choice = np.floor(u[:, n_roots] * n_trig).astype(np.int64)
-    csum = np.cumsum(trig, axis=1)
-    pick = (csum == (choice + 1)[:, None]) & trig
-    root_idx = np.where(jumped, pick.argmax(axis=1), -1)
+    root_idx = np.full(len(trig), -1)
+    fired = np.flatnonzero(trig.any(axis=1))
+    if not fired.size:
+        return x_prop, root_idx
+    # choose and reflect on the triggering rows only
+    trig = trig[fired]
+    choice = np.floor(u[fired, n_roots] * trig.sum(axis=1)).astype(np.int64)
+    pick = (np.cumsum(trig, axis=1) == (choice + 1)[:, None]) & trig
+    chosen = pick.argmax(axis=1)
+    root_idx[fired] = chosen
     x_new = x_prop.copy()
-    for r in range(n_roots):
-        rows = root_idx == r
-        if rows.any():
-            coef = 2.0 * d_prop[rows, r] / sqns[r]
-            x_new[rows] -= coef[:, None] * alphas[r][None, :]
+    x_new[fired] -= (2.0 * d_prop[fired, chosen] / sqns[chosen])[:, None] * alphas[chosen]
     return x_new, root_idx
 
 
@@ -652,8 +657,30 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
 
 
 def simulate(config: SimConfig) -> EnsembleResult:
-    """Run the full ensemble and record states at the observation grid."""
-    return _run(config, range(config.ensemble))
+    """Run the full ensemble and record states at the observation grid.
+
+    The loop runs over chunks of at most CHUNK path indices, each copied
+    into one result allocated up front, so memory beyond the result does
+    not grow with the ensemble and no sampled bit changes.  A
+    StepUnderflowError names the earliest stuck path of the first chunk
+    that sticks, not of the whole ensemble; that path still replays.
+    """
+    m = config.ensemble
+    obs = np.asarray(config.observation_grid())
+    res = EnsembleResult(
+        obs_times=tuple(float(v) for v in obs),
+        states=np.empty((m, len(obs), config.system.dimension)),
+        jump_counts=np.empty(m, dtype=np.int64),
+        intensity_integrals=np.empty(m),
+        steps=np.empty(m, dtype=np.int64),
+        violations=np.empty(m, dtype=np.int64),
+    )
+    for lo in range(0, m, CHUNK):
+        hi = min(lo + CHUNK, m)
+        part = _run(config, range(lo, hi))
+        for name in ("states", "jump_counts", "intensity_integrals", "steps", "violations"):
+            getattr(res, name)[lo:hi] = getattr(part, name)
+    return res
 
 
 def replay_path(config: SimConfig, path_index: int) -> Trajectory:

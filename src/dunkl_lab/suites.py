@@ -384,11 +384,9 @@ def suite_transformed_hamiltonian(seed: int = 0):
     reports = []
     for n in (2, 3):
         samples = []
+        system = build_root_system("A", n - 1, [1])
+        pts = [_float_point(system, seed=seed * 53 + j + n) for j in range(5)]
         for k in (1, 2):
-            pts = [
-                _float_point(build_root_system("A", n - 1, [1]), seed=seed * 53 + j + n)
-                for j in range(5)
-            ]
             for mono in _monomials_up_to(n, 4):
                 for pt in pts:
                     side = transformed_hamiltonian_check(n, Fraction(k), mono, pt)

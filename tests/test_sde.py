@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -381,6 +382,40 @@ def test_lockstep_and_staggered_rows_replay_bitwise():
     assert np.array_equal(small.intensity_integrals, res.intensity_integrals[:3])
 
 
+def test_chunked_run_matches_one_unchunked_run(monkeypatch):
+    # a staggered jumping ensemble with rejections, 40 paths in chunks of 7
+    # (the last one short): every array equals one _run over all the paths
+    monkeypatch.setattr(sde_mod, "CHUNK", 7)
+    cfg = _cfg(system=B2, x0=(0.02, 1.7), jumps=True, obs_times=(0.05, 0.2),
+               k_scale=0.5, ensemble=40, master_seed=9)
+    chunked = simulate(cfg)
+    whole = sde_mod._run(cfg, range(cfg.ensemble))
+    assert chunked.violations.sum() > 0 and chunked.jump_counts.sum() > 0
+    assert len(set(chunked.steps.tolist())) > 1
+    assert chunked.obs_times == whole.obs_times
+    for name in ("states", "jump_counts", "intensity_integrals", "steps", "violations"):
+        a, b = getattr(chunked, name), getattr(whole, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_chunked_memory_stays_bounded(monkeypatch):
+    # ten chunks of 256 paths peak about where one chunk does
+    monkeypatch.setattr(sde_mod, "CHUNK", 256)
+    simulate(_cfg(jumps=True, ensemble=256))
+
+    def peak(ensemble):
+        tracemalloc.start()
+        try:
+            simulate(_cfg(jumps=True, ensemble=ensemble))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(256), peak(2560)
+    assert large <= 1.5 * small, (small, large)
+
+
 def test_replay_bypasses_public_simulate(monkeypatch):
     # wrappers around the public entry point must not see replays as runs
     def public_entry(*args, **kwargs):
@@ -469,6 +504,24 @@ def test_step_underflow_names_state_root_and_dt():
     assert 0 < err.dt <= cfg.dt_base * cfg.dt_floor_factor
     with pytest.raises(StepUnderflowError) as replayed:
         replay_path(cfg, err.path_index)
+    assert replayed.value.state == err.state
+    assert replayed.value.root == err.root
+    assert replayed.value.dt == err.dt
+
+
+def test_chunked_step_underflow_names_a_replayable_path(monkeypatch):
+    # in chunks of 3, the report names a path of the first chunk that sticks
+    monkeypatch.setattr(sde_mod, "CHUNK", 3)
+    b2 = build_root_system("B", 2, (20.0, 0.01), scale="normalized")
+    cfg = SimConfig(system=b2, x0=(0.5, 1.0), horizon=10.0, dt_base=0.2,
+                    dt_floor_factor=1.0, ensemble=10, master_seed=0)
+    with pytest.raises(StepUnderflowError) as exc:
+        simulate(cfg)
+    err = exc.value
+    assert 0 <= err.path_index < cfg.ensemble
+    with pytest.raises(StepUnderflowError) as replayed:
+        replay_path(cfg, err.path_index)
+    assert replayed.value.path_index == err.path_index
     assert replayed.value.state == err.state
     assert replayed.value.root == err.root
     assert replayed.value.dt == err.dt
