@@ -238,45 +238,34 @@ class MultiPoly:
     def eval(self, point: Sequence) -> object:
         """Evaluate at a point; exact for Fraction coordinates.
 
-        Works generically for Fraction, float or complex coordinates; the
-        return type follows the coordinate type.  All-float points use the
-        float compilation, which gives the same bits as the generic loop.
+        Works for Fraction, float or complex coordinates; the return type
+        follows the coordinate type.  One compiled loop serves them all;
+        all-float points start each term from float(c), which gives the bits
+        of the Fraction coefficient, since Fraction op float is float(c) op
+        float.  A constant-only polynomial keeps its Fraction.
         """
         if len(point) != self.nvars:
             raise DimensionError(
                 f"point of length {len(point)} for {self.nvars} variables"
             )
-        if self.terms and all(type(x) is float for x in point):
-            return self._eval_float(point)
-        total = None
-        for e, c in self.terms.items():
-            term = c
-            for x, p in zip(point, e):
-                if p:
-                    term = term * x**p
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0) if all(not isinstance(x, (float, complex)) for x in point) else 0.0
-        return total
-
-    def _eval_float(self, point: Sequence[float]) -> object:
-        # Fraction * float and Fraction + float, in either order, are
-        # float(c) op float, so the generic loop's operations in its order
-        # give the same bits.  Only a constant-only polynomial keeps its
-        # Fraction, as in the generic loop.  The compilation is keyed to the
-        # terms dict it was built from, so reassigning terms rebuilds it.
+        # (c, float(c) or the lone constant c, nonzero factors) per term,
+        # keyed to the terms dict, so reassigning terms rebuilds it
         compiled = self._compiled
         if compiled is None or compiled[0] is not self.terms:
             compiled = self._compiled = (self.terms, [])
             lone = len(self.terms) == 1
             for e, c in self.terms.items():
                 factors = tuple((v, p) for v, p in enumerate(e) if p)
-                compiled[1].append((c if lone and not factors else float(c), factors))
+                compiled[1].append((c, c if lone and not factors else float(c), factors))
+        floats = all(type(x) is float for x in point)
         total = None
-        for term, factors in compiled[1]:
+        for c, fc, factors in compiled[1]:
+            term = fc if floats else c
             for v, p in factors:
                 term = term * point[v] ** p
             total = term if total is None else total + term
+        if total is None:
+            return 0.0 if any(isinstance(x, (float, complex)) for x in point) else Fraction(0)
         return total
 
     def compose_signed_permutation(

@@ -38,18 +38,20 @@ reflection matrices contain sin/cos of pi/3), so exact mode rejects them.
 
 Every system carries a reflection index table: entry [a][b] is the index of
 sigma_a(beta_b) in the root list.  Closure, reducedness and orbits are read
-from it.  Family systems get it from exact data shared by both scalings (the
-integer representatives for A/B/D, the dihedral rule for I2).  Custom sets
-are exact-only: make_system_from_vectors rejects float coordinates, and the
-table of a custom set is computed in integers after scaling its vectors by
-their common denominator.
+from it.  A system of one of the four families reads its table from its
+family and rank: one table, from the integer representatives for A/B/D and
+the dihedral rule for I2, serves both scalings and every system derived by
+rescaling multiplicities or an orbit.  Custom sets always carry family
+"custom" and are exact-only: make_system_from_vectors rejects float
+coordinates, and the table of a custom set is computed in integers after
+scaling its vectors by their common denominator.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence, Union
@@ -67,7 +69,8 @@ Vector = tuple[Scalar, ...]
 
 SCALE_INTEGER = "integer-representatives"
 SCALE_NORMALIZED = "normalized"
-FAMILIES = ("A", "B", "D", "I2")
+# the supported families and their least rank (the dihedral order m for I2)
+FAMILIES = {"A": 1, "B": 1, "D": 2, "I2": 3}
 
 
 def dot(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
@@ -147,14 +150,23 @@ class Root:
     @cached_property
     def signed_permutation(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """(perm, signs) when sigma_alpha maps x to y with
-        y_i = signs[i] * x[perm[i]], else None."""
-        perm, signs = [], []
-        for row in self.reflection_matrix:
-            nz = [(j, c) for j, c in enumerate(row) if c != 0]
-            if len(nz) != 1 or nz[0][1] not in (1, -1):
-                return None
-            perm.append(nz[0][0])
-            signs.append(int(nz[0][1]))
+        y_i = signs[i] * x[perm[i]], else None.
+
+        Read from the support: a root on one coordinate negates it, and a
+        root a e_i + b e_j with |a| = |b| swaps x_i and x_j with sign -b/a.
+        Every other root mixes coordinates.
+        """
+        n = len(self.vector)
+        perm, signs = list(range(n)), [1] * n
+        if len(self.support) == 1:
+            (i, _), = self.support
+            signs[i] = -1
+        elif len(self.support) == 2 and abs(self.support[0][1]) == abs(self.support[1][1]):
+            (i, a), (j, b) = self.support
+            perm[i], perm[j] = j, i
+            signs[i] = signs[j] = -1 if a == b else 1
+        else:
+            return None
         return tuple(perm), tuple(signs)
 
 
@@ -163,15 +175,13 @@ def reflect(alpha: Union[Root, Sequence[Scalar]], x: Sequence[Scalar]) -> Vector
 
     Accepts a Root or a raw coordinate sequence.  Exact inputs give an exact
     result.  Raises InvalidRootError for a zero alpha and DimensionError on a
-    length mismatch.
+    length mismatch.  A Root moves only the coordinates on its support, so
+    the others keep their bits (a -0.0 stays -0.0).
     """
     if isinstance(alpha, Root):
-        if all(type(c) is float for c in x):
-            # same bits as the Fraction/float mix, without its dispatch
-            c = 2 * alpha.dot(x) / alpha.fsq_norm
-            return tuple(xi - c * ai for xi, ai in zip(x, alpha.fvector))
-        # exact: only the support moves
-        c = 2 * alpha.dot(x) / alpha.sq_norm
+        d = alpha.dot(x)
+        # a float dot over the float norm: the bits of the Fraction/float mix
+        c = 2 * d / (alpha.fsq_norm if type(d) is float else alpha.sq_norm)
         y = list(x)
         for i, a in alpha.support:
             y[i] = y[i] - c * a
@@ -216,11 +226,6 @@ class RootSystem:
     rank: int
     multiplicities: tuple[Scalar, ...]
     scale: str
-    # Reflection index table from exact family data (build_root_system);
-    # None for custom systems, which derive it from their vectors.
-    family_table: tuple[tuple[int, ...], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     # -- basic views ---------------------------------------------------
 
@@ -278,9 +283,11 @@ class RootSystem:
     @cached_property
     def reflection_table(self) -> tuple[tuple[int, ...], ...]:
         """Entry [a][b] is the index of sigma_a(beta_b) in ``roots``, or -1
-        when that image is not a root.  Built once per system."""
-        if self.family_table is not None:
-            return self.family_table
+        when that image is not a root.  Built once per system: the four
+        families read the table shared by both scalings, and custom sets
+        compute theirs in integers."""
+        if self.family in FAMILIES:
+            return _family_table(self.family, self.rank)
         return _integer_table(_integer_vectors(self.roots))
 
     @cached_property
@@ -356,88 +363,66 @@ def positive_indices(
     return tuple(out)
 
 
-def _unit(vec: Sequence[float]) -> tuple[float, ...]:
-    n = math.sqrt(sum(c * c for c in vec))
-    return tuple(c / n for c in vec)
-
-
-def _family_vectors(family: str, rank: int) -> tuple[list[tuple[int, ...]], list[int], int]:
-    """Integer root vectors, orbit labels and the ambient dimension."""
-    if family == "A":
-        if rank < 1:
-            raise UnsupportedFamilyError("family A needs rank >= 1")
-        n = rank + 1
-        vecs, orbits = [], []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    v = [0] * n
-                    v[i], v[j] = 1, -1
-                    vecs.append(tuple(v))
-                    orbits.append(0)
-        return vecs, orbits, n
-    if family == "B":
-        if rank < 1:
-            raise UnsupportedFamilyError("family B needs rank >= 1")
-        n = rank
-        vecs, orbits = [], []
-        for i in range(n):
-            for s in (1, -1):
-                v = [0] * n
-                v[i] = s
-                vecs.append(tuple(v))
-                orbits.append(0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = [0] * n
-                        v[i], v[j] = si, sj
-                        vecs.append(tuple(v))
-                        orbits.append(1)
-        return vecs, orbits, n
-    if family == "D":
-        if rank < 2:
-            raise UnsupportedFamilyError("family D needs rank >= 2")
-        n = rank
-        vecs, orbits = [], []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = [0] * n
-                        v[i], v[j] = si, sj
-                        vecs.append(tuple(v))
-                        orbits.append(0)
-        return vecs, orbits, n
-    raise UnsupportedFamilyError(f"unknown family {family!r}")
-
-
-def _i2_vectors(m: int) -> tuple[list[tuple[float, float]], list[int]]:
-    vecs, orbits = [], []
-    for ell in range(2 * m):
-        theta = math.pi * ell / m
-        vecs.append((math.cos(theta), math.sin(theta)))
-        # For even m the root lines split into two orbits by parity of ell;
-        # odd m is a single orbit.
-        orbits.append(ell % 2 if m % 2 == 0 else 0)
-    return vecs, orbits
-
-
 def natural_scale(family: str, rank: int) -> str:
     """Integer representatives where the system has them: all but I2(m != 4)."""
     return SCALE_NORMALIZED if family == "I2" and rank != 4 else SCALE_INTEGER
 
 
-def _i2_integer_vectors(m: int) -> tuple[list[tuple[int, int]], list[int]]:
-    if natural_scale("I2", m) != SCALE_INTEGER:
-        raise ExactModeError(
-            "I2(m) has irrational reflection matrices in the plane for m != 4; "
-            "use normalized scale (or family A/B for the crystallographic cases)"
+def _family_vectors(
+    family: str, rank: int, exact: bool
+) -> tuple[list[tuple[Scalar, ...]], list[int], int]:
+    """Root vectors (the integer representatives when ``exact``, else unit
+    floats), orbit labels in the order of build_root_system's
+    multiplicities, and the ambient dimension."""
+    if family not in FAMILIES:
+        raise UnsupportedFamilyError(f"unknown family {family!r}")
+    if rank < FAMILIES[family]:
+        raise UnsupportedFamilyError(
+            "I2(m) needs m >= 3" if family == "I2"
+            else f"family {family} needs rank >= {FAMILIES[family]}"
         )
-    vecs = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
-    orbits = [0, 1, 0, 1, 0, 1, 0, 1]
-    return vecs, orbits
+    if family == "I2":
+        if not exact:
+            # root ell at angle pi ell / m; for even m the root lines split
+            # into two orbits by the parity of ell, odd m is one orbit
+            thetas = [math.pi * ell / rank for ell in range(2 * rank)]
+            orbits = [ell % 2 if rank % 2 == 0 else 0 for ell in range(2 * rank)]
+            return [(math.cos(t), math.sin(t)) for t in thetas], orbits, 2
+        if rank != 4:
+            raise ExactModeError(
+                "I2(m) has irrational reflection matrices in the plane for m != 4; "
+                "use normalized scale (or family A/B for the crystallographic cases)"
+            )
+        square = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+        return square, [0, 1] * 4, 2
+    n = rank + 1 if family == "A" else rank
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    if family == "A":
+        vecs = [
+            tuple(a - b for a, b in zip(e[i], e[j]))
+            for i in range(n)
+            for j in range(n)
+            if i != j
+        ]
+        orbits = [0] * len(vecs)
+    else:
+        # B's short roots +-e_i, then the +-e_i +-e_j of B (second orbit) and D
+        short = []
+        if family == "B":
+            short = [tuple(s * a for a in e[i]) for i in range(n) for s in (1, -1)]
+        long_ = [
+            tuple(si * a + sj * b for a, b in zip(e[i], e[j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+            for si in (1, -1)
+            for sj in (1, -1)
+        ]
+        vecs = short + long_
+        orbits = [0] * len(short) + [int(family == "B")] * len(long_)
+    if not exact:
+        norms = [math.sqrt(sq_norm(v)) for v in vecs]
+        vecs = [tuple(c / nrm for c in v) for v, nrm in zip(vecs, norms)]
+    return vecs, orbits, n
 
 
 _MULT_REBUILD = {"int": int, "float": float, "Fraction": Fraction}
@@ -473,59 +458,34 @@ def _build_cached(family, rank, key, scale):
 
 
 def _build_root_system(
-    family: str,
-    rank: int,
-    multiplicities: Sequence[Scalar],
-    scale: str = SCALE_INTEGER,
+    family: str, rank: int, multiplicities: Sequence[Scalar], scale: str
 ) -> RootSystem:
     if scale not in (SCALE_INTEGER, SCALE_NORMALIZED):
         raise UnsupportedFamilyError(f"unknown scale {scale!r}")
     mults = list(multiplicities)
-    if any((isinstance(m, float) and m < 0) or m < 0 for m in mults):
+    if any(m < 0 for m in mults):
         raise InvalidRootError("multiplicities must be nonnegative")
-
-    if family == "I2":
-        m = rank
-        if m < 3:
-            raise UnsupportedFamilyError("I2(m) needs m >= 3")
-        n_orbits = 2 if m % 2 == 0 else 1
-        dimension = 2
-        if scale == SCALE_INTEGER:
-            ints, orbits = _i2_integer_vectors(m)
-        else:
-            ints = None
-            raw, orbits = _i2_vectors(m)
-    else:
-        ints, orbits, dimension = _family_vectors(family, rank)
-        if family == "A" or family == "D":
-            n_orbits = 1
-        else:  # B
-            n_orbits = 1 if rank == 1 else 2
-        if scale != SCALE_INTEGER:
-            raw = [_unit(v) for v in ints]
-    # integer representatives become Fraction vectors with norms and signs
-    # from int arithmetic; float vectors keep their float norms
     exact = scale == SCALE_INTEGER
-    if exact:
-        raw = [tuple(Fraction(c) for c in v) for v in ints]
-        norms = [Fraction(sum(c * c for c in v)) for v in ints]
-    else:
-        norms = [sq_norm(v) for v in raw]
-    pos = positive_indices(raw if ints is None else ints, chamber_vector(dimension))
-
+    vecs, orbits, dimension = _family_vectors(family, rank, exact)
+    n_orbits = max(orbits) + 1
     if len(mults) != n_orbits:
         raise InvalidRootError(
             f"family {family} rank {rank} has {n_orbits} orbit(s), "
             f"got {len(mults)} multiplicities"
         )
+    pos = positive_indices(vecs, chamber_vector(dimension))
     if exact:
-        mults = [Fraction(m) if not isinstance(m, float) else m for m in mults]
+        # integer representatives become Fraction vectors with norms from
+        # int arithmetic; float multiplicities stay floats
+        norms = [Fraction(sq_norm(v)) for v in vecs]
+        vecs = [tuple(Fraction(c) for c in v) for v in vecs]
+        mults = [m if isinstance(m, float) else Fraction(m) for m in mults]
     else:
+        norms = [sq_norm(v) for v in vecs]
         mults = [float(m) for m in mults]
-
     roots = tuple(
-        Root(vector=tuple(v), sq_norm=nrm, multiplicity=mults[orb], orbit=orb)
-        for v, nrm, orb in zip(raw, norms, orbits)
+        Root(vector=v, sq_norm=nrm, multiplicity=mults[orb], orbit=orb)
+        for v, nrm, orb in zip(vecs, norms, orbits)
     )
     system = RootSystem(
         dimension=dimension,
@@ -535,7 +495,6 @@ def _build_root_system(
         rank=rank,
         multiplicities=tuple(mults),
         scale=scale,
-        family_table=_family_table(family, rank),
     )
     closure = system.closure
     if not closure:
@@ -546,10 +505,8 @@ def _build_root_system(
 def make_system_from_vectors(
     vectors: Sequence[Sequence[Scalar]],
     multiplicities: Union[Scalar, Sequence[Scalar]] = 1,
-    family: str = "custom",
 ) -> RootSystem:
-    """Wrap exact (int or Fraction) vectors as a RootSystem without
-    validating closure.
+    """Wrap exact (int or Fraction) vectors as a "custom" RootSystem, unvalidated.
 
     Intended for tests and counterexamples; run check_closure yourself.
     A single multiplicity is broadcast to every vector.  Float coordinates
@@ -577,7 +534,7 @@ def make_system_from_vectors(
         dimension=dim,
         roots=roots,
         positive=pos,
-        family=family,
+        family="custom",
         rank=dim,
         multiplicities=tuple(dict.fromkeys(ms)),
         scale=SCALE_INTEGER,
@@ -601,7 +558,7 @@ def _family_table(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
         return tuple(
             tuple((2 * j + rank - ell) % m2 for ell in range(m2)) for j in range(m2)
         )
-    return _integer_table(_family_vectors(family, rank)[0])
+    return _integer_table(_family_vectors(family, rank, exact=True)[0])
 
 
 def _integer_vectors(roots: Sequence[Root]) -> list[tuple[int, ...]]:
@@ -821,23 +778,15 @@ def sample_generic_point(
             x: Vector = tuple(
                 Fraction(rng.randint(-2 * q, 2 * q), q) for _ in range(system.dimension)
             )
-            ok = True
-            for i in system.positive:
-                r = system.roots[i]
-                dd = r.dot(x)
-                if dd * dd < d2 * r.sq_norm:
-                    ok = False
-                    break
         else:
             x = tuple(rng.uniform(-2.0, 2.0) for _ in range(system.dimension))
-            ok = True
-            for i in system.positive:
-                r = system.roots[i]
-                dd = float(r.dot(x))
-                if dd * dd < d2 * float(r.sq_norm):
-                    ok = False
-                    break
-        if ok:
+        # Fractions on exact draws; floats on float draws, as d2 * q is d2 * float(q)
+        for i in system.positive:
+            r = system.roots[i]
+            dd = r.dot(x)
+            if dd * dd < d2 * r.sq_norm:
+                break
+        else:
             return x
     raise SamplingError(
         f"no point with hyperplane margin {min_distance} found in {max_tries} draws"

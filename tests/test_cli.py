@@ -91,6 +91,27 @@ def test_stochastic_golden_digest(args, expected, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
+@pytest.mark.parametrize(
+    "family, rank, mults, expected",
+    [
+        ("A", "3", "1", "196ac713066394497252ca8d31a111003bd59f06c40416e694fb884d167dc5a4"),
+        ("B", "1", "1", "e11474f6c3a69009361ca58ff3b3ea08829a005c4e872b460718f8d17440d046"),
+        ("B", "3", "1,1/2", "dd24b9d8026f39eced93fbf289455d97b84966e4fbc1875a525979339baed6bf"),
+        ("D", "4", "3/2", "29f00615560cf6eeaff2486ddced1e45b5f2533055fc69d126a49e7235cef17a"),
+        ("I2", "4", "1,2", "fef78b19ff13fc83f97e990086ae71a1cbc348667f6a400a671c0b3b0417860c"),
+    ],
+    ids=["A3", "B1", "B3", "D4", "I2(4)"],
+)
+def test_roots_system_golden_digest(family, rank, mults, expected, tmp_path, capsys):
+    # sha256 of the --out bytes of exact systems: pins the root order, the
+    # positive subsystem and the multiplicities the builder produces
+    out = tmp_path / "system.json"
+    args = ["roots", "--kind", "system", "--family", family, "--rank", rank, "--mults", mults]
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
 def test_verify_failure_exit_two(monkeypatch, capsys):
     def broken(seed=0):
         return SuiteResult(

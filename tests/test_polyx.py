@@ -241,24 +241,33 @@ def _generic_eval(p, point):
             if k:
                 term = term * x**k
         total = term if total is None else total + term
-    return 0.0 if total is None else total
+    if total is None:
+        return Fraction(0) if all(not isinstance(x, (float, complex)) for x in point) else 0.0
+    return total
 
 
 def _same_value(a, b) -> bool:
     if type(a) is not type(b) or a != b:
         return False
+    if isinstance(a, complex):
+        return _same_value(a.real, b.real) and _same_value(a.imag, b.imag)
     return not isinstance(a, float) or math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 float_points = st.tuples(*[st.floats(min_value=-4, max_value=4)] * NVARS)
+fraction_points = st.tuples(*[coeffs] * NVARS)
+complex_points = st.tuples(
+    *[st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)] * NVARS
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(polys, float_points)
-def test_compiled_float_eval_matches_generic_loop(p, x):
-    assert _same_value(p.eval(x), _generic_eval(p, x))
-    # the second call reads the cached compilation
-    assert _same_value(p.eval(x), _generic_eval(p, x))
+@given(polys, float_points, fraction_points, complex_points)
+def test_compiled_float_eval_matches_generic_loop(p, xf, xq, xc):
+    for x in (xf, xq, xc):
+        assert _same_value(p.eval(x), _generic_eval(p, x))
+        # the second call reads the cached compilation
+        assert _same_value(p.eval(x), _generic_eval(p, x))
 
 
 @pytest.mark.parametrize(

@@ -187,6 +187,46 @@ def test_bad_inputs():
         build_root_system("I2", 2, (1, 1))
 
 
+_I2_EXACT = (
+    "I2(m) has irrational reflection matrices in the plane for m != 4; "
+    "use normalized scale (or family A/B for the crystallographic cases)"
+)
+
+
+@pytest.mark.parametrize(
+    "family,rank,mults,scale,error,message",
+    [
+        ("Q", 2, (1,), "integer-representatives", UnsupportedFamilyError, "unknown family 'Q'"),
+        ("A", 2, (1,), "weird", UnsupportedFamilyError, "unknown scale 'weird'"),
+        ("A", 0, (1,), "integer-representatives", UnsupportedFamilyError, "family A needs rank >= 1"),
+        ("B", 0, (1,), "integer-representatives", UnsupportedFamilyError, "family B needs rank >= 1"),
+        ("D", 1, (1,), "integer-representatives", UnsupportedFamilyError, "family D needs rank >= 2"),
+        ("I2", 2, (1, 1), "normalized", UnsupportedFamilyError, "I2(m) needs m >= 3"),
+        ("I2", 3, (1,), "integer-representatives", ExactModeError, _I2_EXACT),
+        ("I2", 5, (1,), "integer-representatives", ExactModeError, _I2_EXACT),
+        ("A", 2, (-1,), "integer-representatives", InvalidRootError, "multiplicities must be nonnegative"),
+        ("A", 2, (-0.5,), "normalized", InvalidRootError, "multiplicities must be nonnegative"),
+        ("B", 2, (1, Fraction(-1, 2)), "integer-representatives", InvalidRootError,
+         "multiplicities must be nonnegative"),
+        ("A", 2, (1, 1), "integer-representatives", InvalidRootError,
+         "family A rank 2 has 1 orbit(s), got 2 multiplicities"),
+        ("B", 1, (1, 1), "integer-representatives", InvalidRootError,
+         "family B rank 1 has 1 orbit(s), got 2 multiplicities"),
+        ("B", 2, (1,), "integer-representatives", InvalidRootError,
+         "family B rank 2 has 2 orbit(s), got 1 multiplicities"),
+        ("I2", 5, (1, 1), "normalized", InvalidRootError,
+         "family I2 rank 5 has 1 orbit(s), got 2 multiplicities"),
+        ("I2", 6, (1,), "normalized", InvalidRootError,
+         "family I2 rank 6 has 2 orbit(s), got 1 multiplicities"),
+    ],
+)
+def test_builder_rejections(family, rank, mults, scale, error, message):
+    with pytest.raises(error) as info:
+        build_root_system(family, rank, mults, scale=scale)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_closure_detects_broken_sets():
     # missing the reflection images of (1,1): not a root system
     broken = make_system_from_vectors([(1, 0), (-1, 0), (1, 1), (-1, -1)])
@@ -433,3 +473,68 @@ def test_lattice_weight_and_discriminant_match_fraction_products(system):
     ints = tuple(range(1, system.dimension + 1))
     assert weight(system, ints) == weight(system, tuple(map(Fraction, ints)))
     assert discriminant(system, ints) == discriminant(system, tuple(map(Fraction, ints)))
+
+
+G2_VECTORS = [
+    v
+    for a, b, c in [(1, -1, 0), (0, 1, -1), (1, 0, -1), (2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
+    for v in ((a, b, c), (-a, -b, -c))
+]
+CUSTOM_SETS = {
+    "G2": G2_VECTORS,
+    "half-B2": [
+        tuple(Fraction(c, 2) for c in r.vector) for r in build_root_system("B", 2, (1, 1)).roots
+    ],
+    "slanted": [(1, 3), (-1, -3), (3, -1), (-3, 1)],
+}
+
+
+def _matrix_scan(root):
+    """(perm, signs) read off the dense reflection matrix, or None."""
+    perm, signs = [], []
+    for row in root.reflection_matrix:
+        nz = [(j, c) for j, c in enumerate(row) if c != 0]
+        if len(nz) != 1 or nz[0][1] not in (1, -1):
+            return None
+        perm.append(nz[0][0])
+        signs.append(int(nz[0][1]))
+    return tuple(perm), tuple(signs)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        build_root_system(family, rank, mults, scale=scale)
+        for family, rank, mults, scale in TABLE_CASES
+        if scale == "integer-representatives"
+    ]
+    + [make_system_from_vectors(vecs) for vecs in CUSTOM_SETS.values()],
+    ids=[f"{f}{r}" for f, r, _, s in TABLE_CASES if s == "integer-representatives"]
+    + list(CUSTOM_SETS),
+)
+def test_signed_permutation_matches_matrix_scan(system):
+    for r in system.roots:
+        assert r.signed_permutation == _matrix_scan(r), r.vector
+
+
+@pytest.mark.parametrize("family,rank,mults,scale", TABLE_CASES)
+def test_float_reflect_matches_dense_formula(family, rank, mults, scale):
+    system = build_root_system(family, rank, mults, scale=scale)
+    rng = random.Random(f"{family}{rank}{scale}")
+    for _ in range(10):
+        x = tuple(rng.choice((-1, 1)) * rng.uniform(1e-3, 3) for _ in range(system.dimension))
+        for r in system.roots:
+            c = 2 * r.dot(x) / r.fsq_norm
+            want = tuple(xi - c * ai for xi, ai in zip(x, r.fvector))
+            got = reflect(r, x)
+            assert all(_same_float(g, w) for g, w in zip(got, want)), (r.vector, x)
+
+
+def test_float_reflect_keeps_negative_zero_off_support():
+    system = build_root_system("A", 2, (1,))
+    x = (1.0, 2.0, -0.0)
+    for r in system.roots:
+        support = {i for i, _ in r.support}
+        y = reflect(r, x)
+        for i in set(range(3)) - support:
+            assert _same_float(y[i], x[i]), (r.vector, y)
