@@ -139,8 +139,13 @@ class Root:
 
     @cached_property
     def reflection_matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        """Matrix of sigma_alpha = I - 2 a a^T / (a . a), rows acting on columns."""
+        """Matrix of sigma_alpha = I - 2 a a^T / (a . a), rows acting on columns.
+
+        Rational coordinates give Fraction entries, even when they are ints.
+        """
         v, nrm = self.vector, self.sq_norm
+        if _is_rational(v):
+            nrm = Fraction(nrm)
         n = len(v)
         return tuple(
             tuple((1 if i == j else 0) - 2 * v[i] * v[j] / nrm for j in range(n))

@@ -58,6 +58,10 @@ then names the earliest stuck path of the first chunk that sticks.
 The freezing experiment scales X_t by sqrt(2 k t) and compares against the
 roots of the N-th Hermite polynomial; the zero-noise flow is also exposed
 as an ODE in log-time whose attractor is exactly that root configuration.
+The Hermite and Laguerre zeros are the eigenvalues of their Jacobi
+matrices, taken by numpy's dense eigvalsh (at most HERMITE_CAP square),
+and the flow is stepped by a Dormand-Prince 5(4) pair written in numpy,
+so the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -69,8 +73,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ConfigError,
@@ -85,6 +87,7 @@ BLOCK = 128
 CHUNK = 4096
 HERMITE_CAP = 50
 MAX_FLOOR_RETRIES = 64
+ODE_MAX_STEPS = 10_000
 
 # numpy's SeedSequence mixing constants and PCG64's 128-bit multiplier
 _WORD = 0xFFFFFFFF
@@ -718,6 +721,14 @@ def replay_path(config: SimConfig, path_index: int) -> Trajectory:
 # classical root configurations
 
 
+def _jacobi_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal (Jacobi) matrix
+    (Golub and Welsch, Math. Comp. 23, 1969), by a dense eigvalsh: the
+    matrix is at most HERMITE_CAP square.
+    """
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1) + np.diag(off, 1))
+
+
 def hermite_roots(n: int) -> np.ndarray:
     """Zeros of the physicists' Hermite polynomial H_n, ascending.
 
@@ -726,10 +737,7 @@ def hermite_roots(n: int) -> np.ndarray:
     """
     if not 1 <= n <= HERMITE_CAP:
         raise ValueError(f"n must lie in 1..{HERMITE_CAP}")
-    if n == 1:
-        return np.zeros(1)
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    return eigh_tridiagonal(np.zeros(n), off, eigvals_only=True)
+    return _jacobi_eigenvalues(np.zeros(n), np.sqrt(np.arange(1, n) / 2.0))
 
 
 def laguerre_roots(n: int, a: float = 0.0) -> np.ndarray:
@@ -738,12 +746,8 @@ def laguerre_roots(n: int, a: float = 0.0) -> np.ndarray:
         raise ValueError(f"n must lie in 1..{HERMITE_CAP}")
     if a <= -1:
         raise ValueError("a must exceed -1")
-    j = np.arange(n)
-    diag = 2.0 * j + a + 1.0
-    off = np.sqrt(np.arange(1, n) * (np.arange(1, n) + a))
-    if n == 1:
-        return diag.copy()
-    return eigh_tridiagonal(diag, off, eigvals_only=True)
+    j = np.arange(1, n)
+    return _jacobi_eigenvalues(2.0 * np.arange(n) + a + 1.0, np.sqrt(j * (j + a)))
 
 
 def _electrostatic_residual(z: np.ndarray, field) -> float:
@@ -856,6 +860,46 @@ def laguerre_freezing_probe(
     return _freeze_sample(system, target, k, t, n_paths, seed, 0).as_dict()
 
 
+# Dormand-Prince 5(4) for an autonomous flow: row i of _DP_A weights the
+# stages before stage i, row 6 is the fifth-order step (so stage 6 is the
+# next step's stage 0), and _DP_E is the fifth minus the fourth-order weights.
+_DP_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+
+
+def _dopri5(f, y, s, s_end, rtol, atol) -> np.ndarray:
+    """y(s_end) for dy/ds = f(y) from y(s) = y, by the Dormand-Prince 5(4)
+    pair (J. Comp. Appl. Math. 6, 1980) with RMS error control and step
+    factor 0.9 err^(-1/5) clipped to [0.2, 10].  More than ODE_MAX_STEPS
+    attempted steps raise SamplingError.
+    """
+    k = np.empty((7, len(y)))
+    k[0] = f(y)
+    h = 1e-6 * (s_end - s)
+    for _ in range(ODE_MAX_STEPS):
+        if s >= s_end:
+            return y
+        h = min(h, s_end - s)
+        for i in range(1, 7):
+            y_new = y + h * (_DP_A[i, :i] @ k[:i])
+            k[i] = f(y_new)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = math.sqrt(np.mean((h * (_DP_E @ k) / scale) ** 2))
+        if err <= 1.0:
+            s, y = s + h, y_new
+            k[0] = k[6]
+        h *= min(10.0, max(0.2, 0.9 * err**-0.2)) if err else 10.0
+    raise SamplingError(f"freezing flow integration took more than {ODE_MAX_STEPS} steps")
+
+
 def deterministic_freeze_ode(n_particles: int, t_end: float = 1e3) -> dict:
     """Zero-noise freezing flow integrated in log-time.
 
@@ -864,28 +908,18 @@ def deterministic_freeze_ode(n_particles: int, t_end: float = 1e3) -> dict:
     Its unique equilibrium in the ordered chamber is the Hermite zero set,
     attracting with spectral rate at most -1/2, so by s = log(t_end) the
     trajectory, started at t = 1e-12 from 0.01-spaced centred points, sits
-    on the attractor to solver precision.
+    on the attractor to solver precision.  The flow is stepped by the
+    Dormand-Prince 5(4) pair at rtol 1e-12, atol 1e-14.
     """
     n = n_particles
     y0 = np.asarray([0.01 * (i - (n - 1) / 2.0) for i in range(n)])
 
-    def rhs(_s, y):
-        f = np.empty(n)
-        for i in range(n):
-            f[i] = sum(1.0 / (y[i] - y[j]) for j in range(n) if j != i)
-        return 0.5 * (f - y)
+    def rhs(y):
+        diff = y[:, None] - y[None, :]
+        np.fill_diagonal(diff, np.inf)
+        return 0.5 * ((1.0 / diff).sum(axis=1) - y)
 
-    sol = solve_ivp(
-        rhs,
-        (math.log(1e-12), math.log(t_end)),
-        y0,
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-    )
-    if not sol.success:
-        raise SamplingError(f"freezing flow integration failed: {sol.message}")
-    final = sol.y[:, -1]
+    final = _dopri5(rhs, y0, math.log(1e-12), math.log(t_end), rtol=1e-12, atol=1e-14)
     target = hermite_roots(n)
     return {
         "y": final,

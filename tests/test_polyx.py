@@ -19,7 +19,7 @@ from dunkl_lab.polyx import (
     parse_poly,
     weight_poly,
 )
-from dunkl_lab.rootsys import Root, build_root_system
+from dunkl_lab.rootsys import Root, build_root_system, make_system_from_vectors
 
 NVARS = 3
 
@@ -153,6 +153,21 @@ def test_compose_reflection_fixed_and_flipped():
     # sigma(e1) = e1 - 2*1/5*(1,-2,0)
     assert q == parse_poly("3/5 x1 + 4/5 x2", nvars=3)
     assert compose_reflection(q, slanted) == p
+
+
+def test_compose_reflection_int_roots_match_fraction_roots():
+    # the dense path on int coordinates stays rational, as on Fraction ones
+    vectors = [(1, 3), (-1, -3), (3, -1), (-3, 1)]
+    ints = make_system_from_vectors(vectors)
+    fracs = make_system_from_vectors([tuple(map(Fraction, v)) for v in vectors])
+    for ri, rf in zip(ints.roots, fracs.roots):
+        assert ri.signed_permutation is None
+        for var in range(2):
+            x = MultiPoly.variable(2, var)
+            assert compose_reflection(x, ri) == compose_reflection(x, rf)
+    assert compose_reflection(MultiPoly.variable(2, 0), ints.roots[0]) == parse_poly(
+        "4/5 x1 - 3/5 x2", nvars=2
+    )
 
 
 def _to_sympy(p, xs):

@@ -3,6 +3,10 @@
 import ctypes
 import dataclasses
 import math
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import dunkl_lab
 import dunkl_lab.sde as sde_mod
 from dunkl_lab.errors import (
     ConfigError,
@@ -610,6 +615,39 @@ def test_laguerre_roots_and_electrostatics():
         laguerre_roots(HERMITE_CAP + 1)
 
 
+def test_jacobi_roots_bit_identical_to_scipy_tridiagonal_solver():
+    # the dense eigvalsh route gives the same bits as LAPACK's tridiagonal
+    # solver behind scipy, so freeze targets and roots output do not move
+    from scipy.linalg import eigh_tridiagonal
+
+    rng = random.Random(5)
+    a_values = [0, 0.5, 1, -0.5, -0.99, 2, 3.5, 10, 100, 1000]
+    a_values += [rng.uniform(-0.999, 50) for _ in range(40)]
+    for n in range(1, HERMITE_CAP + 1):
+        off = np.sqrt(np.arange(1, n) / 2.0)
+        want = eigh_tridiagonal(np.zeros(n), off, eigvals_only=True)
+        assert np.array_equal(hermite_roots(n), want), n
+        j = np.arange(1, n)
+        for a in a_values:
+            diag = 2.0 * np.arange(n) + a + 1.0
+            want = eigh_tridiagonal(diag, np.sqrt(j * (j + a)), eigvals_only=True)
+            assert np.array_equal(laguerre_roots(n, a), want), (n, a)
+
+
+def test_package_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(dunkl_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, dunkl_lab, dunkl_lab.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 # -- freezing ----------------------------------------------------------------
 
 
@@ -643,3 +681,21 @@ def test_deterministic_freeze_ode():
         out = deterministic_freeze_ode(n)
         assert out["sup_error"] < 1e-6
         assert out["target"] == pytest.approx(hermite_roots(n), abs=1e-6)
+
+
+def test_deterministic_freeze_ode_large_n():
+    for n in (12, 20, 50):
+        assert deterministic_freeze_ode(n)["sup_error"] < 1e-6
+
+
+def test_dopri5_exponential_decay():
+    # global error over ten units of s stays within ten times rtol
+    y0 = np.array([1.0, -2.5, 1e-3])
+    got = sde_mod._dopri5(lambda y: -0.5 * y, y0, -3.0, 7.0, rtol=1e-13, atol=1e-16)
+    assert got == pytest.approx(y0 * math.exp(-5.0), rel=1e-12, abs=0)
+
+
+def test_freeze_ode_step_budget_raises(monkeypatch):
+    monkeypatch.setattr(sde_mod, "ODE_MAX_STEPS", 1)
+    with pytest.raises(SamplingError, match="more than 1 steps"):
+        deterministic_freeze_ode(3)
