@@ -123,15 +123,13 @@ def w_value(params, tau, x):
 
 def w_gradient(params, x):
     """grad_x W = omega x - sum_{R+} k alpha / (alpha . x)."""
-    system = params.system
-    n = system.dimension
     g = [params.omega * z for z in x]
-    for r in system.live_positive:
+    for r in params.system.live_positive:
         d = r.dot(x)
         if d == 0:
             raise HyperplaneError("point lies on a reflecting hyperplane")
-        for i in range(n):
-            g[i] = g[i] - r.fmultiplicity * r.fvector[i] / d
+        for i, a in r.support:
+            g[i] = g[i] - r.fmultiplicity * a / d
     return g
 
 

@@ -9,8 +9,8 @@ variables as x1..xN:
     3/2 x1^2 x3 - x2
 
 Beyond ring arithmetic the module provides the pieces Dunkl operators need:
-partial derivatives, composition with a linear map (in particular with a
-reflection), and the exact "alternating quotient"
+partial derivatives, composition with a reflection, and the exact
+"alternating quotient"
 
     (p - p o sigma_alpha) / (alpha . x),
 
@@ -268,51 +268,6 @@ class MultiPoly:
             return 0.0 if any(isinstance(x, (float, complex)) for x in point) else Fraction(0)
         return total
 
-    def compose_signed_permutation(
-        self, perm: Sequence[int], signs: Sequence[int]
-    ) -> "MultiPoly":
-        """p(sigma x) where (sigma x)_i = signs[i] * x[perm[i]].
-
-        O(#terms): monomials map to monomials.
-        """
-        if len(perm) != self.nvars or len(signs) != self.nvars:
-            raise DimensionError("permutation length mismatch")
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.nvars
-            s = 1
-            for i, p in enumerate(e):
-                if p:
-                    ne[perm[i]] += p
-                    if signs[i] < 0 and p % 2 == 1:
-                        s = -s
-            key = tuple(ne)
-            v = out.get(key, Fraction(0)) + s * c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        q = MultiPoly(self.nvars)
-        q.terms = out
-        return q
-
-    def compose_linear(self, matrix: Sequence[Sequence[RationalLike]]) -> "MultiPoly":
-        """p(M x) for a rational square matrix M acting on the variables."""
-        n = self.nvars
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise DimensionError("matrix shape mismatch")
-        rows = [
-            MultiPoly.linear_form([_coerce_coeff(c) for c in row]) for row in matrix
-        ]
-        out = MultiPoly.zero(n)
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(n, c)
-            for i, p in enumerate(e):
-                for _ in range(p):
-                    term = term * rows[i]
-            out = out + term
-        return out
-
     # -- printing ----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
@@ -335,8 +290,12 @@ class MultiPoly:
 def compose_reflection(p: MultiPoly, alpha: Root) -> MultiPoly:
     """p o sigma_alpha for a root with rational coordinates.
 
-    Signed-permutation reflections (all A/B/D integer representatives) take
-    the fast monomial-relabeling path.
+    sigma_alpha moves only the support coordinates,
+    x_i <- x_i - (2 a_i / |alpha|^2) (alpha . x), so each monomial keeps its
+    other exponents and its support part expands over the support
+    coordinates.  A root whose reflection is a signed permutation (every
+    A/B/D root and the I2(4) square) sends each monomial to one monomial, so
+    the terms come out in the order of ``p.terms``.
     """
     vec = alpha.vector
     if any(isinstance(c, float) for c in vec):
@@ -346,10 +305,38 @@ def compose_reflection(p: MultiPoly, alpha: Root) -> MultiPoly:
         )
     if len(vec) != p.nvars:
         raise DimensionError("root dimension does not match polynomial variables")
-    sp = alpha.signed_permutation
-    if sp is not None:
-        return p.compose_signed_permutation(*sp)
-    return p.compose_linear(alpha.reflection_matrix)
+    support = alpha.support
+    nrm = Fraction(alpha.sq_norm)
+    # x_i o sigma_alpha for the support coordinate in slot k: (slot, coefficient)
+    forms = [
+        [(l, f) for l, (_, b) in enumerate(support) if (f := int(k == l) - 2 * a * b / nrm)]
+        for k, (_, a) in enumerate(support)
+    ]
+    out: dict[Exponents, Fraction] = {}
+    for e, c in p.terms.items():
+        # the product of the forms to the support exponents of e
+        image = {(0,) * len(support): Fraction(1)}
+        for form, (i, _) in zip(forms, support):
+            for _ in range(e[i]):
+                grown: dict[Exponents, Fraction] = {}
+                for ie, ic in image.items():
+                    for l, f in form:
+                        key = ie[:l] + (ie[l] + 1,) + ie[l + 1 :]
+                        grown[key] = grown.get(key, 0) + ic * f
+                image = grown
+        ne = list(e)
+        for ie, ic in image.items():
+            for (i, _), k in zip(support, ie):
+                ne[i] = k
+            key = tuple(ne)
+            v = out.get(key, Fraction(0)) + ic * c
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    q = MultiPoly(p.nvars)
+    q.terms = out
+    return q
 
 
 def divide_by_linear(

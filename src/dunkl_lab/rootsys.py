@@ -97,11 +97,6 @@ class Root:
             raise InvalidRootError("zero vector is not a root")
 
     @cached_property
-    def fvector(self) -> tuple[float, ...]:
-        """The coordinates as floats; float(q) * x is what Fraction * float computes."""
-        return tuple(float(c) for c in self.vector)
-
-    @cached_property
     def fsq_norm(self) -> float:
         return float(self.sq_norm)
 
@@ -116,7 +111,8 @@ class Root:
 
     @cached_property
     def support(self) -> tuple[tuple[int, Scalar], ...]:
-        """(i, c) for each nonzero coordinate, with c an int when it is integral."""
+        """(i, c) for each nonzero coordinate, with c an int when it is
+        integral.  Every reflection in the package reads it."""
         return tuple(
             (i, int(c) if isinstance(c, Fraction) and c.denominator == 1 else c)
             for i, c in enumerate(self.vector)
@@ -137,66 +133,21 @@ class Root:
             acc = acc + c * x[i]
         return acc
 
-    @cached_property
-    def reflection_matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        """Matrix of sigma_alpha = I - 2 a a^T / (a . a), rows acting on columns.
 
-        Rational coordinates give Fraction entries, even when they are ints.
-        """
-        v, nrm = self.vector, self.sq_norm
-        if _is_rational(v):
-            nrm = Fraction(nrm)
-        n = len(v)
-        return tuple(
-            tuple((1 if i == j else 0) - 2 * v[i] * v[j] / nrm for j in range(n))
-            for i in range(n)
-        )
+def reflect(alpha: Root, x: Sequence[Scalar]) -> Vector:
+    """Reflect x in the hyperplane orthogonal to the root alpha.
 
-    @cached_property
-    def signed_permutation(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """(perm, signs) when sigma_alpha maps x to y with
-        y_i = signs[i] * x[perm[i]], else None.
-
-        Read from the support: a root on one coordinate negates it, and a
-        root a e_i + b e_j with |a| = |b| swaps x_i and x_j with sign -b/a.
-        Every other root mixes coordinates.
-        """
-        n = len(self.vector)
-        perm, signs = list(range(n)), [1] * n
-        if len(self.support) == 1:
-            (i, _), = self.support
-            signs[i] = -1
-        elif len(self.support) == 2 and abs(self.support[0][1]) == abs(self.support[1][1]):
-            (i, a), (j, b) = self.support
-            perm[i], perm[j] = j, i
-            signs[i] = signs[j] = -1 if a == b else 1
-        else:
-            return None
-        return tuple(perm), tuple(signs)
-
-
-def reflect(alpha: Union[Root, Sequence[Scalar]], x: Sequence[Scalar]) -> Vector:
-    """Reflect x in the hyperplane orthogonal to alpha.
-
-    Accepts a Root or a raw coordinate sequence.  Exact inputs give an exact
-    result.  Raises InvalidRootError for a zero alpha and DimensionError on a
-    length mismatch.  A Root moves only the coordinates on its support, so
-    the others keep their bits (a -0.0 stays -0.0).
+    Exact inputs give an exact result.  Raises DimensionError on a length
+    mismatch.  Only the coordinates on the root's support move, so the others
+    keep their bits (a -0.0 stays -0.0).
     """
-    if isinstance(alpha, Root):
-        d = alpha.dot(x)
-        # a float dot over the float norm: the bits of the Fraction/float mix
-        c = 2 * d / (alpha.fsq_norm if type(d) is float else alpha.sq_norm)
-        y = list(x)
-        for i, a in alpha.support:
-            y[i] = y[i] - c * a
-        return tuple(y)
-    vec = tuple(alpha)
-    nrm = sq_norm(vec)
-    if nrm == 0:
-        raise InvalidRootError("cannot reflect in a zero vector")
-    c = 2 * dot(vec, x) / nrm
-    return tuple(xi - c * ai for xi, ai in zip(x, vec))
+    d = alpha.dot(x)
+    # a float dot over the float norm: the bits of the Fraction/float mix
+    c = 2 * d / (alpha.fsq_norm if type(d) is float else alpha.sq_norm)
+    y = list(x)
+    for i, a in alpha.support:
+        y[i] = y[i] - c * a
+    return tuple(y)
 
 
 class ClosureResult:

@@ -45,15 +45,17 @@ uniforms too until the first rejection; a shared position is read as one
 buffer column, not by a two-index gather.  Ensemble and replay share one
 stepping loop: ``replay_path`` runs it on the one-path index set.  Every
 alpha . x is summed over a support table of each root's nonzero
-coordinates, and the drift is accumulated column by column over the roots
-that touch it; all of it is elementwise (no matmul), so a row's arithmetic
-does not depend on the batch size or on whether the rows are addressed by
-a slice or an index array, and a replayed path is bitwise identical to
-the same path inside a vectorized ensemble by construction.  For the same
-reason ``simulate`` runs the loop over consecutive chunks of at most CHUNK
-path indices, which bounds the stream buffers and step temporaries by the
-chunk, not the ensemble, and changes no sampled bit; a StepUnderflowError
-then names the earliest stuck path of the first chunk that sticks.
+coordinates, the drift is accumulated column by column over the roots
+that touch it, and a jump reflects the chosen root's support coordinates
+as read from the same table; all of it is elementwise (no matmul), so a
+row's arithmetic does not depend on the batch size or on whether the rows
+are addressed by a slice or an index array, and a replayed path is
+bitwise identical to the same path inside a vectorized ensemble by
+construction.  For the same reason ``simulate`` runs the loop over
+consecutive chunks of at most CHUNK path indices, which bounds the stream
+buffers and step temporaries by the chunk, not the ensemble, and changes
+no sampled bit; a StepUnderflowError then names the earliest stuck path of
+the first chunk that sticks.
 
 The freezing experiment scales X_t by sqrt(2 k t) and compares against the
 roots of the N-th Hermite polynomial; the zero-noise flow is also exposed
@@ -150,6 +152,14 @@ class SimConfig:
             raise ConfigError("jump_rate_limit must lie in (0, 1]")
         if not 0 < self.dt_floor_factor <= 1:
             raise ConfigError("dt_floor_factor must lie in (0, 1]")
+        # a step of at most half an ulp leaves a clock near the horizon where
+        # it is (t + h == t), so a path held at the floor would never finish
+        dt_min = self.dt_base * self.dt_floor_factor
+        if not dt_min > math.ulp(self.horizon) / 2:
+            raise ConfigError(
+                f"dt {self.dt_base} with floor factor {self.dt_floor_factor} gives a floor "
+                f"step {dt_min} too small to advance the clock near horizon {self.horizon}"
+            )
         prev = 0.0
         for t in self.obs_times:
             if not prev < t <= self.horizon:
@@ -399,10 +409,9 @@ class _LiveRoots:
     size s with coordinate 0 and coefficient 0.0.  ``drift_levels`` lists,
     for q = 0, 1, ..., the columns touched by at least q + 1 roots and the
     flat (root * s + slot) position of the (q + 1)-th such root, in root
-    order.  ``alphas`` keeps the dense rows for the jump reflection.
+    order.  A jump reflects over the same table, one slot at a time.
     """
 
-    alphas: np.ndarray
     ks: np.ndarray
     sqns: np.ndarray
     idx: np.ndarray
@@ -446,7 +455,6 @@ def _live_root_arrays(system: RootSystem) -> _LiveRoots:
         pos = np.asarray([column_terms[j][q] for j in cols], dtype=np.int64)
         levels.append((slice(None) if len(cols) == n else np.asarray(cols), pos))
     return _LiveRoots(
-        alphas=np.asarray([r.fvector for r in live], dtype=float).reshape(len(live), n),
         ks=np.asarray([float(r.multiplicity) for r in live]),
         sqns=np.asarray([r.fsq_norm for r in live]),
         idx=idx,
@@ -503,12 +511,14 @@ def _step_core(x, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfig):
     return x_prop, h_try, cross, d_prop, rates
 
 
-def _apply_jumps(x_prop, d_prop, rates, h_try, u, alphas, sqns):
+def _apply_jumps(x_prop, d_prop, rates, h_try, u, roots: _LiveRoots):
     """Thin the per-root jump clocks; at most one reflection per step.
 
     Selecting uniformly among the roots whose clocks fired is equivalent in
     law to taking the first firing in a random root order.  Returns the new
-    states and the chosen live-root index per row (-1 for no jump).
+    states and the chosen live-root index per row (-1 for no jump).  A jump
+    moves only the chosen root's support coordinates, so the others keep
+    their bits (a -0.0 stays -0.0).
     """
     n_roots = rates.shape[1]
     trig = u[:, :n_roots] < rates * h_try[:, None]
@@ -522,8 +532,14 @@ def _apply_jumps(x_prop, d_prop, rates, h_try, u, alphas, sqns):
     pick = (np.cumsum(trig, axis=1) == (choice + 1)[:, None]) & trig
     chosen = pick.argmax(axis=1)
     root_idx[fired] = chosen
+    c = 2.0 * d_prop[fired, chosen] / roots.sqns[chosen]
     x_new = x_prop.copy()
-    x_new[fired] -= (2.0 * d_prop[fired, chosen] / sqns[chosen])[:, None] * alphas[chosen]
+    for slot in range(roots.idx.shape[1]):
+        # one write per slot, on the rows whose chosen root fills it (a
+        # padded slot has coefficient 0.0), so every (row, column) is unique
+        a = roots.coef[chosen, slot]
+        real = a != 0.0
+        x_new[fired[real], roots.idx[chosen[real], slot]] -= c[real] * a[real]
     return x_new, root_idx
 
 
@@ -629,9 +645,7 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
             root_idx = None
             if config.jumps and n_roots:
                 u = streams.uniforms(aid)
-                x_prop, root_idx = _apply_jumps(
-                    x_prop, d_prop, rates, h_try, u, roots.alphas, roots.sqns
-                )
+                x_prop, root_idx = _apply_jumps(x_prop, d_prop, rates, h_try, u, roots)
                 jump_counts[aid] += root_idx >= 0
                 intensity[aid] += np.minimum(rates * h_try[:, None], 1.0).sum(axis=1)
             t_new = np.where(h_try >= t_rem, target, ta + h_try)

@@ -10,7 +10,8 @@ STEP_LIMIT = 1000
 @pytest.fixture
 def bounded_stepper(monkeypatch):
     """Make the step core raise after STEP_LIMIT proposals, so a run that
-    would never reach its horizon fails instead of hanging."""
+    would never reach its horizon fails instead of hanging.  Returns the
+    one-element list that counts the proposals."""
     real = sde_mod._step_core
     calls = [0]
 
@@ -21,3 +22,4 @@ def bounded_stepper(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sde_mod, "_step_core", stepper)
+    return calls

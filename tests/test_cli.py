@@ -335,6 +335,25 @@ def test_non_finite_config_exit_one_before_stepping(args, monkeypatch, capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--family", "A", "--rank", "1", "--mults", "1", "--x0=1,0",
+         "--horizon", "1", "--dt", "1e-300", "--ensemble", "2"],
+        ["freeze", "--n", "3", "--paths", "2", "--seed", "1", "--k", "10", "--t", "1e300", "--no-ode"],
+    ],
+    ids=["simulate-dt-1e-300", "freeze-t-1e300"],
+)
+def test_floor_step_below_horizon_ulp_exit_one_without_a_step(args, bounded_stepper, capsys):
+    # a floor step of at most half an ulp of the horizon cannot advance the
+    # clock there (t + h == t), so these runs used to hang
+    assert main(args) == 1
+    assert bounded_stepper == [0]
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt ")
+    assert "horizon" in err
+
+
 def test_freeze_overflowing_drift_exit_one(bounded_stepper, capsys):
     # k = 1e308 is finite, but the drift overflows to NaN on the first step
     args = ["freeze", "--n", "3", "--paths", "5", "--seed", "1", "--k", "1e308"]

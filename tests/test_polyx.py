@@ -1,6 +1,7 @@
 """Exact multivariate polynomial ring, division, parser, symbolic cross-checks."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -146,7 +147,7 @@ def test_compose_reflection_fixed_and_flipped():
     assert compose_reflection(lin, alpha) == -lin
     sym = parse_poly("x1 + x2", nvars=3)
     assert compose_reflection(sym, alpha) == sym
-    # non-signed-permutation reflection exercises the dense path
+    # a reflection that mixes coordinates
     slanted = _root((1, -2, 0))
     p = parse_poly("x1", nvars=3)
     q = compose_reflection(p, slanted)
@@ -156,12 +157,11 @@ def test_compose_reflection_fixed_and_flipped():
 
 
 def test_compose_reflection_int_roots_match_fraction_roots():
-    # the dense path on int coordinates stays rational, as on Fraction ones
+    # mixing reflections on int coordinates stay rational, as on Fraction ones
     vectors = [(1, 3), (-1, -3), (3, -1), (-3, 1)]
     ints = make_system_from_vectors(vectors)
     fracs = make_system_from_vectors([tuple(map(Fraction, v)) for v in vectors])
     for ri, rf in zip(ints.roots, fracs.roots):
-        assert ri.signed_permutation is None
         for var in range(2):
             x = MultiPoly.variable(2, var)
             assert compose_reflection(x, ri) == compose_reflection(x, rf)
@@ -178,6 +178,60 @@ def _to_sympy(p, xs):
             term *= x**e
         expr += term
     return sympy.expand(expr)
+
+
+G2_VECTORS = [
+    v
+    for a, b, c in [(1, -1, 0), (0, 1, -1), (1, 0, -1), (2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
+    for v in ((a, b, c), (-a, -b, -c))
+]
+REFLECTION_SYSTEMS = {
+    "A3": build_root_system("A", 3, (1,)),
+    "B3": build_root_system("B", 3, (1, 1)),
+    "D4": build_root_system("D", 4, (1,)),
+    "I2(4)": build_root_system("I2", 4, (1, 1)),
+    "G2": make_system_from_vectors(G2_VECTORS),
+    "slanted": make_system_from_vectors([(1, 3), (-1, -3), (3, -1), (-3, 1)]),
+    "half-B2": make_system_from_vectors(
+        [tuple(Fraction(c, 2) for c in r.vector) for r in build_root_system("B", 2, (1, 1)).roots]
+    ),
+}
+SIGNED_PERMUTATION_SYSTEMS = ("A3", "B3", "D4", "I2(4)")
+
+
+def _random_poly(rng, n):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        e = [0] * n
+        for _ in range(rng.randint(0, 4)):
+            e[rng.randrange(n)] += 1
+        terms[tuple(e)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return MultiPoly(n, terms)
+
+
+@pytest.mark.parametrize("name", list(REFLECTION_SYSTEMS))
+def test_compose_reflection_matches_sympy_substitution(name):
+    # p o sigma_alpha against sympy's substitution of sigma_alpha x, on random
+    # polynomials of degree <= 4 and on the swap case x1^2 x2
+    system = REFLECTION_SYSTEMS[name]
+    n = system.dimension
+    xs = sympy.symbols(f"x0:{n}")
+    rng = random.Random(name)
+    polys = [_random_poly(rng, n) for _ in range(3)] + [parse_poly("x1^2 x2", nvars=n)]
+    for r in system.roots:
+        a = [sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in r.vector]
+        ax = sum(ai * x for ai, x in zip(a, xs))
+        nrm = sum(ai * ai for ai in a)
+        sigma = {x: x - 2 * ai * ax / nrm for ai, x in zip(a, xs)}
+        for p in polys:
+            q = compose_reflection(p, r)
+            want = sympy.expand(_to_sympy(p, xs).xreplace(sigma))
+            assert sympy.expand(_to_sympy(q, xs) - want) == 0, (r.vector, p)
+            if name in SIGNED_PERMUTATION_SYSTEMS:
+                # one monomial out per monomial in, keys in p.terms order
+                singles = [compose_reflection(MultiPoly(n, {e: c}), r) for e, c in p.terms.items()]
+                assert all(len(m.terms) == 1 for m in singles)
+                assert list(q.terms) == [next(iter(m.terms)) for m in singles]
 
 
 def test_discriminant_poly_against_sympy():
@@ -238,13 +292,6 @@ def test_eval_supports_floats_and_complex():
     assert p.eval((0.5, 1.0)) == pytest.approx(1.25)
     z = p.eval((1j, 0.0))
     assert z == pytest.approx(-1.0)
-
-
-def test_compose_signed_permutation():
-    p = parse_poly("x1^2 x2", nvars=2)
-    # x1 -> -x2, x2 -> x1
-    q = p.compose_signed_permutation((1, 0), (-1, 1))
-    assert q == parse_poly("x2^2 x1", nvars=2)
 
 
 def _generic_eval(p, point):

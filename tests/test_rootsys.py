@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from dunkl_lab.errors import ExactModeError, InvalidRootError, SamplingError, UnsupportedFamilyError
+from dunkl_lab.polyx import MultiPoly, compose_reflection
 from dunkl_lab.rootsys import (
     build_root_system,
     chamber_vector,
@@ -106,27 +107,6 @@ def test_reflection_involution():
         assert reflect(r, r.vector) == tuple(-c for c in r.vector)
 
 
-def test_reflection_matrices_match_reflect():
-    system = build_root_system("B", 2, (1, 1))
-    x = (Fraction(3), Fraction(-7))
-    for r in system.roots:
-        mat = r.reflection_matrix
-        via_mat = tuple(sum(row[j] * x[j] for j in range(2)) for row in mat)
-        assert via_mat == reflect(r, x)
-
-
-def test_signed_permutations_cover_integer_families():
-    for family, rank, mults in [("A", 3, (1,)), ("B", 3, (1, 1)), ("D", 4, (1,))]:
-        system = build_root_system(family, rank, mults)
-        x = tuple(Fraction(i + 1, 3) for i in range(system.dimension))
-        for r in system.roots:
-            sp = r.signed_permutation
-            assert sp is not None
-            perm, signs = sp
-            image = tuple(signs[j] * x[perm[j]] for j in range(len(x)))
-            assert image == reflect(r, x)
-
-
 def test_i2_exact_only_square():
     sq = build_root_system("I2", 4, (1, 2))
     assert sq.is_exact
@@ -159,7 +139,8 @@ def test_i2_exact_roots_stay_fractions():
         assert type(r.sq_norm) is Fraction
     diag = system.roots[1]
     assert diag.vector == (1, 1)
-    matrix = diag.reflection_matrix
+    v = diag.vector
+    matrix = tuple(tuple(int(i == j) - 2 * v[i] * v[j] / diag.sq_norm for j in range(2)) for i in range(2))
     assert matrix == ((0, -1), (-1, 0))
     assert all(type(c) is Fraction for row in matrix for c in row)
     image = reflect(diag, (1, 2))
@@ -432,7 +413,8 @@ def test_root_dot_matches_full_dot(family, rank, mults, scale):
             assert _same_float(r.dot(xf), dot(r.vector, xf))
             if system.is_exact:
                 assert isinstance(r.dot(xq), Fraction)
-                assert reflect(r, xq) == reflect(r.vector, xq)
+                c = 2 * dot(r.vector, xq) / sq_norm(r.vector)
+                assert reflect(r, xq) == tuple(xi - c * ai for xi, ai in zip(xq, r.vector))
 
 
 def _fraction_dot(v, x):
@@ -490,9 +472,13 @@ CUSTOM_SETS = {
 
 
 def _matrix_scan(root):
-    """(perm, signs) read off the dense reflection matrix, or None."""
+    """(perm, signs) read off the dense matrix I - 2 a a^T / |a|^2 of the
+    root's vector, or None when some row is not one signed unit."""
+    v = [Fraction(c) for c in root.vector]
+    nrm = sum(c * c for c in v)
     perm, signs = [], []
-    for row in root.reflection_matrix:
+    for i in range(len(v)):
+        row = [int(i == j) - 2 * v[i] * v[j] / nrm for j in range(len(v))]
         nz = [(j, c) for j, c in enumerate(row) if c != 0]
         if len(nz) != 1 or nz[0][1] not in (1, -1):
             return None
@@ -513,8 +499,18 @@ def _matrix_scan(root):
     + list(CUSTOM_SETS),
 )
 def test_signed_permutation_matches_matrix_scan(system):
+    # compose_reflection sends each variable (and so each monomial) to one
+    # signed variable exactly on the roots whose dense matrix is a signed
+    # permutation, and to the one that matrix names
+    n = system.dimension
+    xs = [MultiPoly.variable(n, i) for i in range(n)]
     for r in system.roots:
-        assert r.signed_permutation == _matrix_scan(r), r.vector
+        images = [compose_reflection(x, r) for x in xs]
+        scan = _matrix_scan(r)
+        assert all(len(q.terms) == 1 for q in images) == (scan is not None), r.vector
+        if scan is not None:
+            perm, signs = scan
+            assert images == [signs[i] * xs[perm[i]] for i in range(n)], r.vector
 
 
 @pytest.mark.parametrize("family,rank,mults,scale", TABLE_CASES)
@@ -525,7 +521,7 @@ def test_float_reflect_matches_dense_formula(family, rank, mults, scale):
         x = tuple(rng.choice((-1, 1)) * rng.uniform(1e-3, 3) for _ in range(system.dimension))
         for r in system.roots:
             c = 2 * r.dot(x) / r.fsq_norm
-            want = tuple(xi - c * ai for xi, ai in zip(x, r.fvector))
+            want = tuple(xi - c * float(ai) for xi, ai in zip(x, r.vector))
             got = reflect(r, x)
             assert all(_same_float(g, w) for g, w in zip(got, want)), (r.vector, x)
 

@@ -22,7 +22,7 @@ from dunkl_lab.errors import (
     SamplingError,
     StepUnderflowError,
 )
-from dunkl_lab.rootsys import build_root_system, make_system_from_vectors
+from dunkl_lab.rootsys import build_root_system, make_system_from_vectors, reflect
 from dunkl_lab.sde import (
     HERMITE_CAP,
     SimConfig,
@@ -328,16 +328,17 @@ def test_support_table_dots_match_dense_row_sums(family, rank, mults, scale):
         system = build_root_system(family, rank, mults, scale=scale)
     roots = sde_mod._live_root_arrays(system)
     assert roots.count == len(system.positive)
+    alphas = np.asarray([[float(c) for c in r.vector] for r in system.live_positive])
     rng = np.random.default_rng(7)
     n = system.dimension
     x = rng.standard_normal((600, n)) * 10.0 ** rng.integers(-3, 4, size=(600, 1))
     for row in range(0, 600, 3):
-        alpha = roots.alphas[row % roots.count]
+        alpha = alphas[row % roots.count]
         x[row] -= ((x[row] * alpha).sum() / (alpha * alpha).sum()) * alpha
         x[row] += alpha * (0.0 if row % 2 else 1e-12 * rng.standard_normal())
     got = roots.dots(x)
     for r in range(roots.count):
-        ref = (x * roots.alphas[r]).sum(axis=1)
+        ref = (x * alphas[r]).sum(axis=1)
         nonzero = ref != 0
         assert np.array_equal(got[nonzero, r].view(np.uint64), ref[nonzero].view(np.uint64)), r
         assert np.all(got[~nonzero, r] == 0), r
@@ -345,9 +346,19 @@ def test_support_table_dots_match_dense_row_sums(family, rank, mults, scale):
         assert roots.idx.shape[1] == 3
 
 
-@pytest.mark.parametrize("jumps", [False, True])
-def test_replay_matches_ensemble(jumps):
-    cfg = _cfg(system=B2, x0=B2_X0, jumps=jumps, obs_times=(0.05, 0.2))
+@pytest.mark.parametrize(
+    "system,x0,jumps",
+    [
+        (B2, B2_X0, False),
+        (B2, B2_X0, True),
+        # three-coordinate supports, and a padded slot on a root's own coordinate
+        (make_system_from_vectors(G2_VECTORS, 1), (0.3, -1.1, 0.9), True),
+        (build_root_system("I2", 5, (1.0,), scale="normalized"), B2_X0, True),
+    ],
+    ids=["False", "True", "G2-jumps", "I2(5)-jumps"],
+)
+def test_replay_matches_ensemble(system, x0, jumps):
+    cfg = _cfg(system=system, x0=x0, jumps=jumps, obs_times=(0.05, 0.2))
     res = simulate(cfg)
     for i in (0, 5, 7):
         traj = replay_path(cfg, i)
@@ -360,6 +371,33 @@ def test_replay_matches_ensemble(jumps):
         assert len(traj.jump_events) == res.jump_counts[i]
         assert traj.steps == res.steps[i]
         assert traj.violations == res.violations[i]
+
+
+@pytest.mark.parametrize("system", [A2, B2], ids=["A2", "B2"])
+def test_jump_reflects_like_reflect_and_keeps_off_support_bits(system):
+    # each live root fires alone on two rows, one on each side of its wall;
+    # the jump moves only the root's support coordinates and gives reflect's
+    # bits, so an off-support -0.0 stays -0.0 (B2's short roots pad a slot)
+    roots = sde_mod._live_root_arrays(system)
+    live = system.live_positive
+    n, k = system.dimension, roots.count
+    chosen, states = [], []
+    for r, root in enumerate(live):
+        on = {i for i, _ in root.support}
+        for sign in (1.0, -1.0):
+            chosen.append(r)
+            states.append([sign * (0.7 + 0.3 * i) if i in on else -0.0 for i in range(n)])
+    x = np.asarray(states)
+    u = np.ones((len(chosen), k + 1))
+    u[np.arange(len(chosen)), chosen] = 0.0
+    u[:, k] = 0.5
+    x_new, root_idx = sde_mod._apply_jumps(
+        x, roots.dots(x), np.ones((len(chosen), k)), np.ones(len(chosen)), u, roots
+    )
+    assert root_idx.tolist() == chosen
+    for row, r in enumerate(chosen):
+        want = np.asarray(reflect(live[r], tuple(states[row])))
+        assert np.array_equal(x_new[row].view(np.uint64), want.view(np.uint64)), (r, x_new[row])
 
 
 def test_lockstep_and_staggered_rows_replay_bitwise():
