@@ -79,8 +79,17 @@ def test_verify_exact_suites_golden_digest(args, expected, tmp_path, capsys):
              "--ensemble", "300", "--seed", "18446744073709551621", "--jumps"],
             "bf8415c20019ea58ce48710d353f9fa17a46ef21488578574c795653ef1e9cc1",
         ),
+        (
+            # twelve live roots: pins the order of the per-path intensity
+            # sum over roots, which numpy's pairwise summation would change
+            # from eight summands on
+            ["simulate", "--family", "D", "--rank", "4", "--mults", "1/2",
+             "--x0=0.3,0.9,1.6,2.4", "--horizon", "0.1", "--obs", "0.03",
+             "--ensemble", "300", "--seed", "5", "--jumps"],
+            "2f89861c5c372e43845e3e4cf94607b03030da28226bffd3baab3b2e809f6c4b",
+        ),
     ],
-    ids=["simulate-b2-jumps", "freeze-a2", "simulate-a2-jumps-wide-seed"],
+    ids=["simulate-b2-jumps", "freeze-a2", "simulate-a2-jumps-wide-seed", "simulate-d4-jumps"],
 )
 def test_stochastic_golden_digest(args, expected, tmp_path, capsys):
     # sha256 of the --out bytes of a jumping ensemble and a freezing run: a
