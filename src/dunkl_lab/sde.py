@@ -48,14 +48,24 @@ alpha . x is summed over a support table of each root's nonzero
 coordinates, the drift is accumulated column by column over the roots
 that touch it, and a jump reflects the chosen root's support coordinates
 as read from the same table; all of it is elementwise (no matmul), so a
-row's arithmetic does not depend on the batch size or on whether the rows
-are addressed by a slice or an index array, and a replayed path is
+path's arithmetic does not depend on the batch size or on whether the
+paths are addressed by a slice or an index array, and a replayed path is
 bitwise identical to the same path inside a vectorized ensemble by
 construction.  For the same reason ``simulate`` runs the loop over
 consecutive chunks of at most CHUNK path indices, which bounds the stream
 buffers and step temporaries by the chunk, not the ensemble, and changes
 no sampled bit; a StepUnderflowError then names the earliest stuck path of
 the first chunk that sticks.
+
+Layout.  The stepper is root-major: the state is (n, m), coordinates by
+paths, and every per-root array (alpha . x, drift terms, rates, crossings,
+the jump mask) is (R, m), roots by paths, so every numpy inner loop runs
+over paths and every reduction over roots is along axis 0.  The streams
+keep their (rows, width) buffers and are read through ``.T``.  The only
+float reduction over roots is the recorded intensity: summed along axis 0
+of a path-contiguous (R, m) array, it adds the roots one row at a time in
+root order, the order the golden digests pin; numpy sums a root-contiguous
+array pairwise instead once it has 8 or more roots.
 
 The freezing experiment scales X_t by sqrt(2 k t) and compares against the
 roots of the N-th Hermite polynomial; the zero-noise flow is also exposed
@@ -90,6 +100,7 @@ CHUNK = 4096
 HERMITE_CAP = 50
 MAX_FLOOR_RETRIES = 64
 ODE_MAX_STEPS = 10_000
+MAX_BASE_STEPS = 10**7
 
 # numpy's SeedSequence mixing constants and PCG64's 128-bit multiplier
 _WORD = 0xFFFFFFFF
@@ -127,6 +138,9 @@ class SimConfig:
         for name in ("x0", "obs_times"):
             if not all(math.isfinite(c) for c in getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        # |x0|^2 feeds the moment report; an overflowing one has no finite answer
+        if not math.isfinite(sum(c * c for c in self.x0)):
+            raise ConfigError(f"x0 must have a finite squared norm, got {self.x0}")
         if not all(math.isfinite(m) for m in self.system.multiplicities):
             raise ConfigError(
                 f"root multiplicities must be finite, got {self.system.multiplicities}"
@@ -159,6 +173,13 @@ class SimConfig:
             raise ConfigError(
                 f"dt {self.dt_base} with floor factor {self.dt_floor_factor} gives a floor "
                 f"step {dt_min} too small to advance the clock near horizon {self.horizon}"
+            )
+        # every path takes at least ceil(horizon / dt_base) steps, which is
+        # above the budget exactly when the quotient is
+        if self.horizon / self.dt_base > MAX_BASE_STEPS:
+            raise ConfigError(
+                f"horizon {self.horizon} at dt {self.dt_base} needs more than "
+                f"MAX_BASE_STEPS = {MAX_BASE_STEPS} steps per path"
             )
         prev = 0.0
         for t in self.obs_times:
@@ -402,14 +423,16 @@ class PathStreams:
 
 @dataclass(frozen=True)
 class _LiveRoots:
-    """The positive roots with k > 0 as float arrays, built once per run.
+    """The R positive roots with k > 0 as float arrays, built once per run.
 
-    Row r of ``idx``/``coef`` lists root r's nonzero coordinates in
-    ascending order and their coefficients, padded to the largest support
-    size s with coordinate 0 and coefficient 0.0.  ``drift_levels`` lists,
-    for q = 0, 1, ..., the columns touched by at least q + 1 roots and the
-    flat (root * s + slot) position of the (q + 1)-th such root, in root
-    order.  A jump reflects over the same table, one slot at a time.
+    Row r of the (R, s) ``idx``/``coef`` lists root r's nonzero coordinates
+    in ascending order and their coefficients, padded to the largest
+    support size s with coordinate 0 and coefficient 0.0.  ``drift_levels``
+    lists, for q = 0, 1, ..., the coordinates touched by at least q + 1
+    roots and the flat (root * s + slot) position of the (q + 1)-th such
+    root, in root order: a row of the (R * s, m) drift terms for each row
+    of the (n, m) drift.  A jump reflects over the same table, one slot at
+    a time.
     """
 
     ks: np.ndarray
@@ -423,17 +446,19 @@ class _LiveRoots:
         return self.ks.shape[0]
 
     def dots(self, y: np.ndarray) -> np.ndarray:
-        """(m, R) array of alpha . y for every row of y and every root.
+        """(R, m) array of alpha . y for every root and every column of the
+        (n, m) array y.
 
-        Summed over the support in coordinate order with no matmul, so each
-        entry is the dense row sum (x * alpha).sum() bit for bit wherever
-        that is nonzero (for supports of up to two coordinates at any
-        dimension, and of any size up to dimension 7), and a row's result
-        does not depend on the batch.  An exact zero may differ in sign.
+        Summed over the support in coordinate order with no matmul, one row
+        gather of y per support slot, so each entry is the dense row sum
+        (x * alpha).sum() bit for bit wherever that is nonzero (for supports
+        of up to two coordinates at any dimension, and of any size up to
+        dimension 7), and a path's result does not depend on the batch.  An
+        exact zero may differ in sign.
         """
-        acc = y[:, self.idx[:, 0]] * self.coef[:, 0]
+        acc = y[self.idx[:, 0]] * self.coef[:, 0, None]
         for c in range(1, self.idx.shape[1]):
-            acc += y[:, self.idx[:, c]] * self.coef[:, c]
+            acc += y[self.idx[:, c]] * self.coef[:, c, None]
         return acc
 
 
@@ -464,11 +489,16 @@ def _live_root_arrays(system: RootSystem) -> _LiveRoots:
 
 
 def _step_core(x, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfig):
-    """One proposal for every row of ``x``; shared by ensemble and replay.
+    """One proposal for every column of the (n, m) state ``x``; shared by
+    ensemble and replay.
 
-    Returns the proposals, their steps h, the (rows, roots) mask of the
-    walls each proposal crosses or lands on, the proposals' alpha . x and
-    the jump rates at x (None without jumps).
+    ``gauss`` is (n, m).  Returns the (n, m) proposals, their (m,) steps h,
+    the (R, m) mask of the walls each proposal crosses or lands on, the
+    proposals' (R, m) alpha . x and the (R, m) jump rates at x (None without
+    jumps).  Every per-root array is root-major, so each numpy inner loop
+    runs over paths, and every reduction over roots is along axis 0; the
+    caller sums the rates' intensity that way too, in root order (see the
+    module's Layout note).
 
     The proposal step is min(h_state, ceiling), where the ceiling applies
     dt_base, the time left to the next observation, and the adaptive drift
@@ -477,34 +507,34 @@ def _step_core(x, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfig):
     squared wall distance and would track a deep excursion step for step
     without ever letting model time advance.
     """
-    m, n = x.shape
+    n, m = x.shape
     d_pre = roots.dots(x)
 
-    # each column sums its roots' k alpha_j / (alpha . x) in root order
+    # each coordinate sums its roots' k alpha_j / (alpha . x) in root order
     # from +0.0, as a dense per-root accumulation would
-    terms = ((roots.ks / d_pre)[:, :, None] * roots.coef).reshape(m, -1)
-    drift = np.zeros((m, n))
+    terms = ((roots.ks[:, None] / d_pre)[:, None, :] * roots.coef[:, :, None]).reshape(-1, m)
+    drift = np.zeros((n, m))
     for cols, pos in roots.drift_levels:
-        drift[:, cols] += terms[:, pos]
+        drift[cols] += terms[pos]
 
     base = np.minimum(np.full(m, cfg.dt_base), t_rem)
     rates = None
     if cfg.jumps:
-        rates = (roots.ks * roots.sqns / 2.0) / (d_pre * d_pre)
+        rates = (roots.ks * roots.sqns / 2.0)[:, None] / (d_pre * d_pre)
     if roots.count:
         along = roots.dots(drift)
         c = np.full(along.shape, np.inf)
         np.divide(cfg.drift_limit * np.abs(d_pre), np.abs(along), out=c, where=along != 0)
-        cap = c.min(axis=1)
+        cap = c.min(axis=0)
         if cfg.jumps:
-            cap = np.minimum(cap, (cfg.jump_rate_limit / rates).min(axis=1))
+            cap = np.minimum(cap, (cfg.jump_rate_limit / rates).min(axis=0))
         dt_min = cfg.dt_base * cfg.dt_floor_factor
         ceiling = np.minimum(base, np.maximum(cap, dt_min))
     else:
         ceiling = base
     h_try = np.minimum(h_state, ceiling)
 
-    x_prop = x + h_try[:, None] * drift + np.sqrt(h_try)[:, None] * gauss
+    x_prop = x + h_try * drift + np.sqrt(h_try) * gauss
 
     d_prop = roots.dots(x_prop)
     cross = ((d_pre > 0) != (d_prop > 0)) | (d_prop == 0)
@@ -514,37 +544,39 @@ def _step_core(x, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfig):
 def _apply_jumps(x_prop, d_prop, rates, h_try, u, roots: _LiveRoots):
     """Thin the per-root jump clocks; at most one reflection per step.
 
-    Selecting uniformly among the roots whose clocks fired is equivalent in
-    law to taking the first firing in a random root order.  Returns the new
-    states and the chosen live-root index per row (-1 for no jump).  A jump
-    moves only the chosen root's support coordinates, so the others keep
-    their bits (a -0.0 stays -0.0).
+    ``x_prop`` is (n, m), ``d_prop`` and ``rates`` are (R, m) and ``u`` is
+    (R + 1, m): one uniform per root, then the one that selects among the
+    roots that fired.  Selecting uniformly among the roots whose clocks
+    fired is equivalent in law to taking the first firing in a random root
+    order.  Returns the new states and the chosen live-root index per path
+    (-1 for no jump).  A jump moves only the chosen root's support
+    coordinates, so the others keep their bits (a -0.0 stays -0.0).
     """
-    n_roots = rates.shape[1]
-    trig = u[:, :n_roots] < rates * h_try[:, None]
-    root_idx = np.full(len(trig), -1)
-    fired = np.flatnonzero(trig.any(axis=1))
+    n_roots = rates.shape[0]
+    trig = u[:n_roots] < rates * h_try
+    root_idx = np.full(trig.shape[1], -1)
+    fired = np.flatnonzero(trig.any(axis=0))
     if not fired.size:
         return x_prop, root_idx
-    # choose and reflect on the triggering rows only
-    trig = trig[fired]
-    choice = np.floor(u[fired, n_roots] * trig.sum(axis=1)).astype(np.int64)
-    pick = (np.cumsum(trig, axis=1) == (choice + 1)[:, None]) & trig
-    chosen = pick.argmax(axis=1)
+    # choose and reflect on the triggering paths only
+    trig = trig[:, fired]
+    choice = np.floor(u[n_roots, fired] * trig.sum(axis=0)).astype(np.int64)
+    pick = (np.cumsum(trig, axis=0) == choice + 1) & trig
+    chosen = pick.argmax(axis=0)
     root_idx[fired] = chosen
-    c = 2.0 * d_prop[fired, chosen] / roots.sqns[chosen]
+    c = 2.0 * d_prop[chosen, fired] / roots.sqns[chosen]
     x_new = x_prop.copy()
     for slot in range(roots.idx.shape[1]):
-        # one write per slot, on the rows whose chosen root fills it (a
-        # padded slot has coefficient 0.0), so every (row, column) is unique
+        # one write per slot, on the paths whose chosen root fills it (a
+        # padded slot has coefficient 0.0), so every (coordinate, path) is unique
         a = roots.coef[chosen, slot]
         real = a != 0.0
-        x_new[fired[real], roots.idx[chosen[real], slot]] -= c[real] * a[real]
+        x_new[roots.idx[chosen[real], slot], fired[real]] -= c[real] * a[real]
     return x_new, root_idx
 
 
 def _check_start(x0: np.ndarray, roots: _LiveRoots):
-    if (roots.dots(x0[None, :]) == 0.0).any():
+    if (roots.dots(x0[:, None]) == 0.0).any():
         raise HyperplaneError("x0 lies on a reflecting hyperplane with k > 0")
 
 
@@ -558,8 +590,11 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     """The stepping loop: row r of the run is ensemble member ``paths[r]``.
 
     ``record(t, x, root_idx)``, if given, is called after each accepted step
-    with the new times and states of the accepted rows and their chosen
-    live-root indices (-1 for no jump; None when jumps are off).
+    with the new times and (rows, n) states of the accepted rows and their
+    chosen live-root indices (-1 for no jump; None when jumps are off).
+
+    The state is held as (n, m), one column per row of the run; the
+    streams' (rows, width) draws are read through ``.T``.
 
     While every row is active the rows are addressed by a full slice, and a
     step that accepts every proposal writes back without a scatter; index
@@ -580,7 +615,7 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     n_uniform = n_roots + 1 if config.jumps and n_roots else 0
     streams = PathStreams(config.master_seed, paths, n, n_uniform, block)
     m = len(paths)
-    x = np.tile(x0, (m, 1))
+    x = np.tile(x0[:, None], (1, m))
     t = np.zeros(m)
     h_state = np.full(m, config.dt_base)
     ptr = np.zeros(m, dtype=np.int64)
@@ -597,11 +632,11 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     # numpy warnings; one errstate per run keeps the per-step cost flat
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while True:
-            xa = x[active]
+            xa = x[:, active]
             ta = t[active]
             target = obs[ptr[active]]
             t_rem = target - ta
-            gauss = streams.normals(active)
+            gauss = streams.normals(active).T
             x_prop, h_try, cross, d_prop, rates = _step_core(
                 xa, h_state[active], t_rem, gauss, roots, config
             )
@@ -612,7 +647,7 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
                     "a proposal is not finite; the drift overflows at these multiplicities"
                 )
             steps[active] += 1
-            viol = cross.any(axis=1)
+            viol = cross.any(axis=0)
             aid = active
             if viol.any():
                 vid = _members(active, viol)
@@ -627,8 +662,8 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
                         "proposals at the dt floor keep crossing a hyperplane",
                         time=float(t[row]),
                         path_index=int(paths[row]),
-                        state=tuple(float(v) for v in x[row]),
-                        root=int(np.argmax(cross[loc])),
+                        state=tuple(float(v) for v in x[:, row]),
+                        root=int(np.argmax(cross[:, loc])),
                         dt=float(h_try[loc]),
                     )
                 h_state[vid] = np.maximum(h_try[viol] / 2.0, dt_min)
@@ -637,27 +672,28 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
                 if not acc.any():
                     continue
                 aid = _members(active, acc)
-                x_prop, h_try, d_prop = x_prop[acc], h_try[acc], d_prop[acc]
+                x_prop, h_try, d_prop = x_prop[:, acc], h_try[acc], d_prop[:, acc]
                 target, ta, t_rem = target[acc], ta[acc], t_rem[acc]
                 if rates is not None:
-                    rates = rates[acc]
+                    rates = rates[:, acc]
             strikes[aid] = 0
             root_idx = None
             if config.jumps and n_roots:
-                u = streams.uniforms(aid)
+                u = streams.uniforms(aid).T
                 x_prop, root_idx = _apply_jumps(x_prop, d_prop, rates, h_try, u, roots)
                 jump_counts[aid] += root_idx >= 0
-                intensity[aid] += np.minimum(rates * h_try[:, None], 1.0).sum(axis=1)
+                # along axis 0, one root at a time in root order (see Layout)
+                intensity[aid] += np.minimum(rates * h_try, 1.0).sum(axis=0)
             t_new = np.where(h_try >= t_rem, target, ta + h_try)
-            x[aid] = x_prop
+            x[:, aid] = x_prop
             t[aid] = t_new
             h_state[aid] = np.minimum(2.0 * h_try, config.dt_base)
             if record is not None:
-                record(t_new, x_prop, root_idx)
+                record(t_new, x_prop.T, root_idx)
             hit = t_new == target
             if hit.any():
                 hid = _members(aid, hit)
-                out[hid, ptr[hid], :] = x_prop[hit]
+                out[hid, ptr[hid], :] = x_prop[:, hit].T
                 ptr[hid] += 1
                 if (ptr[hid] == n_obs).any():
                     active = np.flatnonzero(ptr < n_obs)

@@ -80,9 +80,8 @@ def test_verify_exact_suites_golden_digest(args, expected, tmp_path, capsys):
             "bf8415c20019ea58ce48710d353f9fa17a46ef21488578574c795653ef1e9cc1",
         ),
         (
-            # twelve live roots: pins the order of the per-path intensity
-            # sum over roots, which numpy's pairwise summation would change
-            # from eight summands on
+            # twelve live roots, past the eight summands from which numpy
+            # sums pairwise; test_sde pins the per-path intensity order
             ["simulate", "--family", "D", "--rank", "4", "--mults", "1/2",
              "--x0=0.3,0.9,1.6,2.4", "--horizon", "0.1", "--obs", "0.03",
              "--ensemble", "300", "--seed", "5", "--jumps"],
@@ -361,6 +360,41 @@ def test_floor_step_below_horizon_ulp_exit_one_without_a_step(args, bounded_step
     err = capsys.readouterr().err
     assert err.startswith("error: dt ")
     assert "horizon" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--x0=1e300,0", "--horizon", "1", "--ensemble", "2"],
+        ["--x0=1e200,-1e200", "--horizon", "1", "--ensemble", "2", "--jumps"],
+    ],
+    ids=["x0-1e300", "x0-1e200-jumps"],
+)
+def test_overflowing_start_exit_one_without_a_step(args, bounded_stepper, capsys):
+    # every coordinate is finite but |x0|^2 is not; the moment report used to
+    # raise OverflowError computing it
+    assert main(["simulate", "--family", "A", "--rank", "1", "--mults", "1"] + args) == 1
+    assert bounded_stepper == [0]
+    err = capsys.readouterr().err
+    assert err.startswith("error: x0 ")
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--rank", "1", "--x0=1,0", "--horizon", "1", "--dt", "1e-12", "--dt-floor-factor", "1"],
+        ["--rank", "2", "--x0=-1,0.1,1.2", "--horizon", "1e6"],
+    ],
+    ids=["dt-1e-12", "horizon-1e6"],
+)
+def test_run_over_base_step_budget_exit_one_without_a_step(args, bounded_stepper, capsys):
+    # 10^12 and 10^9 steps per path: both ran until killed
+    assert main(["simulate", "--family", "A", "--mults", "1", "--ensemble", "1"] + args) == 1
+    assert bounded_stepper == [0]
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon ")
+    assert f"MAX_BASE_STEPS = {sde_mod.MAX_BASE_STEPS}" in err
 
 
 def test_freeze_overflowing_drift_exit_one(bounded_stepper, capsys):

@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import hashlib
 import math
 import os
 import random
@@ -336,12 +337,12 @@ def test_support_table_dots_match_dense_row_sums(family, rank, mults, scale):
         alpha = alphas[row % roots.count]
         x[row] -= ((x[row] * alpha).sum() / (alpha * alpha).sum()) * alpha
         x[row] += alpha * (0.0 if row % 2 else 1e-12 * rng.standard_normal())
-    got = roots.dots(x)
+    got = roots.dots(x.T)
     for r in range(roots.count):
         ref = (x * alphas[r]).sum(axis=1)
         nonzero = ref != 0
-        assert np.array_equal(got[nonzero, r].view(np.uint64), ref[nonzero].view(np.uint64)), r
-        assert np.all(got[~nonzero, r] == 0), r
+        assert np.array_equal(got[r][nonzero].view(np.uint64), ref[nonzero].view(np.uint64)), r
+        assert np.all(got[r][~nonzero] == 0), r
     if family == "G2":
         assert roots.idx.shape[1] == 3
 
@@ -392,12 +393,26 @@ def test_jump_reflects_like_reflect_and_keeps_off_support_bits(system):
     u[np.arange(len(chosen)), chosen] = 0.0
     u[:, k] = 0.5
     x_new, root_idx = sde_mod._apply_jumps(
-        x, roots.dots(x), np.ones((len(chosen), k)), np.ones(len(chosen)), u, roots
+        x.T, roots.dots(x.T), np.ones((k, len(chosen))), np.ones(len(chosen)), u.T, roots
     )
     assert root_idx.tolist() == chosen
     for row, r in enumerate(chosen):
         want = np.asarray(reflect(live[r], tuple(states[row])))
-        assert np.array_equal(x_new[row].view(np.uint64), want.view(np.uint64)), (r, x_new[row])
+        assert np.array_equal(x_new[:, row].view(np.uint64), want.view(np.uint64)), (r, x_new[:, row])
+
+
+def test_twelve_root_ensemble_arrays_golden_digest():
+    # sha256 of every per-path array of a jumping D4 ensemble: the CLI's
+    # --out holds only the intensity total, so this is what pins the order
+    # of each path's intensity sum over its twelve roots, which numpy's
+    # pairwise summation changes from eight summands on
+    cfg = SimConfig(system=build_root_system("D", 4, (Fraction(1, 2),)), x0=(0.3, 0.9, 1.6, 2.4),
+                    horizon=0.1, obs_times=(0.03,), ensemble=300, master_seed=5, jumps=True)
+    res = simulate(cfg)
+    digest = hashlib.sha256()
+    for a in (res.states, res.jump_counts, res.intensity_integrals, res.steps, res.violations):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == "d0175dbd93e8801b343d4cfc6ecbcdc35bf2852cfe9d5f760a1a190fc1f51d13"
 
 
 def test_lockstep_and_staggered_rows_replay_bitwise():
