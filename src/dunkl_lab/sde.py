@@ -45,13 +45,13 @@ uniforms too until the first rejection; a shared position is read as one
 buffer column, not by a two-index gather.  Ensemble and replay share one
 stepping loop: ``replay_path`` runs it on the one-path index set.  Every
 alpha . x is summed over a support table of each root's nonzero
-coordinates, the drift is accumulated column by column over the roots
-that touch it, and a jump reflects the chosen root's support coordinates
+coordinates, the drift is accumulated coordinate by coordinate over the
+roots that touch it, and a jump reflects the chosen root's support coordinates
 as read from the same table; all of it is elementwise (no matmul), so a
 path's arithmetic does not depend on the batch size or on whether the
-paths are addressed by a slice or an index array, and a replayed path is
-bitwise identical to the same path inside a vectorized ensemble by
-construction.  For the same reason ``simulate`` runs the loop over
+paths are addressed by a slice or an index array, and a replayed path's
+states are bitwise identical to the same path inside a vectorized
+ensemble by construction (for its intensity, see Layout).  For the same reason ``simulate`` runs the loop over
 consecutive chunks of at most CHUNK path indices, which bounds the stream
 buffers and step temporaries by the chunk, not the ensemble, and changes
 no sampled bit; a StepUnderflowError then names the earliest stuck path of
@@ -64,8 +64,11 @@ over paths and every reduction over roots is along axis 0.  The streams
 keep their (rows, width) buffers and are read through ``.T``.  The only
 float reduction over roots is the recorded intensity: summed along axis 0
 of a path-contiguous (R, m) array, it adds the roots one row at a time in
-root order, the order the golden digests pin; numpy sums a root-contiguous
-array pairwise instead once it has 8 or more roots.
+root order, the order the golden digests pin.  numpy sums a
+root-contiguous array pairwise instead once it has 8 or more roots, and
+the one-path array of a replay and the columns gathered after a rejection
+are root-contiguous, so there a replayed path's intensity can differ from
+its ensemble row in the last bits.
 
 The freezing experiment scales X_t by sqrt(2 k t) and compares against the
 roots of the N-th Hermite polynomial; the zero-noise flow is also exposed

@@ -363,38 +363,26 @@ def test_floor_step_below_horizon_ulp_exit_one_without_a_step(args, bounded_step
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        ["--x0=1e300,0", "--horizon", "1", "--ensemble", "2"],
-        ["--x0=1e200,-1e200", "--horizon", "1", "--ensemble", "2", "--jumps"],
+        # every coordinate is finite but |x0|^2 is not; the moment report
+        # used to raise OverflowError computing it
+        (["--rank", "1", "--x0=1e300,0", "--horizon", "1"], "x0 must have a finite squared norm"),
+        (["--rank", "1", "--x0=1e200,-1e200", "--horizon", "1", "--jumps"], "x0 must have a finite squared norm"),
+        # 10^12 and 10^9 steps per path: both ran until killed
+        (["--rank", "1", "--x0=1,0", "--horizon", "1", "--dt", "1e-12", "--dt-floor-factor", "1"],
+         f"needs more than MAX_BASE_STEPS = {sde_mod.MAX_BASE_STEPS} steps"),
+        (["--rank", "2", "--x0=-1,0.1,1.2", "--horizon", "1e6"],
+         f"needs more than MAX_BASE_STEPS = {sde_mod.MAX_BASE_STEPS} steps"),
     ],
-    ids=["x0-1e300", "x0-1e200-jumps"],
+    ids=["x0-1e300", "x0-1e200-jumps", "dt-1e-12", "horizon-1e6"],
 )
-def test_overflowing_start_exit_one_without_a_step(args, bounded_stepper, capsys):
-    # every coordinate is finite but |x0|^2 is not; the moment report used to
-    # raise OverflowError computing it
-    assert main(["simulate", "--family", "A", "--rank", "1", "--mults", "1"] + args) == 1
+def test_unrunnable_config_exit_one_without_a_step(args, message, bounded_stepper, capsys):
+    assert main(["simulate", "--family", "A", "--mults", "1", "--ensemble", "2"] + args) == 1
     assert bounded_stepper == [0]
     err = capsys.readouterr().err
-    assert err.startswith("error: x0 ")
-    assert "finite" in err
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["--rank", "1", "--x0=1,0", "--horizon", "1", "--dt", "1e-12", "--dt-floor-factor", "1"],
-        ["--rank", "2", "--x0=-1,0.1,1.2", "--horizon", "1e6"],
-    ],
-    ids=["dt-1e-12", "horizon-1e6"],
-)
-def test_run_over_base_step_budget_exit_one_without_a_step(args, bounded_stepper, capsys):
-    # 10^12 and 10^9 steps per path: both ran until killed
-    assert main(["simulate", "--family", "A", "--mults", "1", "--ensemble", "1"] + args) == 1
-    assert bounded_stepper == [0]
-    err = capsys.readouterr().err
-    assert err.startswith("error: horizon ")
-    assert f"MAX_BASE_STEPS = {sde_mod.MAX_BASE_STEPS}" in err
+    assert err.startswith("error: ")
+    assert message in err
 
 
 def test_freeze_overflowing_drift_exit_one(bounded_stepper, capsys):
