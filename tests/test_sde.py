@@ -345,6 +345,14 @@ def test_support_table_dots_match_dense_row_sums(family, rank, mults, scale):
         assert np.all(got[r][~nonzero] == 0), r
     if family == "G2":
         assert roots.idx.shape[1] == 3
+    # a one-column batch gives that column's bits; no live roots give (0, m)
+    one = roots.dots(x[:1].T)
+    assert one.shape == (roots.count, 1)
+    assert np.array_equal(one.view(np.uint64), got[:, :1].view(np.uint64))
+    empty = sde_mod._live_root_arrays(system.with_multiplicity_scale(0))
+    assert empty.count == 0
+    for batch in (x.T, x[:1].T):
+        assert empty.dots(batch).shape == (0, batch.shape[1])
 
 
 @pytest.mark.parametrize(
@@ -413,6 +421,32 @@ def test_twelve_root_ensemble_arrays_golden_digest():
     for a in (res.states, res.jump_counts, res.intensity_integrals, res.steps, res.violations):
         digest.update(np.ascontiguousarray(a).tobytes())
     assert digest.hexdigest() == "d0175dbd93e8801b343d4cfc6ecbcdc35bf2852cfe9d5f760a1a190fc1f51d13"
+
+
+ONE_PATH_CASES = {
+    # twelve live roots, two jumps: the one-path intensity is summed pairwise
+    "D4-jumps": (SimConfig(system=build_root_system("D", 4, (Fraction(1, 2),)), x0=(0.3, 0.9, 1.6, 2.4),
+                           horizon=0.1, obs_times=(0.03,), ensemble=300, master_seed=5, jumps=True),
+                 1, "bab5f8f4dd9bb4bd55dee609cf2022269d7c925b906b7e6dbba1c304aab667a7"),
+    # radial, with one rejected proposal
+    "A3-radial": (SimConfig(system=build_root_system("A", 3, (1,)), x0=(-1.0, 0.0, 0.05, 1.2),
+                            horizon=0.2, obs_times=(0.05,), ensemble=50, master_seed=3),
+                  9, "0b662423fc41dd4d18eac3e3b8b4def9818e0c2086d52dfa889962be23fb6cb5"),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_PATH_CASES))
+def test_one_path_replay_golden_digest(case):
+    # sha256 of everything a replay records: the one-path regime of freeze,
+    # replay and --csv, where the batch has a single column
+    cfg, path, want = ONE_PATH_CASES[case]
+    traj = replay_path(cfg, path)
+    assert (len(traj.jump_events) == 2) if cfg.jumps else (traj.violations == 1)
+    digest = hashlib.sha256()
+    for a in (traj.times, traj.states, np.asarray(traj.jump_events, dtype=float).reshape(-1, 2),
+              np.asarray([traj.intensity_integral]), np.asarray([traj.steps, traj.violations])):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == want
 
 
 def test_lockstep_and_staggered_rows_replay_bitwise():
