@@ -21,6 +21,7 @@ property tests; exceeding it raises DegreeCapError.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -287,6 +288,32 @@ class MultiPoly:
 # module-level operations
 
 
+@functools.lru_cache(maxsize=4096)
+def _support_image(support: tuple, nrm: Fraction, powers: Exponents) -> tuple:
+    """The product of sigma_alpha's support forms to ``powers``, as
+    (support exponents, coefficient) pairs.
+
+    Slot k's form is x_i o sigma_alpha for the support coordinate in slot k,
+    as (slot, coefficient) pairs.  Cached by the root's support, its squared
+    norm and the powers, so a polynomial's monomials and a suite's repeated
+    reflections share one image.
+    """
+    forms = [
+        [(l, f) for l, (_, b) in enumerate(support) if (f := int(k == l) - 2 * a * b / nrm)]
+        for k, (_, a) in enumerate(support)
+    ]
+    image = {(0,) * len(support): Fraction(1)}
+    for form, power in zip(forms, powers):
+        for _ in range(power):
+            grown: dict[Exponents, Fraction] = {}
+            for ie, ic in image.items():
+                for l, f in form:
+                    key = ie[:l] + (ie[l] + 1,) + ie[l + 1 :]
+                    grown[key] = grown.get(key, 0) + ic * f
+            image = grown
+    return tuple(image.items())
+
+
 def compose_reflection(p: MultiPoly, alpha: Root) -> MultiPoly:
     """p o sigma_alpha for a root with rational coordinates.
 
@@ -307,25 +334,10 @@ def compose_reflection(p: MultiPoly, alpha: Root) -> MultiPoly:
         raise DimensionError("root dimension does not match polynomial variables")
     support = alpha.support
     nrm = Fraction(alpha.sq_norm)
-    # x_i o sigma_alpha for the support coordinate in slot k: (slot, coefficient)
-    forms = [
-        [(l, f) for l, (_, b) in enumerate(support) if (f := int(k == l) - 2 * a * b / nrm)]
-        for k, (_, a) in enumerate(support)
-    ]
     out: dict[Exponents, Fraction] = {}
     for e, c in p.terms.items():
-        # the product of the forms to the support exponents of e
-        image = {(0,) * len(support): Fraction(1)}
-        for form, (i, _) in zip(forms, support):
-            for _ in range(e[i]):
-                grown: dict[Exponents, Fraction] = {}
-                for ie, ic in image.items():
-                    for l, f in form:
-                        key = ie[:l] + (ie[l] + 1,) + ie[l + 1 :]
-                        grown[key] = grown.get(key, 0) + ic * f
-                image = grown
         ne = list(e)
-        for ie, ic in image.items():
+        for ie, ic in _support_image(support, nrm, tuple(e[i] for i, _ in support)):
             for (i, _), k in zip(support, ie):
                 ne[i] = k
             key = tuple(ne)

@@ -68,7 +68,13 @@ root order, the order the golden digests pin.  numpy sums a
 root-contiguous array pairwise instead once it has 8 or more roots, and
 the one-path array of a replay and the columns gathered after a rejection
 are root-contiguous, so there a replayed path's intensity can differ from
-its ensemble row in the last bits.
+its ensemble row in the last bits.  The loop carries the (R, m) alpha . x
+across steps: an accepted row takes its proposal's, a reflected row gets
+fresh dots of its new state and a rejected row keeps its own, so every
+proposal starts from exactly ``dots(x)`` without recomputing it.  The
+carried array stays C-contiguous, and the active columns are read from it
+with ``take``: ``d[:, idx]`` would return it root-contiguous, and the rates
+derived from it would then be summed pairwise (a one-path array is both).
 
 The freezing experiment scales X_t by sqrt(2 k t) and compares against the
 roots of the N-th Hermite polynomial; the zero-noise flow is also exposed
@@ -430,38 +436,48 @@ class _LiveRoots:
 
     Row r of the (R, s) ``idx``/``coef`` lists root r's nonzero coordinates
     in ascending order and their coefficients, padded to the largest
-    support size s with coordinate 0 and coefficient 0.0.  ``drift_levels``
-    lists, for q = 0, 1, ..., the coordinates touched by at least q + 1
-    roots and the flat (root * s + slot) position of the (q + 1)-th such
-    root, in root order: a row of the (R * s, m) drift terms for each row
-    of the (n, m) drift.  A jump reflects over the same table, one slot at
-    a time.
+    support size s with coordinate 0 and coefficient 0.0; a jump reflects
+    over this table, one slot at a time.  ``slot_idx``/``slot_coef`` hold
+    the same table slot-major (slot * R + root), so ``dots`` is one gather.
+    ``drift_levels`` lists, for q = 0, 1, ..., the coordinates touched by at
+    least q + 1 roots and the rows lo:hi of the drift terms that hold the
+    (q + 1)-th such root's term of each, in root order; row i of the terms
+    is root ``drift_roots[i]``'s k / (alpha . x) times ``drift_coef[i]``.
+    ``rate_coef`` is k |alpha|^2 / 2, the numerator of the jump rate.
     """
 
     ks: np.ndarray
     sqns: np.ndarray
     idx: np.ndarray
     coef: np.ndarray
+    slot_idx: np.ndarray
+    slot_coef: np.ndarray
+    drift_roots: np.ndarray
+    drift_coef: np.ndarray
     drift_levels: tuple
+    rate_coef: np.ndarray
 
     @property
     def count(self) -> int:
         return self.ks.shape[0]
 
     def dots(self, y: np.ndarray) -> np.ndarray:
-        """(R, m) array of alpha . y for every root and every column of the
-        (n, m) array y.
+        """C-contiguous (R, m) array of alpha . y for every root and every
+        column of the (n, m) array y.
 
-        Summed over the support in coordinate order with no matmul, one row
-        gather of y per support slot, so each entry is the dense row sum
+        Summed over the support in slot order with no matmul, from one row
+        gather of y for all slots, so each entry is the dense row sum
         (x * alpha).sum() bit for bit wherever that is nonzero (for supports
         of up to two coordinates at any dimension, and of any size up to
         dimension 7), and a path's result does not depend on the batch.  An
         exact zero may differ in sign.
         """
-        acc = y[self.idx[:, 0]] * self.coef[:, 0, None]
+        terms = y.take(self.slot_idx, axis=0)
+        terms *= self.slot_coef
+        r = self.count
+        acc = terms[:r]
         for c in range(1, self.idx.shape[1]):
-            acc += y[self.idx[:, c]] * self.coef[:, c, None]
+            acc += terms[c * r:(c + 1) * r]
         return acc
 
 
@@ -476,32 +492,44 @@ def _live_root_arrays(system: RootSystem) -> _LiveRoots:
         for c, (i, v) in enumerate(root.support):
             idx[r, c] = i
             coef[r, c] = float(v)
-            column_terms[i].append(r * s + c)
-    levels = []
+            column_terms[i].append((r, c))
+    levels, terms = [], []
     for q in range(max((len(t) for t in column_terms), default=0)):
         cols = [j for j in range(n) if len(column_terms[j]) > q]
-        pos = np.asarray([column_terms[j][q] for j in cols], dtype=np.int64)
-        levels.append((slice(None) if len(cols) == n else np.asarray(cols), pos))
+        lo = len(terms)
+        terms += [column_terms[j][q] for j in cols]
+        levels.append((slice(None) if len(cols) == n else np.asarray(cols), lo, len(terms)))
+    rows, slots = np.asarray(terms, dtype=np.int64).reshape(-1, 2).T
+    ks = [float(r.multiplicity) for r in live]
+    sqns = [r.fsq_norm for r in live]
     return _LiveRoots(
-        ks=np.asarray([float(r.multiplicity) for r in live]),
-        sqns=np.asarray([r.fsq_norm for r in live]),
+        ks=np.asarray(ks),
+        sqns=np.asarray(sqns),
         idx=idx,
         coef=coef,
+        slot_idx=idx.T.ravel(),
+        slot_coef=coef.T.reshape(-1, 1),
+        drift_roots=rows,
+        drift_coef=coef[rows, slots][:, None],
         drift_levels=tuple(levels),
+        # in Python floats, so a huge k overflows to inf without a warning
+        rate_coef=np.asarray([k * q / 2.0 for k, q in zip(ks, sqns)]).reshape(-1, 1),
     )
 
 
-def _step_core(x, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfig):
+def _step_core(x, d_pre, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfig):
     """One proposal for every column of the (n, m) state ``x``; shared by
     ensemble and replay.
 
-    ``gauss`` is (n, m).  Returns the (n, m) proposals, their (m,) steps h,
-    the (R, m) mask of the walls each proposal crosses or lands on, the
-    proposals' (R, m) alpha . x and the (R, m) jump rates at x (None without
-    jumps).  Every per-root array is root-major, so each numpy inner loop
-    runs over paths, and every reduction over roots is along axis 0; the
-    caller sums the rates' intensity that way too, in root order (see the
-    module's Layout note).
+    ``d_pre`` is the caller's (R, m) alpha . x, C-contiguous and bitwise
+    ``roots.dots(x)``: the loop carries it across steps, so it is never
+    recomputed here.  ``gauss`` is (n, m).  Returns the (n, m) proposals,
+    their (m,) steps h, the (R, m) mask of the walls each proposal crosses
+    or lands on, the proposals' (R, m) alpha . x and the (R, m) jump rates
+    at x (None without jumps).  Every per-root array is root-major, so each
+    numpy inner loop runs over paths, and every reduction over roots is
+    along axis 0; the caller sums the rates' intensity that way too, in
+    root order (see the module's Layout note).
 
     The proposal step is min(h_state, ceiling), where the ceiling applies
     dt_base, the time left to the next observation, and the adaptive drift
@@ -511,28 +539,27 @@ def _step_core(x, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfig):
     without ever letting model time advance.
     """
     n, m = x.shape
-    d_pre = roots.dots(x)
 
     # each coordinate sums its roots' k alpha_j / (alpha . x) in root order
     # from +0.0, as a dense per-root accumulation would
-    terms = ((roots.ks[:, None] / d_pre)[:, None, :] * roots.coef[:, :, None]).reshape(-1, m)
+    terms = (roots.ks[:, None] / d_pre).take(roots.drift_roots, axis=0)
+    terms *= roots.drift_coef
     drift = np.zeros((n, m))
-    for cols, pos in roots.drift_levels:
-        drift[cols] += terms[pos]
+    for cols, lo, hi in roots.drift_levels:
+        drift[cols] += terms[lo:hi]
 
-    base = np.minimum(np.full(m, cfg.dt_base), t_rem)
+    base = np.minimum(t_rem, cfg.dt_base)
     rates = None
     if cfg.jumps:
-        rates = (roots.ks * roots.sqns / 2.0)[:, None] / (d_pre * d_pre)
+        rates = roots.rate_coef / (d_pre * d_pre)
     if roots.count:
-        along = roots.dots(drift)
-        c = np.full(along.shape, np.inf)
-        np.divide(cfg.drift_limit * np.abs(d_pre), np.abs(along), out=c, where=along != 0)
-        cap = c.min(axis=0)
+        # a zero alpha . drift divides to inf, no cap (a zero alpha . x
+        # makes the drift non-finite and the proposal is refused)
+        cap = (cfg.drift_limit * np.abs(d_pre) / np.abs(roots.dots(drift))).min(axis=0)
         if cfg.jumps:
-            cap = np.minimum(cap, (cfg.jump_rate_limit / rates).min(axis=0))
-        dt_min = cfg.dt_base * cfg.dt_floor_factor
-        ceiling = np.minimum(base, np.maximum(cap, dt_min))
+            # division is monotone, so this is the smallest limit / rate
+            cap = np.minimum(cap, cfg.jump_rate_limit / rates.max(axis=0))
+        ceiling = np.minimum(base, np.maximum(cap, cfg.dt_base * cfg.dt_floor_factor))
     else:
         ceiling = base
     h_try = np.minimum(h_state, ceiling)
@@ -540,7 +567,8 @@ def _step_core(x, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfig):
     x_prop = x + h_try * drift + np.sqrt(h_try) * gauss
 
     d_prop = roots.dots(x_prop)
-    cross = ((d_pre > 0) != (d_prop > 0)) | (d_prop == 0)
+    cross = (d_pre > 0) != (d_prop > 0)
+    cross |= d_prop == 0
     return x_prop, h_try, cross, d_prop, rates
 
 
@@ -551,16 +579,17 @@ def _apply_jumps(x_prop, d_prop, rates, h_try, u, roots: _LiveRoots):
     (R + 1, m): one uniform per root, then the one that selects among the
     roots that fired.  Selecting uniformly among the roots whose clocks
     fired is equivalent in law to taking the first firing in a random root
-    order.  Returns the new states and the chosen live-root index per path
-    (-1 for no jump).  A jump moves only the chosen root's support
-    coordinates, so the others keep their bits (a -0.0 stays -0.0).
+    order.  Returns the new states, ``x_prop`` itself when no clock fires,
+    and the chosen live-root index per path (-1 for no jump).  A jump moves
+    only the chosen root's support coordinates, so the others keep their
+    bits (a -0.0 stays -0.0).
     """
     n_roots = rates.shape[0]
     trig = u[:n_roots] < rates * h_try
     root_idx = np.full(trig.shape[1], -1)
-    fired = np.flatnonzero(trig.any(axis=0))
-    if not fired.size:
+    if not trig.any():
         return x_prop, root_idx
+    fired = np.flatnonzero(trig.any(axis=0))
     # choose and reflect on the triggering paths only
     trig = trig[:, fired]
     choice = np.floor(u[n_roots, fired] * trig.sum(axis=0)).astype(np.int64)
@@ -597,7 +626,9 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     chosen live-root indices (-1 for no jump; None when jumps are off).
 
     The state is held as (n, m), one column per row of the run; the
-    streams' (rows, width) draws are read through ``.T``.
+    streams' (rows, width) draws are read through ``.T``.  Next to it the
+    loop keeps the (R, m) alpha . x of every row, C-contiguous and bitwise
+    ``roots.dots(x)`` at every proposal (see the module's Layout note).
 
     While every row is active the rows are addressed by a full slice, and a
     step that accepts every proposal writes back without a scatter; index
@@ -619,6 +650,7 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     streams = PathStreams(config.master_seed, paths, n, n_uniform, block)
     m = len(paths)
     x = np.tile(x0[:, None], (1, m))
+    d = roots.dots(x)
     t = np.zeros(m)
     h_state = np.full(m, config.dt_base)
     ptr = np.zeros(m, dtype=np.int64)
@@ -628,6 +660,7 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     steps = np.zeros(m, dtype=np.int64)
     violations = np.zeros(m, dtype=np.int64)
     strikes = np.zeros(m, dtype=np.int64)
+    struck = False
     dt_min = config.dt_base * config.dt_floor_factor
     active = slice(None)
 
@@ -635,13 +668,17 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     # numpy warnings; one errstate per run keeps the per-step cost flat
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while True:
-            xa = x[:, active]
+            if isinstance(active, slice):
+                xa, da = x, d
+            else:
+                # take keeps the carried alpha . x C-contiguous (see Layout)
+                xa, da = x[:, active], d.take(active, axis=1)
             ta = t[active]
             target = obs[ptr[active]]
             t_rem = target - ta
             gauss = streams.normals(active).T
             x_prop, h_try, cross, d_prop, rates = _step_core(
-                xa, h_state[active], t_rem, gauss, roots, config
+                xa, da, h_state[active], t_rem, gauss, roots, config
             )
             # an overflowing drift makes the step NaN, which no floor test or
             # time update would ever end
@@ -650,13 +687,14 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
                     "a proposal is not finite; the drift overflows at these multiplicities"
                 )
             steps[active] += 1
-            viol = cross.any(axis=0)
             aid = active
-            if viol.any():
+            if cross.any():
+                viol = cross.any(axis=0)
                 vid = _members(active, viol)
                 # floor proposals are redrawn, not shrunk further; a run of
                 # rejections there means the config is genuinely stuck
                 strikes[vid[h_try[viol] <= dt_min]] += 1
+                struck = True
                 stuck = np.flatnonzero(strikes[vid] >= MAX_FLOOR_RETRIES)
                 if stuck.size:
                     j = stuck[np.argmin(t[vid[stuck]])]
@@ -679,16 +717,27 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
                 target, ta, t_rem = target[acc], ta[acc], t_rem[acc]
                 if rates is not None:
                     rates = rates[:, acc]
-            strikes[aid] = 0
+            if struck:
+                # only a rejected row can hold strikes
+                strikes[aid] = 0
+                struck = strikes.any()
             root_idx = None
             if config.jumps and n_roots:
                 u = streams.uniforms(aid).T
-                x_prop, root_idx = _apply_jumps(x_prop, d_prop, rates, h_try, u, roots)
-                jump_counts[aid] += root_idx >= 0
+                x_new, root_idx = _apply_jumps(x_prop, d_prop, rates, h_try, u, roots)
+                if x_new is not x_prop:
+                    # a reflected row's alpha . x is not its proposal's
+                    x_prop, jumped = x_new, root_idx >= 0
+                    d_prop[:, jumped] = roots.dots(x_prop[:, jumped])
+                    jump_counts[_members(aid, jumped)] += 1
                 # along axis 0, one root at a time in root order (see Layout)
                 intensity[aid] += np.minimum(rates * h_try, 1.0).sum(axis=0)
             t_new = np.where(h_try >= t_rem, target, ta + h_try)
-            x[:, aid] = x_prop
+            if isinstance(aid, slice):
+                x, d = x_prop, d_prop
+            else:
+                x[:, aid] = x_prop
+                d[:, aid] = d_prop
             t[aid] = t_new
             h_state[aid] = np.minimum(2.0 * h_try, config.dt_base)
             if record is not None:

@@ -474,6 +474,42 @@ def test_lockstep_and_staggered_rows_replay_bitwise():
     assert np.array_equal(small.intensity_integrals, res.intensity_integrals[:3])
 
 
+@pytest.mark.parametrize(
+    "system,x0,jumps",
+    [
+        (B2, (0.02, 1.7), False),
+        (B2, (0.02, 1.7), True),
+        # three-coordinate supports, and a padded slot on a root's own coordinate
+        (make_system_from_vectors(G2_VECTORS, 1), (0.3, 0.28, -1.1), True),
+        (build_root_system("I2", 5, (1.0,), scale="normalized"), (0.02, 1.7), True),
+    ],
+    ids=["B2", "B2-jumps", "G2-jumps", "I2(5)-jumps"],
+)
+def test_carried_dots_equal_fresh_dots(monkeypatch, system, x0, jumps):
+    # the loop carries alpha . x across steps (accepted rows take their
+    # proposal's, reflected rows get fresh dots, rejected rows keep theirs);
+    # every proposal must see exactly what dots(x) gives, C-contiguous
+    real = sde_mod._step_core
+    widths = []
+
+    def stepper(x, d_pre, *args):
+        roots = args[-2]
+        assert d_pre.flags.c_contiguous
+        assert np.array_equal(d_pre.view(np.uint64), roots.dots(x).view(np.uint64))
+        widths.append(x.shape[1])
+        return real(x, d_pre, *args)
+
+    monkeypatch.setattr(sde_mod, "_step_core", stepper)
+    cfg = _cfg(system=system, x0=x0, jumps=jumps, obs_times=(0.05, 0.2),
+               k_scale=0.5, ensemble=24, master_seed=9)
+    res = simulate(cfg)
+    assert res.violations.sum() > 0
+    assert (res.jump_counts.sum() > 0) == jumps
+    assert len(set(res.steps.tolist())) > 1 and min(widths) < cfg.ensemble
+    replay_path(cfg, int(np.argmax(res.jump_counts + res.violations)))
+    assert widths[-1] == 1
+
+
 def test_chunked_run_matches_one_unchunked_run(monkeypatch):
     # a staggered jumping ensemble with rejections, 40 paths in chunks of 7
     # (the last one short): every array equals one _run over all the paths
