@@ -660,7 +660,6 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     steps = np.zeros(m, dtype=np.int64)
     violations = np.zeros(m, dtype=np.int64)
     strikes = np.zeros(m, dtype=np.int64)
-    struck = False
     dt_min = config.dt_base * config.dt_floor_factor
     active = slice(None)
 
@@ -668,11 +667,9 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     # numpy warnings; one errstate per run keeps the per-step cost flat
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while True:
-            if isinstance(active, slice):
-                xa, da = x, d
-            else:
-                # take keeps the carried alpha . x C-contiguous (see Layout)
-                xa, da = x[:, active], d.take(active, axis=1)
+            xa = x[:, active]
+            # take keeps the carried alpha . x C-contiguous (see Layout)
+            da = d if isinstance(active, slice) else d.take(active, axis=1)
             ta = t[active]
             target = obs[ptr[active]]
             t_rem = target - ta
@@ -694,7 +691,6 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
                 # floor proposals are redrawn, not shrunk further; a run of
                 # rejections there means the config is genuinely stuck
                 strikes[vid[h_try[viol] <= dt_min]] += 1
-                struck = True
                 stuck = np.flatnonzero(strikes[vid] >= MAX_FLOOR_RETRIES)
                 if stuck.size:
                     j = stuck[np.argmin(t[vid[stuck]])]
@@ -717,10 +713,7 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
                 target, ta, t_rem = target[acc], ta[acc], t_rem[acc]
                 if rates is not None:
                     rates = rates[:, acc]
-            if struck:
-                # only a rejected row can hold strikes
-                strikes[aid] = 0
-                struck = strikes.any()
+            strikes[aid] = 0
             root_idx = None
             if config.jumps and n_roots:
                 u = streams.uniforms(aid).T
