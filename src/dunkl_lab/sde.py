@@ -72,9 +72,9 @@ its ensemble row in the last bits.  The loop carries the (R, m) alpha . x
 across steps: an accepted row takes its proposal's, a reflected row gets
 fresh dots of its new state and a rejected row keeps its own, so every
 proposal starts from exactly ``dots(x)`` without recomputing it.  The
-carried array stays C-contiguous, and the active columns are read from it
-with ``take``: ``d[:, idx]`` would return it root-contiguous, and the rates
-derived from it would then be summed pairwise (a one-path array is both).
+carried array must stay C-contiguous, so the active columns are read from
+it with ``take``: ``d[:, idx]`` would return them root-contiguous, and the
+intensity of the rates derived from them would be summed pairwise.
 
 The freezing experiment scales X_t by sqrt(2 k t) and compares against the
 roots of the N-th Hermite polynomial; the zero-noise flow is also exposed
@@ -436,26 +436,21 @@ class _LiveRoots:
 
     Row r of the (R, s) ``idx``/``coef`` lists root r's nonzero coordinates
     in ascending order and their coefficients, padded to the largest
-    support size s with coordinate 0 and coefficient 0.0; a jump reflects
-    over this table, one slot at a time.  ``slot_idx``/``slot_coef`` hold
-    the same table slot-major (slot * R + root), so ``dots`` is one gather.
+    support size s with coordinate 0 and coefficient 0.0; ``dots`` reads it
+    in one gather, and a jump reflects over it one slot at a time.
     ``drift_levels`` lists, for q = 0, 1, ..., the coordinates touched by at
     least q + 1 roots and the rows lo:hi of the drift terms that hold the
     (q + 1)-th such root's term of each, in root order; row i of the terms
     is root ``drift_roots[i]``'s k / (alpha . x) times ``drift_coef[i]``.
-    ``rate_coef`` is k |alpha|^2 / 2, the numerator of the jump rate.
     """
 
     ks: np.ndarray
     sqns: np.ndarray
     idx: np.ndarray
     coef: np.ndarray
-    slot_idx: np.ndarray
-    slot_coef: np.ndarray
     drift_roots: np.ndarray
     drift_coef: np.ndarray
     drift_levels: tuple
-    rate_coef: np.ndarray
 
     @property
     def count(self) -> int:
@@ -472,12 +467,11 @@ class _LiveRoots:
         dimension 7), and a path's result does not depend on the batch.  An
         exact zero may differ in sign.
         """
-        terms = y.take(self.slot_idx, axis=0)
-        terms *= self.slot_coef
-        r = self.count
-        acc = terms[:r]
-        for c in range(1, self.idx.shape[1]):
-            acc += terms[c * r:(c + 1) * r]
+        terms = y.take(self.idx.T, axis=0)
+        terms *= self.coef.T[:, :, None]
+        acc = terms[0]
+        for more in terms[1:]:
+            acc += more
         return acc
 
 
@@ -500,20 +494,14 @@ def _live_root_arrays(system: RootSystem) -> _LiveRoots:
         terms += [column_terms[j][q] for j in cols]
         levels.append((slice(None) if len(cols) == n else np.asarray(cols), lo, len(terms)))
     rows, slots = np.asarray(terms, dtype=np.int64).reshape(-1, 2).T
-    ks = [float(r.multiplicity) for r in live]
-    sqns = [r.fsq_norm for r in live]
     return _LiveRoots(
-        ks=np.asarray(ks),
-        sqns=np.asarray(sqns),
+        ks=np.asarray([float(r.multiplicity) for r in live]),
+        sqns=np.asarray([r.fsq_norm for r in live]),
         idx=idx,
         coef=coef,
-        slot_idx=idx.T.ravel(),
-        slot_coef=coef.T.reshape(-1, 1),
         drift_roots=rows,
         drift_coef=coef[rows, slots][:, None],
         drift_levels=tuple(levels),
-        # in Python floats, so a huge k overflows to inf without a warning
-        rate_coef=np.asarray([k * q / 2.0 for k, q in zip(ks, sqns)]).reshape(-1, 1),
     )
 
 
@@ -551,7 +539,7 @@ def _step_core(x, d_pre, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfi
     base = np.minimum(t_rem, cfg.dt_base)
     rates = None
     if cfg.jumps:
-        rates = roots.rate_coef / (d_pre * d_pre)
+        rates = (roots.ks * roots.sqns / 2.0)[:, None] / (d_pre * d_pre)
     if roots.count:
         # a zero alpha . drift divides to inf, no cap (a zero alpha . x
         # makes the drift non-finite and the proposal is refused)
@@ -567,8 +555,7 @@ def _step_core(x, d_pre, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfi
     x_prop = x + h_try * drift + np.sqrt(h_try) * gauss
 
     d_prop = roots.dots(x_prop)
-    cross = (d_pre > 0) != (d_prop > 0)
-    cross |= d_prop == 0
+    cross = ((d_pre > 0) != (d_prop > 0)) | (d_prop == 0)
     return x_prop, h_try, cross, d_prop, rates
 
 
@@ -607,11 +594,6 @@ def _apply_jumps(x_prop, d_prop, rates, h_try, u, roots: _LiveRoots):
     return x_new, root_idx
 
 
-def _check_start(x0: np.ndarray, roots: _LiveRoots):
-    if (roots.dots(x0[:, None]) == 0.0).any():
-        raise HyperplaneError("x0 lies on a reflecting hyperplane with k > 0")
-
-
 def _members(rows, mask: np.ndarray) -> np.ndarray:
     """The run rows where ``mask`` holds, for ``rows`` the slice of every
     row or an index array."""
@@ -641,7 +623,9 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     obs = np.asarray(config.observation_grid())
     n_obs = len(obs)
     x0 = np.asarray([float(c) for c in config.x0])
-    _check_start(x0, roots)
+    d0 = roots.dots(x0[:, None])
+    if (d0 == 0.0).any():
+        raise HyperplaneError("x0 lies on a reflecting hyperplane with k > 0")
 
     # a path that always steps at dt_base reads at most this many draws, so
     # it refills once; slower paths refill again
@@ -650,7 +634,7 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     streams = PathStreams(config.master_seed, paths, n, n_uniform, block)
     m = len(paths)
     x = np.tile(x0[:, None], (1, m))
-    d = roots.dots(x)
+    d = np.tile(d0, (1, m))
     t = np.zeros(m)
     h_state = np.full(m, config.dt_base)
     ptr = np.zeros(m, dtype=np.int64)
@@ -729,8 +713,7 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
             if isinstance(aid, slice):
                 x, d = x_prop, d_prop
             else:
-                x[:, aid] = x_prop
-                d[:, aid] = d_prop
+                x[:, aid], d[:, aid] = x_prop, d_prop
             t[aid] = t_new
             h_state[aid] = np.minimum(2.0 * h_try, config.dt_base)
             if record is not None:
