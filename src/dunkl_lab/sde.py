@@ -442,6 +442,7 @@ class _LiveRoots:
     least q + 1 roots and the rows lo:hi of the drift terms that hold the
     (q + 1)-th such root's term of each, in root order; row i of the terms
     is root ``drift_roots[i]``'s k / (alpha . x) times ``drift_coef[i]``.
+    ``ks`` and ``rate_coef`` are the (R, 1) columns k and k |alpha|^2 / 2.
     """
 
     ks: np.ndarray
@@ -451,6 +452,7 @@ class _LiveRoots:
     drift_roots: np.ndarray
     drift_coef: np.ndarray
     drift_levels: tuple
+    rate_coef: np.ndarray
 
     @property
     def count(self) -> int:
@@ -495,13 +497,15 @@ def _live_root_arrays(system: RootSystem) -> _LiveRoots:
         levels.append((slice(None) if len(cols) == n else np.asarray(cols), lo, len(terms)))
     rows, slots = np.asarray(terms, dtype=np.int64).reshape(-1, 2).T
     return _LiveRoots(
-        ks=np.asarray([float(r.multiplicity) for r in live]),
+        ks=np.asarray([float(r.multiplicity) for r in live])[:, None],
         sqns=np.asarray([r.fsq_norm for r in live]),
         idx=idx,
         coef=coef,
         drift_roots=rows,
         drift_coef=coef[rows, slots][:, None],
         drift_levels=tuple(levels),
+        # Python floats overflow to inf without numpy's warning
+        rate_coef=np.asarray([float(r.multiplicity) * r.fsq_norm / 2.0 for r in live])[:, None],
     )
 
 
@@ -530,7 +534,7 @@ def _step_core(x, d_pre, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfi
 
     # each coordinate sums its roots' k alpha_j / (alpha . x) in root order
     # from +0.0, as a dense per-root accumulation would
-    terms = (roots.ks[:, None] / d_pre).take(roots.drift_roots, axis=0)
+    terms = (roots.ks / d_pre).take(roots.drift_roots, axis=0)
     terms *= roots.drift_coef
     drift = np.zeros((n, m))
     for cols, lo, hi in roots.drift_levels:
@@ -539,7 +543,7 @@ def _step_core(x, d_pre, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfi
     base = np.minimum(t_rem, cfg.dt_base)
     rates = None
     if cfg.jumps:
-        rates = (roots.ks * roots.sqns / 2.0)[:, None] / (d_pre * d_pre)
+        rates = roots.rate_coef / (d_pre * d_pre)
     if roots.count:
         # a zero alpha . drift divides to inf, no cap (a zero alpha . x
         # makes the drift non-finite and the proposal is refused)
@@ -646,11 +650,13 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     strikes = np.zeros(m, dtype=np.int64)
     dt_min = config.dt_base * config.dt_floor_factor
     active = slice(None)
+    passes = 0
 
     # overflow surfaces as the non-finite proposal check below, not as
     # numpy warnings; one errstate per run keeps the per-step cost flat
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while True:
+            passes += 1
             xa = x[:, active]
             # take keeps the carried alpha . x C-contiguous (see Layout)
             da = d if isinstance(active, slice) else d.take(active, axis=1)
@@ -667,7 +673,6 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
                 raise SamplingError(
                     "a proposal is not finite; the drift overflows at these multiplicities"
                 )
-            steps[active] += 1
             aid = active
             if cross.any():
                 viol = cross.any(axis=0)
@@ -710,12 +715,11 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
                 # along axis 0, one root at a time in root order (see Layout)
                 intensity[aid] += np.minimum(rates * h_try, 1.0).sum(axis=0)
             t_new = np.where(h_try >= t_rem, target, ta + h_try)
+            h_new = np.minimum(2.0 * h_try, config.dt_base)
             if isinstance(aid, slice):
-                x, d = x_prop, d_prop
+                x, d, t, h_state = x_prop, d_prop, t_new, h_new
             else:
-                x[:, aid], d[:, aid] = x_prop, d_prop
-            t[aid] = t_new
-            h_state[aid] = np.minimum(2.0 * h_try, config.dt_base)
+                x[:, aid], d[:, aid], t[aid], h_state[aid] = x_prop, d_prop, t_new, h_new
             if record is not None:
                 record(t_new, x_prop.T, root_idx)
             hit = t_new == target
@@ -724,6 +728,8 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
                 out[hid, ptr[hid], :] = x_prop[:, hit].T
                 ptr[hid] += 1
                 if (ptr[hid] == n_obs).any():
+                    # a row makes one proposal in every pass while it is active
+                    steps[hid[ptr[hid] == n_obs]] = passes
                     active = np.flatnonzero(ptr < n_obs)
                     if not active.size:
                         break
