@@ -1,12 +1,17 @@
 """Confined many-body Hamiltonian, ground state, transformed form, spin matrix."""
 
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import dunkl_lab
 from dunkl_lab.cm import (
     CMParams,
     SPIN_SITE_CAP,
@@ -205,3 +210,34 @@ def test_pf_matrix_equals_state_loop():
     for n in range(2, 9):
         z = [float(v) for v in hermite_roots(n)]
         assert np.array_equal(pf_matrix(z).matrix, _pf_matrix_loop(z)), n
+
+
+# LAPACK's bits depend on the BLAS thread count from 10 sites on, so the pin
+# runs in a fresh process with one BLAS thread, as the benchmark workers do
+SPECTRUM_PIN = (
+    "import hashlib\n"
+    "from dunkl_lab.cm import SPIN_SITE_CAP, pf_matrix\n"
+    "from dunkl_lab.sde import hermite_roots\n"
+    "digest = hashlib.sha256()\n"
+    "for n in range(2, SPIN_SITE_CAP + 1):\n"
+    "    chain = pf_matrix(hermite_roots(n))\n"
+    "    digest.update(chain.eigenvalues().tobytes())\n"
+    "    digest.update(float.hex(chain.trace()).encode())\n"
+    "print(digest.hexdigest())\n"
+)
+
+
+def test_pf_matrix_spectrum_and_trace_golden_digest():
+    # sha256 of the spectrum bytes and the trace's float.hex at the Hermite
+    # zeros for every site count up to the cap: pins the bits of the block
+    # construction, of each block's row order and of the trace's b-order sum
+    src = os.path.dirname(os.path.dirname(dunkl_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    out = subprocess.run(
+        [sys.executable, "-c", SPECTRUM_PIN], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "96ab0ee9df908d50b496f1aa416020e58414706d11232844078b9678a44d24bb"
+
