@@ -31,9 +31,10 @@ roots z_1..z_N is the inverse-square exchange spin chain
 
     H = sum_{i<j} P_ij / (z_i - z_j)^2
 
-on (C^2)^{tensor N}, with P_ij the transposition of spin sites i and j;
-``pf_matrix`` builds it densely (N <= 12) for spectra and trace checks, and
-its spectrum is diagonalized per S^z block, since every P_ij conserves S^z.
+on (C^2)^{tensor N}, with P_ij the transposition of spin sites i and j.
+Every P_ij conserves S^z, so ``pf_matrix`` (N <= 12) builds H directly as
+its fixed-popcount blocks and never allocates the 2^N x 2^N matrix; spectra
+and the trace are taken block by block.
 """
 
 from __future__ import annotations
@@ -276,63 +277,98 @@ def _conjugated_rhs(n: int, k: Fraction, terms: tuple) -> MultiPoly:
 # frozen spin chain
 
 
+def _popcount_states(n: int) -> list[np.ndarray]:
+    """For p = 0..n, the basis states with p up spins in ascending b."""
+    b = np.arange(1 << n)
+    pop = ((b[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    return [np.flatnonzero(pop == p) for p in range(n + 1)]
+
+
 @dataclass(frozen=True)
 class SpinChainMatrix:
-    """Dense inverse-square exchange spin chain on N spin-1/2 sites.
+    """Inverse-square exchange spin chain on N spin-1/2 sites, per S^z block.
 
     Basis index b encodes the spin configuration bitwise: bit i of b is the
-    spin at site i.  The matrix is exactly symmetric by construction.
+    spin at site i.  Every P_ij keeps the number of up spins, so H is block
+    diagonal over the popcount of b: ``blocks[p]`` is H on the states with
+    p up spins, listed in ascending b, and is exactly symmetric by
+    construction.  The largest block at N sites is C(N, N/2) wide instead
+    of 2^N, and the dense matrix is built only when ``matrix`` is read.
     """
 
     positions: tuple[float, ...]
-    matrix: np.ndarray
+    blocks: tuple[np.ndarray, ...]
 
     @property
     def n_sites(self) -> int:
         return len(self.positions)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense 2^N x 2^N matrix, assembled from the blocks."""
+        dim = 1 << self.n_sites
+        h = np.zeros((dim, dim))
+        for states, block in zip(_popcount_states(self.n_sites), self.blocks):
+            h[np.ix_(states, states)] = block
+        return h
+
     def trace(self) -> float:
-        return float(np.trace(self.matrix))
+        """Tr H, the diagonal summed in b order."""
+        diag = np.empty(1 << self.n_sites)
+        for states, block in zip(_popcount_states(self.n_sites), self.blocks):
+            diag[states] = block.diagonal()
+        return float(diag.sum())
 
     def eigenvalues(self) -> np.ndarray:
-        """The ascending spectrum, one S^z block at a time.
-
-        Every P_ij keeps the number of up spins, so the matrix is block
-        diagonal over the popcount of b; the largest block at N sites is
-        C(N, N/2) wide instead of 2^N.
-        """
-        b = np.arange(self.matrix.shape[0])
-        pop = ((b[:, None] >> np.arange(self.n_sites)) & 1).sum(axis=1)
-        blocks = []
-        for p in range(self.n_sites + 1):
-            sel = np.flatnonzero(pop == p)
-            blocks.append(np.linalg.eigvalsh(self.matrix[np.ix_(sel, sel)]))
-        return np.sort(np.concatenate(blocks))
+        """The ascending spectrum, one S^z block at a time."""
+        return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in self.blocks]))
 
 
 def pf_matrix(z: Sequence[float]) -> SpinChainMatrix:
-    """H = sum_{i<j} P_ij / (z_i - z_j)^2 on the 2^N spin basis."""
+    """H = sum_{i<j} P_ij / (z_i - z_j)^2 on the 2^N spin basis, per S^z block."""
     n = len(z)
     if n < 2:
         raise DimensionError("need at least two sites")
     if n > SPIN_SITE_CAP:
-        raise DimensionError(f"dense spin chain capped at {SPIN_SITE_CAP} sites")
+        raise DimensionError(f"spin chain capped at {SPIN_SITE_CAP} sites")
     zs = [float(v) for v in z]
-    if len(set(zs)) != n:
-        raise ValueError("site positions must be distinct")
-    dim = 1 << n
-    b = np.arange(dim)
-    bits = (b[:, None] >> np.arange(n)) & 1
-    h = np.zeros((dim, dim))
-    diag = np.zeros(dim)
+    for i, v in enumerate(zs):
+        if not math.isfinite(v):
+            raise ValueError(f"site {i} position {v!r} is not finite")
+    weights = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = 1.0 / (zs[i] - zs[j]) ** 2
-            same = bits[:, i] == bits[:, j]
-            # equal spins: P_ij fixes b; the diagonal sums w in pair order
-            diag[same] += w
-            # unequal spins: P_ij swaps them, one entry per state
-            flip = b[~same]
-            h[flip ^ ((1 << i) | (1 << j)), flip] = w
-    h[b, b] = diag
-    return SpinChainMatrix(positions=tuple(zs), matrix=h)
+            try:
+                w = 1.0 / (zs[i] - zs[j]) ** 2
+            except (OverflowError, ZeroDivisionError):
+                w = 0.0
+            if not 0.0 < w < math.inf:
+                raise ValueError(
+                    f"sites {i} and {j} at {zs[i]!r} and {zs[j]!r}: the weight "
+                    "1/(z_i - z_j)^2 is not a positive finite float"
+                )
+            weights[i, j] = w
+    states = _popcount_states(n)
+    # every block lives in one flat buffer; state b's row in its block starts
+    # at row[b], and b is column col[b] of its block
+    sizes = [s.size for s in states]
+    starts = np.cumsum([0] + [m * m for m in sizes])
+    row = np.empty(1 << n, dtype=np.int64)
+    col = np.empty(1 << n, dtype=np.int64)
+    for p, s in enumerate(states):
+        col[s] = np.arange(s.size)
+        row[s] = starts[p] + col[s] * s.size
+    flat = np.zeros(starts[-1])
+    b = np.arange(1 << n)
+    bits = (b[:, None] >> np.arange(n)) & 1
+    diag = np.zeros(1 << n)
+    for (i, j), w in weights.items():
+        same = bits[:, i] == bits[:, j]
+        # equal spins: P_ij fixes b; the diagonal sums w in pair order
+        diag[same] += w
+        # unequal spins: P_ij swaps them, one entry per state
+        flip = b[~same]
+        flat[row[flip ^ ((1 << i) | (1 << j))] + col[flip]] = w
+    flat[row + col] = diag
+    blocks = tuple(flat[lo:hi].reshape(m, m) for lo, hi, m in zip(starts, starts[1:], sizes))
+    return SpinChainMatrix(positions=tuple(zs), blocks=blocks)

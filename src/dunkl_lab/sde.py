@@ -563,20 +563,20 @@ def _step_core(x, d_pre, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfi
     return x_prop, h_try, cross, d_prop, rates
 
 
-def _apply_jumps(x_prop, d_prop, rates, h_try, u, roots: _LiveRoots):
+def _apply_jumps(x_prop, d_prop, hazard, u, roots: _LiveRoots):
     """Thin the per-root jump clocks; at most one reflection per step.
 
-    ``x_prop`` is (n, m), ``d_prop`` and ``rates`` are (R, m) and ``u`` is
-    (R + 1, m): one uniform per root, then the one that selects among the
-    roots that fired.  Selecting uniformly among the roots whose clocks
+    ``x_prop`` is (n, m), ``d_prop`` and ``hazard`` (each root's rate
+    times the step) are (R, m) and ``u`` is (R + 1, m): one uniform per
+    root, then the one that selects among the roots that fired.  Selecting uniformly among the roots whose clocks
     fired is equivalent in law to taking the first firing in a random root
     order.  Returns the new states, ``x_prop`` itself when no clock fires,
     and the chosen live-root index per path (-1 for no jump).  A jump moves
     only the chosen root's support coordinates, so the others keep their
     bits (a -0.0 stays -0.0).
     """
-    n_roots = rates.shape[0]
-    trig = u[:n_roots] < rates * h_try
+    n_roots = hazard.shape[0]
+    trig = u[:n_roots] < hazard
     root_idx = np.full(trig.shape[1], -1)
     if not trig.any():
         return x_prop, root_idx
@@ -706,14 +706,15 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
             root_idx = None
             if config.jumps and n_roots:
                 u = streams.uniforms(aid).T
-                x_new, root_idx = _apply_jumps(x_prop, d_prop, rates, h_try, u, roots)
+                hazard = rates * h_try
+                x_new, root_idx = _apply_jumps(x_prop, d_prop, hazard, u, roots)
                 if x_new is not x_prop:
                     # a reflected row's alpha . x is not its proposal's
                     x_prop, jumped = x_new, root_idx >= 0
                     d_prop[:, jumped] = roots.dots(x_prop[:, jumped])
                     jump_counts[_members(aid, jumped)] += 1
                 # along axis 0, one root at a time in root order (see Layout)
-                intensity[aid] += np.minimum(rates * h_try, 1.0).sum(axis=0)
+                intensity[aid] += np.minimum(hazard, 1.0).sum(axis=0)
             t_new = np.where(h_try >= t_rem, target, ta + h_try)
             h_new = np.minimum(2.0 * h_try, config.dt_base)
             if isinstance(aid, slice):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -162,6 +163,22 @@ def test_pf_matrix_rejects_bad_input():
         pf_matrix(tuple(float(i) for i in range(SPIN_SITE_CAP + 1)))
 
 
+@pytest.mark.parametrize(
+    "z, names",
+    [
+        ((math.nan, 1.0), "site 0 "),
+        ((0.0, 1e-160), "sites 0 and 1 "),  # the weight overflows to inf
+        ((0.0, math.inf), "site 1 "),  # the weight would be 0.0
+        ((0.0, 1.0, 1e-170), "sites 0 and 2 "),  # the square underflows to 0.0
+        ((0.0, 1e200), "sites 0 and 1 "),  # the square overflows
+        ((-1e308, 1e308), "sites 0 and 1 "),  # the difference overflows
+    ],
+)
+def test_pf_matrix_rejects_non_finite_sites_and_weights(z, names):
+    with pytest.raises(ValueError, match=names):
+        pf_matrix(z)
+
+
 def test_pf_matrix_magnetization_commutes():
     # total z-magnetization is conserved: H is block diagonal over bit count
     z = (0.0, 1.0, 2.5)
@@ -241,3 +258,14 @@ def test_pf_matrix_spectrum_and_trace_golden_digest():
     )
     assert out.stdout.strip() == "96ab0ee9df908d50b496f1aa416020e58414706d11232844078b9678a44d24bb"
 
+
+def test_pf_matrix_spectrum_memory_is_blockwise():
+    # the dense 2^12 x 2^12 matrix alone is 128 MiB; the blocks need a quarter
+    z = hermite_roots(SPIN_SITE_CAP)
+    tracemalloc.start()
+    try:
+        pf_matrix(z).eigenvalues()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, peak

@@ -401,7 +401,7 @@ def test_jump_reflects_like_reflect_and_keeps_off_support_bits(system):
     u[np.arange(len(chosen)), chosen] = 0.0
     u[:, k] = 0.5
     x_new, root_idx = sde_mod._apply_jumps(
-        x.T, roots.dots(x.T), np.ones((k, len(chosen))), np.ones(len(chosen)), u.T, roots
+        x.T, roots.dots(x.T), np.ones((k, len(chosen))), u.T, roots
     )
     assert root_idx.tolist() == chosen
     for row, r in enumerate(chosen):
