@@ -335,22 +335,9 @@ def pf_matrix(z: Sequence[float]) -> SpinChainMatrix:
     for i, v in enumerate(zs):
         if not math.isfinite(v):
             raise ValueError(f"site {i} position {v!r} is not finite")
-    weights = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            try:
-                w = 1.0 / (zs[i] - zs[j]) ** 2
-            except (OverflowError, ZeroDivisionError):
-                w = 0.0
-            if not 0.0 < w < math.inf:
-                raise ValueError(
-                    f"sites {i} and {j} at {zs[i]!r} and {zs[j]!r}: the weight "
-                    "1/(z_i - z_j)^2 is not a positive finite float"
-                )
-            weights[i, j] = w
     states = _popcount_states(n)
     # every block lives in one flat buffer; state b's row in its block starts
-    # at row[b], and b is column col[b] of its block
+    # at flat index row[b], and b is column col[b] of its block
     sizes = [s.size for s in states]
     starts = np.cumsum([0] + [m * m for m in sizes])
     row = np.empty(1 << n, dtype=np.int64)
@@ -362,13 +349,23 @@ def pf_matrix(z: Sequence[float]) -> SpinChainMatrix:
     b = np.arange(1 << n)
     bits = (b[:, None] >> np.arange(n)) & 1
     diag = np.zeros(1 << n)
-    for (i, j), w in weights.items():
-        same = bits[:, i] == bits[:, j]
-        # equal spins: P_ij fixes b; the diagonal sums w in pair order
-        diag[same] += w
-        # unequal spins: P_ij swaps them, one entry per state
-        flip = b[~same]
-        flat[row[flip ^ ((1 << i) | (1 << j))] + col[flip]] = w
+    for i in range(n):
+        for j in range(i + 1, n):
+            try:
+                w = 1.0 / (zs[i] - zs[j]) ** 2
+            except (OverflowError, ZeroDivisionError):
+                w = 0.0
+            if not 0.0 < w < math.inf:
+                raise ValueError(
+                    f"sites {i} and {j} at {zs[i]!r} and {zs[j]!r}: the weight "
+                    "1/(z_i - z_j)^2 is not a positive finite float"
+                )
+            same = bits[:, i] == bits[:, j]
+            # equal spins: P_ij fixes b; the diagonal sums w in pair order
+            diag[same] += w
+            # unequal spins: P_ij swaps them, one entry per state
+            flip = b[~same]
+            flat[row[flip ^ ((1 << i) | (1 << j))] + col[flip]] = w
     flat[row + col] = diag
     blocks = tuple(flat[lo:hi].reshape(m, m) for lo, hi, m in zip(starts, starts[1:], sizes))
     return SpinChainMatrix(positions=tuple(zs), blocks=blocks)

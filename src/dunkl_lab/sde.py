@@ -568,9 +568,9 @@ def _apply_jumps(x_prop, d_prop, hazard, u, roots: _LiveRoots):
 
     ``x_prop`` is (n, m), ``d_prop`` and ``hazard`` (each root's rate
     times the step) are (R, m) and ``u`` is (R + 1, m): one uniform per
-    root, then the one that selects among the roots that fired.  Selecting uniformly among the roots whose clocks
-    fired is equivalent in law to taking the first firing in a random root
-    order.  Returns the new states, ``x_prop`` itself when no clock fires,
+    root, then the one that selects among the roots that fired.  Selecting
+    uniformly among the roots whose clocks fired is equivalent in law to
+    taking the first firing in a random root order.  Returns the new states, ``x_prop`` itself when no clock fires,
     and the chosen live-root index per path (-1 for no jump).  A jump moves
     only the chosen root's support coordinates, so the others keep their
     bits (a -0.0 stays -0.0).
@@ -707,6 +707,9 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
             if config.jumps and n_roots:
                 u = streams.uniforms(aid).T
                 hazard = rates * h_try
+                # the rates are not read again this pass; freeing them keeps
+                # one (R, m) array, not two, alive into the next proposal
+                del rates
                 x_new, root_idx = _apply_jumps(x_prop, d_prop, hazard, u, roots)
                 if x_new is not x_prop:
                     # a reflected row's alpha . x is not its proposal's
