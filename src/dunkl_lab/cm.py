@@ -176,10 +176,28 @@ def groundstate_residual(params: CMParams, x: Sequence[Scalar]) -> float:
 
 
 def pair_gauge(x: Sequence[float]) -> tuple[list[float], float]:
-    """(grad W, Delta W) for W = |x|^2/2 - sum_{i<j} log|x_i - x_j|, in pair sums."""
+    """(grad W, Delta W) for W = |x|^2/2 - sum_{i<j} log|x_i - x_j|, in pair sums.
+
+    A coordinate that is not finite raises ValueError; a pair whose term
+    1/(x_i - x_j)^2 is not a positive finite float (the particles coincide
+    or nearly so, or lie so far apart that the square overflows) raises
+    HyperplaneError naming the pair.
+    """
     n = len(x)
-    if len(set(x)) < n:
-        raise HyperplaneError("two particles coincide")
+    for i, v in enumerate(x):
+        if not math.isfinite(v):
+            raise ValueError(f"coordinate {i} value {v!r} is not finite")
+    for i in range(n):
+        for j in range(i + 1, n):
+            try:
+                w = 1.0 / (x[i] - x[j]) ** 2
+            except (OverflowError, ZeroDivisionError):
+                w = math.inf
+            if not 0.0 < w < math.inf:
+                raise HyperplaneError(
+                    f"particles {i} and {j} at {x[i]!r} and {x[j]!r}: the pair term "
+                    "1/(x_i - x_j)^2 is not a positive finite float"
+                )
     grad = []
     for i in range(n):
         gi = x[i]
@@ -284,7 +302,7 @@ def _popcount_states(n: int) -> list[np.ndarray]:
     return [np.flatnonzero(pop == p) for p in range(n + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinChainMatrix:
     """Inverse-square exchange spin chain on N spin-1/2 sites, per S^z block.
 

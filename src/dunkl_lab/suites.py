@@ -4,7 +4,10 @@ Each suite samples generic points, evaluates one family of identities
 through code paths that are as independent as the package allows, and
 folds the residuals into IdentityReports.  Suites are pure functions of
 their seed, so two runs with the same seed give the same outcome; sizes
-and tolerances are fixed where each suite is defined.
+and tolerances are fixed where each suite is defined.  ``run_suites`` runs
+them in forked worker processes, one per usable CPU, and since each is a
+pure function of its seed the results, and every output byte, do not
+depend on the CPU count.
 
 One shell, ``_suite``, times every suite and applies the one pass rule,
 ``ok and worst <= tol``: ``ok`` carries the suite's exact checks and
@@ -19,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -514,9 +518,22 @@ SUITES = {
 }
 
 
+def _run_suite(name: str, seed: int) -> SuiteResult:
+    # looked up at call time, in the worker, so a patched entry carries over
+    return SUITES[name](seed=seed)
+
+
 def run_suites(names=None, seed: int = 0) -> list:
-    """Run the named suites (all of them by default) in order, after
-    checking every name, so an unknown one stops the run before any suite.
+    """Run the named suites (all of them by default) after checking every
+    name, so an unknown one stops the run before any suite or process starts.
+
+    The suites run in forked worker processes, one per usable CPU and at
+    most one per suite, each sent by name; with one CPU, one suite, or no
+    ``fork`` start method they run here.  Suites are pure functions of the
+    seed, so the results, and every output byte, do not depend on the CPU
+    count.  They come back in the given order; if several suites raise, the
+    earliest in that order is re-raised, as a serial loop would.  A worker
+    that dies raises ``BrokenProcessPool`` rather than waiting for it.
     """
     chosen = list(names or SUITES)
     unknown = [name for name in chosen if name not in SUITES]
@@ -524,4 +541,20 @@ def run_suites(names=None, seed: int = 0) -> list:
         raise ConfigError(
             f"unknown suite {', '.join(map(repr, unknown))}; known: {', '.join(SUITES)}"
         )
-    return [SUITES[name](seed=seed) for name in chosen]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(len(chosen), cpus)
+    if workers > 1:
+        # imported here so that importing the package does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # fork carries the loaded package, its caches and any patched
+            # SUITES entry; the executor forks before it starts any thread
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(_run_suite, chosen, [seed] * len(chosen)))
+    return [_run_suite(name, seed) for name in chosen]

@@ -21,11 +21,12 @@ from dunkl_lab.cm import (
     ground_energy_a_type,
     groundstate_residual,
     groundstate_value,
+    pair_gauge,
     pf_matrix,
     transformed_hamiltonian_check,
 )
 from dunkl_lab.dunkl import PolyFunction
-from dunkl_lab.errors import DimensionError
+from dunkl_lab.errors import DimensionError, HyperplaneError
 from dunkl_lab.polyx import MultiPoly, parse_poly
 from dunkl_lab.rootsys import build_root_system, sample_generic_point
 from dunkl_lab.sde import hermite_roots
@@ -177,6 +178,26 @@ def test_pf_matrix_rejects_bad_input():
 def test_pf_matrix_rejects_non_finite_sites_and_weights(z, names):
     with pytest.raises(ValueError, match=names):
         pf_matrix(z)
+
+
+@pytest.mark.parametrize(
+    "x, error, names",
+    [
+        ((math.nan, 1.0), ValueError, "coordinate 0 "),  # gave NaN
+        ((0.0, 1e-160), HyperplaneError, "particles 0 and 1 "),  # the square gave inf
+        ((0.0, 1e-170), HyperplaneError, "particles 0 and 1 "),  # ZeroDivisionError
+    ],
+)
+def test_pair_gauge_rejects_non_finite_coordinates_and_pair_terms(x, error, names):
+    with pytest.raises(error, match=names):
+        pair_gauge(x)
+
+
+def test_spin_chain_compares_and_hashes_by_identity():
+    a, b = pf_matrix((0.0, 1.0)), pf_matrix((0.0, 1.0))
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
 
 
 def test_pf_matrix_magnetization_commutes():

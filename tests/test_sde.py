@@ -758,12 +758,14 @@ def test_jacobi_roots_bit_identical_to_scipy_tridiagonal_solver():
 
 
 def test_package_import_loads_no_scipy():
+    # nor multiprocessing, which run_suites imports only when it forks workers
     src = os.path.dirname(os.path.dirname(dunkl_lab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import sys, dunkl_lab, dunkl_lab.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'multiprocessing')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
