@@ -62,6 +62,12 @@ class StepUnderflowError(DunklLabError):
         self.root = root
         self.dt = dt
 
+    def __reduce__(self):
+        # the default rebuilds from self.args, the message alone; a worker's
+        # error reaches the caller through pickle
+        return type(self), (self.args[0], self.time, self.path_index, self.state, self.root,
+                            self.dt)
+
 
 class ConfigError(DunklLabError):
     """Invalid run configuration (schema violation, bad flag values)."""

@@ -55,7 +55,10 @@ ensemble by construction (for its intensity, see Layout).  For the same reason `
 consecutive chunks of at most CHUNK path indices, which bounds the stream
 buffers and step temporaries by the chunk, not the ensemble, and changes
 no sampled bit; a StepUnderflowError then names the earliest stuck path of
-the first chunk that sticks.
+the first chunk that sticks.  The chunks are independent, so ``simulate``
+steps them in forked worker processes, one per usable CPU, and copies them
+back in chunk order; the chunk boundaries, and so every bit, do not depend
+on the CPU count.
 
 Layout.  The stepper is root-major: the state is (n, m), coordinates by
 paths, and every per-root array (alpha . x, drift terms, rates, crossings,
@@ -95,6 +98,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._forkmap import fork_map
 from .errors import (
     ConfigError,
     DimensionError,
@@ -747,14 +751,23 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     )
 
 
+def _run_chunk(config: SimConfig, lo: int, hi: int) -> EnsembleResult:
+    # looked up at call time, in the worker, so a patched _run carries over
+    return _run(config, range(lo, hi))
+
+
 def simulate(config: SimConfig) -> EnsembleResult:
     """Run the full ensemble and record states at the observation grid.
 
-    The loop runs over chunks of at most CHUNK path indices, each copied
+    The paths run in chunks of at most CHUNK indices, each copied in order
     into one result allocated up front, so memory beyond the result does
-    not grow with the ensemble and no sampled bit changes.  A
+    not grow with the ensemble and no sampled bit changes.  The chunks are
+    stepped in forked worker processes, one per usable CPU and at most one
+    per chunk, and in this process when there is one CPU, one chunk or no
+    ``fork``; a chunk's bits do not depend on where it runs.  A
     StepUnderflowError names the earliest stuck path of the first chunk
-    that sticks, not of the whole ensemble; that path still replays.
+    that sticks, not of the whole ensemble; that path still replays, and
+    chunks not started by then never start.
     """
     m = config.ensemble
     obs = np.asarray(config.observation_grid())
@@ -766,9 +779,9 @@ def simulate(config: SimConfig) -> EnsembleResult:
         steps=np.empty(m, dtype=np.int64),
         violations=np.empty(m, dtype=np.int64),
     )
-    for lo in range(0, m, CHUNK):
-        hi = min(lo + CHUNK, m)
-        part = _run(config, range(lo, hi))
+    bounds = [(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
+    parts = fork_map(_run_chunk, [(config, lo, hi) for lo, hi in bounds])
+    for (lo, hi), part in zip(bounds, parts):
         for name in ("states", "jump_counts", "intensity_integrals", "steps", "violations"):
             getattr(res, name)[lo:hi] = getattr(part, name)
     return res

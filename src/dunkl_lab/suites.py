@@ -22,13 +22,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._forkmap import fork_map
 from .cm import (
     CMParams,
     ground_energy,
@@ -532,8 +532,9 @@ def run_suites(names=None, seed: int = 0) -> list:
     ``fork`` start method they run here.  Suites are pure functions of the
     seed, so the results, and every output byte, do not depend on the CPU
     count.  They come back in the given order; if several suites raise, the
-    earliest in that order is re-raised, as a serial loop would.  A worker
-    that dies raises ``BrokenProcessPool`` rather than waiting for it.
+    earliest in that order is re-raised, as a serial loop would, and suites
+    not started by then never start.  A worker that dies raises
+    ``BrokenProcessPool`` rather than waiting for it.
     """
     chosen = list(names or SUITES)
     unknown = [name for name in chosen if name not in SUITES]
@@ -541,20 +542,4 @@ def run_suites(names=None, seed: int = 0) -> list:
         raise ConfigError(
             f"unknown suite {', '.join(map(repr, unknown))}; known: {', '.join(SUITES)}"
         )
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(len(chosen), cpus)
-    if workers > 1:
-        # imported here so that importing the package does not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            # fork carries the loaded package, its caches and any patched
-            # SUITES entry; the executor forks before it starts any thread
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(_run_suite, chosen, [seed] * len(chosen)))
-    return [_run_suite(name, seed) for name in chosen]
+    return list(fork_map(_run_suite, [(name, seed) for name in chosen]))

@@ -1,4 +1,7 @@
-"""Shared fixtures."""
+"""Shared fixtures, and the ``needs_fork`` mark."""
+
+import multiprocessing
+import os
 
 import pytest
 
@@ -23,3 +26,27 @@ def bounded_stepper(monkeypatch):
 
     monkeypatch.setattr(sde_mod, "_step_core", stepper)
     return calls
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "needs_fork: skip where multiprocessing has no fork start method"
+    )
+
+
+def pytest_runtest_setup(item):
+    if item.get_closest_marker("needs_fork") and (
+        "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        pytest.skip("no fork start method")
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """Return a function that sets how many CPUs the package's worker pool
+    sees: it reads the CPUs this process may use."""
+
+    def set_count(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return set_count

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ import pytest
 
 import dunkl_lab
 import dunkl_lab.sde as sde_mod
+from dunkl_lab.cli import main
 from dunkl_lab.errors import (
     ConfigError,
     HyperplaneError,
@@ -527,9 +529,15 @@ def test_chunked_run_matches_one_unchunked_run(monkeypatch):
         assert a.tobytes() == b.tobytes(), name
 
 
-def test_chunked_memory_stays_bounded(monkeypatch):
-    # ten chunks of 256 paths peak about where one chunk does
+ONE_AND_TWO_CPUS = [1, pytest.param(2, marks=pytest.mark.needs_fork)]
+
+
+@pytest.mark.parametrize("cpus", ONE_AND_TWO_CPUS)
+def test_chunked_memory_stays_bounded(monkeypatch, set_cpus, cpus):
+    # ten chunks of 256 paths peak about where one chunk does: stepped here
+    # at one CPU, and at two held here only as the workers' results
     monkeypatch.setattr(sde_mod, "CHUNK", 256)
+    set_cpus(cpus)
     simulate(_cfg(jumps=True, ensemble=256))
 
     def peak(ensemble):
@@ -542,6 +550,63 @@ def test_chunked_memory_stays_bounded(monkeypatch):
 
     small, large = peak(256), peak(2560)
     assert large <= 1.5 * small, (small, large)
+
+
+@pytest.mark.needs_fork
+def test_ensemble_bits_do_not_depend_on_cpu_count(monkeypatch, set_cpus):
+    # twelve live roots, where a path's intensity bits depend on which paths
+    # share its _run: the chunks of 7 stay the chunks at any worker count
+    monkeypatch.setattr(sde_mod, "CHUNK", 7)
+    cfg = SimConfig(system=build_root_system("D", 4, (Fraction(1, 2),)), x0=(0.3, 0.9, 1.6, 2.4),
+                    horizon=0.1, obs_times=(0.03,), ensemble=40, master_seed=5, jumps=True)
+    runs = []
+    for cpus in (1, 2, 4):
+        set_cpus(cpus)
+        runs.append(simulate(cfg))
+    assert runs[0].jump_counts.sum() > 0 and runs[0].violations.sum() > 0
+    for res in runs[1:]:
+        assert res.obs_times == runs[0].obs_times
+        for name in ("states", "jump_counts", "intensity_integrals", "steps", "violations"):
+            a, b = getattr(res, name), getattr(runs[0], name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.needs_fork
+def test_simulate_out_bytes_do_not_depend_on_cpu_count(monkeypatch, set_cpus, tmp_path, capsys):
+    monkeypatch.setattr(sde_mod, "CHUNK", 16)
+    for cpus in (1, 2):
+        set_cpus(cpus)
+        assert main(["simulate", "--family", "B", "--rank", "2", "--mults", "1,1",
+                     "--x0", "0.6,1.7", "--horizon", "0.05", "--ensemble", "50", "--seed", "3",
+                     "--jumps", "--out", str(tmp_path / f"run-{cpus}.json")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "run-1.json").read_bytes() == (tmp_path / "run-2.json").read_bytes()
+
+
+@pytest.mark.parametrize("cpus", ONE_AND_TWO_CPUS)
+def test_chunks_not_started_when_one_raises_never_run(monkeypatch, set_cpus, tmp_path, cpus):
+    # the first of twenty chunks raises at once and every other one takes
+    # 0.1 s; each chunk marks its start in a file, since a worker's state
+    # does not reach this process
+    real = sde_mod._run
+
+    def run(config, paths, record=None):
+        if paths[0] == 0:
+            raise HyperplaneError("the first chunk")
+        (tmp_path / f"chunk-{paths[0]}").touch()
+        time.sleep(0.1)
+        return real(config, paths, record)
+
+    monkeypatch.setattr(sde_mod, "_run", run)
+    monkeypatch.setattr(sde_mod, "CHUNK", 2)
+    set_cpus(cpus)
+    with pytest.raises(HyperplaneError, match="^the first chunk$"):
+        simulate(_cfg(ensemble=40))
+    # a serial loop starts none; two workers start what they held when the
+    # error came back, about one chunk each, and none of the queued rest
+    started = len(list(tmp_path.iterdir()))
+    assert started <= (0 if cpus == 1 else 9), started
 
 
 def test_replay_bypasses_public_simulate(monkeypatch):
@@ -637,9 +702,12 @@ def test_step_underflow_names_state_root_and_dt():
     assert replayed.value.dt == err.dt
 
 
-def test_chunked_step_underflow_names_a_replayable_path(monkeypatch):
-    # in chunks of 3, the report names a path of the first chunk that sticks
+@pytest.mark.parametrize("cpus", ONE_AND_TWO_CPUS)
+def test_chunked_step_underflow_names_a_replayable_path(monkeypatch, set_cpus, cpus):
+    # in chunks of 3, the report names a path of the first chunk that sticks,
+    # raised here at one CPU and sent back from a worker at two
     monkeypatch.setattr(sde_mod, "CHUNK", 3)
+    set_cpus(cpus)
     b2 = build_root_system("B", 2, (20.0, 0.01), scale="normalized")
     cfg = SimConfig(system=b2, x0=(0.5, 1.0), horizon=10.0, dt_base=0.2,
                     dt_floor_factor=1.0, ensemble=10, master_seed=0)
@@ -758,19 +826,26 @@ def test_jacobi_roots_bit_identical_to_scipy_tridiagonal_solver():
 
 
 def test_package_import_loads_no_scipy():
-    # nor multiprocessing, which run_suites imports only when it forks workers
+    # nor multiprocessing, which the worker pool imports only when it forks;
+    # one-chunk runs, such as a small freeze, never fork even at two CPUs
     src = os.path.dirname(os.path.dirname(dunkl_lab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = (
-        "import sys, dunkl_lab, dunkl_lab.cli\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] in ('scipy', 'multiprocessing')))"
+        "import os, sys, dunkl_lab, dunkl_lab.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in\n"
+        "                  ('scipy', 'multiprocessing', 'concurrent'))\n"
+        "print(loaded())\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "dunkl_lab.cli.main(['freeze', '--n', '3', '--k', '100', '--paths', '8', '--no-ode'])\n"
+        "print(loaded())\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]"), out.stdout
 
 
 # -- freezing ----------------------------------------------------------------

@@ -9,7 +9,6 @@ import dataclasses
 import functools
 import inspect
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -66,18 +65,9 @@ def test_suite_is_bound_under_its_own_name_with_only_a_seed(name):
     assert list(inspect.signature(fn).parameters) == ["seed"]
 
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
-)
-
-
-def _cpus(monkeypatch, n):
-    # the worker count reads the CPUs this process may use
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-@needs_fork
-def test_results_and_output_bytes_do_not_depend_on_cpu_count(monkeypatch, tmp_path, capsys):
+@pytest.mark.needs_fork
+def test_results_and_output_bytes_do_not_depend_on_cpu_count(monkeypatch, set_cpus, tmp_path,
+                                                             capsys):
     import dunkl_lab.cli as cli
 
     runs = []
@@ -90,7 +80,7 @@ def test_results_and_output_bytes_do_not_depend_on_cpu_count(monkeypatch, tmp_pa
     monkeypatch.setattr(cli, "run_suites", recorded)
     # four CPUs forks four workers on any machine; one CPU runs every suite here
     for cpus in (4, 1):
-        _cpus(monkeypatch, cpus)
+        set_cpus(cpus)
         out = tmp_path / f"verify-{cpus}.json"
         assert main(["verify", "--seed", "0", "--out", str(out)]) == 0
     assert (tmp_path / "verify-4.json").read_bytes() == (tmp_path / "verify-1.json").read_bytes()
@@ -101,8 +91,8 @@ def test_results_and_output_bytes_do_not_depend_on_cpu_count(monkeypatch, tmp_pa
     assert pooled == serial
 
 
-@needs_fork
-def test_earliest_failing_suite_is_reraised_from_the_workers(monkeypatch, capsys):
+@pytest.mark.needs_fork
+def test_earliest_failing_suite_is_reraised_from_the_workers(monkeypatch, set_cpus, capsys):
     def slow_failure(seed=0):
         time.sleep(0.3)
         raise HyperplaneError("first in order")
@@ -110,7 +100,7 @@ def test_earliest_failing_suite_is_reraised_from_the_workers(monkeypatch, capsys
     def fast_failure(seed=0):
         raise HyperplaneError("second in order")
 
-    _cpus(monkeypatch, 4)
+    set_cpus(4)
     monkeypatch.setitem(SUITES, "oscillator", slow_failure)
     monkeypatch.setitem(SUITES, "unconfined", fast_failure)
     names = ["oscillator", "unconfined", "corollary1"]
@@ -120,7 +110,7 @@ def test_earliest_failing_suite_is_reraised_from_the_workers(monkeypatch, capsys
     assert capsys.readouterr().err == "error: first in order\n"
 
 
-@needs_fork
+@pytest.mark.needs_fork
 def test_worker_that_dies_raises_instead_of_waiting():
     # in a child interpreter, so that a pool that waited for the lost suite
     # forever would fail on the timeout instead of holding up the tests
