@@ -13,12 +13,16 @@ from .cm import (
     SideBySide,
     SpinChainMatrix,
     cm_apply,
+    conjugation_sides,
     ground_energy,
     ground_energy_a_type,
     groundstate_residual,
     groundstate_value,
     pf_matrix,
     transformed_hamiltonian_check,
+    w_gradient,
+    w_laplacian,
+    w_value,
 )
 from .dunkl import (
     DunklContext,
@@ -99,9 +103,6 @@ from .transform import (
     theorem1_sides,
     triple_sum_check_a,
     unconfined_map_check,
-    w_gradient,
-    w_laplacian,
-    w_value,
 )
 
 __version__ = "0.1.0"

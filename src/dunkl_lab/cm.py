@@ -16,15 +16,17 @@ the gauge W(tau, x) = omega |x|^2/2 - sum_{R+} k log|alpha . x| + omega N tau,
 its x-gradient and its x-Laplacian, for any params with ``system`` and
 ``omega`` (``transform`` uses them too); W0 is W at tau = 0.
 
-For type A the operator is conjugate to the Dunkl heat-type operator: with
-W(x) = |x|^2/2 - sum_{i<j} log|x_i - x_j| and E = (k N + k^2 N(N-1))/2,
+On every root system the ground-state gauge conjugates H to the Dunkl
+heat-type operator (Delta_k = sum_i T_i^2, E = sum_j x_j d_j):
 
-    -e^{kW} (H - E) e^{-kW} p = [ 1/2 sum_i T_i^2 - k sum_j x_j d_j ] p.
+    -e^{W0} (H - E0) e^{-W0} p = [ 1/2 Delta_k - omega E ] p.
 
-``pair_gauge`` gives grad W and Delta W of that W in pair sums, with no root
-machinery, and ``transformed_hamiltonian_check`` evaluates both sides of the
-identity on an exact polynomial: the left via closed-form product-rule
-expansion, the right via the exact Dunkl operators.
+``conjugation_sides`` checks it on an exact polynomial: the left side is
+``cm_apply`` on p's gauged jet (``_GaugedJet``; W0 is reflection
+invariant), the right the exact Dunkl polynomial.  For p = 1 it is the
+ground-state relation (``groundstate_residual``).  ``pair_gauge`` is the
+type-A gauge in pair sums, with no root machinery, for the independent
+check in ``transform.corollary1_sides``.
 
 The frozen (k -> infinity) limit of the spin Calogero model on Hermite
 roots z_1..z_N is the inverse-square exchange spin chain
@@ -43,12 +45,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .dunkl import DunklContext, PointFunction, dunkl_laplacian_direct
+from .dunkl import DunklContext, PointFunction, PolyFunction, dunkl_laplacian_direct
 from .errors import DimensionError, ExactModeError, HyperplaneError
 from .polyx import MultiPoly
 from .rootsys import RootSystem, Scalar, build_root_system, dot, reflect
@@ -68,22 +69,38 @@ class CMParams:
             raise ValueError("omega must be nonnegative")
 
 
+def _live_dots(system: RootSystem, x: Sequence[Scalar]) -> list:
+    """alpha . x for each root of ``system.live_positive``, refusing a point
+    where the closed forms would divide by zero or read NaN: DimensionError
+    for a wrong length, ValueError for a coordinate that is not finite, and
+    HyperplaneError naming a root whose (alpha . x)^2 is 0."""
+    if len(x) != system.dimension:
+        raise DimensionError("point dimension mismatch")
+    for i, c in enumerate(x):
+        if isinstance(c, float) and not math.isfinite(c):
+            raise ValueError(f"coordinate {i} value {c!r} is not finite")
+    dots = []
+    for r in system.live_positive:
+        d = r.dot(x)
+        if d * d == 0:
+            root = ", ".join(map(str, r.vector))
+            raise HyperplaneError(f"(alpha . x)^2 is 0 for the root ({root})")
+        dots.append(d)
+    return dots
+
+
 def cm_apply(params: CMParams, f: PointFunction, x: Sequence[Scalar]) -> Scalar:
     """(H f)(x) with the exchange term acting by argument reflection.
 
     At an all-float point k and k |alpha|^2 are the root's cached floats.
     """
     system = params.system
-    if len(x) != system.dimension:
-        raise DimensionError("point dimension mismatch")
+    dots = _live_dots(system, x)
     floats = all(type(c) is float for c in x)
     fx = f.value(x)
     acc = -f.laplacian(x) / 2
-    for r in system.live_positive:
+    for r, d in zip(system.live_positive, dots):
         k, w = (r.fmultiplicity, r.fweight) if floats else (r.multiplicity, r.multiplicity * r.sq_norm)
-        d = r.dot(x)
-        if d == 0:
-            raise HyperplaneError("point lies on a reflecting hyperplane")
         acc = acc + w * (k * fx - f.value(reflect(r, x))) / (2 * d * d)
     if params.omega:
         acc = acc + (params.omega * params.omega) * sum(c * c for c in x) * fx / 2
@@ -124,11 +141,9 @@ def w_value(params, tau, x):
 
 def w_gradient(params, x):
     """grad_x W = omega x - sum_{R+} k alpha / (alpha . x)."""
+    dots = _live_dots(params.system, x)
     g = [params.omega * z for z in x]
-    for r in params.system.live_positive:
-        d = r.dot(x)
-        if d == 0:
-            raise HyperplaneError("point lies on a reflecting hyperplane")
+    for r, d in zip(params.system.live_positive, dots):
         for i, a in r.support:
             g[i] = g[i] - r.fmultiplicity * a / d
     return g
@@ -138,12 +153,31 @@ def w_laplacian(params, x):
     """Delta_x W = omega N + sum_{R+} k |alpha|^2 / (alpha . x)^2."""
     system = params.system
     acc = params.omega * system.dimension
-    for r in system.live_positive:
-        d = r.dot(x)
-        if d == 0:
-            raise HyperplaneError("point lies on a reflecting hyperplane")
+    for r, d in zip(system.live_positive, _live_dots(system, x)):
         acc = acc + r.fmultiplicity * r.fsq_norm / (d * d)
     return acc
+
+
+class _GaugedJet:
+    """e^{W(x)} e^{-W} U near one point x, read there by ``cm_apply`` and ``kfe_generator``.
+
+    W is reflection invariant, so the values are U's.  The gradient and the
+    Laplacian at x are grad U - U grad W and
+    Delta U - 2 grad W . grad U + (|grad W|^2 - Delta W) U.
+    """
+
+    def __init__(self, params, x, value, u0, grad_u, lap_u):
+        g = w_gradient(params, x)
+        quad = sum(gi * gi for gi in g) - w_laplacian(params, x)
+        self.value = value
+        self.grad = [du - u0 * gi for du, gi in zip(grad_u, g)]
+        self.lap = lap_u - 2 * sum(gi * du for gi, du in zip(g, grad_u)) + quad * u0
+
+    def gradient(self, x):
+        return self.grad
+
+    def laplacian(self, x):
+        return self.lap
 
 
 def groundstate_value(params: CMParams, x: Sequence[Scalar]) -> float:
@@ -154,25 +188,13 @@ def groundstate_value(params: CMParams, x: Sequence[Scalar]) -> float:
 def groundstate_residual(params: CMParams, x: Sequence[Scalar]) -> float:
     """(H - E0) Phi0 evaluated at x, with Phi0's derivatives in closed form.
 
-    Phi0(x) = exp(-W0) with W0 = omega |x|^2/2 - (1/2) log w_k.  The
-    conjugated value (H Phi0)/Phi0 is assembled from grad W0 and
-    Delta W0 without invoking any summation identity, then scaled by Phi0.
+    (H Phi0)/Phi0 is ``cm_apply`` on the gauged jet of the constant 1, then
+    scaled by Phi0.
     """
-    omega = float(params.omega)
     xs = [float(c) for c in x]
-    grad_w0 = w_gradient(params, xs)
-    lap_w0 = w_laplacian(params, xs)
-    # Phi0 is reflection invariant, so the exchange term contributes
-    # k(k-1) per root.
-    exchange = 0.0
-    for r in params.system.live_positive:
-        k = r.fmultiplicity
-        d = r.dot(xs)
-        exchange += (r.fsq_norm / 2) * k * (k - 1) / (d * d)
-    sq_grad = sum(g * g for g in grad_w0)
-    ratio = -0.5 * (sq_grad - lap_w0) + exchange + omega * omega * sum(c * c for c in xs) / 2
+    jet = _GaugedJet(params, xs, lambda z: 1.0, 1.0, [0.0] * len(xs), 0.0)
     e0 = float(ground_energy(params))
-    return (ratio - e0) * groundstate_value(params, xs)
+    return (cm_apply(params, jet, xs) - e0) * groundstate_value(params, xs)
 
 
 def pair_gauge(x: Sequence[float]) -> tuple[list[float], float]:
@@ -214,7 +236,7 @@ def pair_gauge(x: Sequence[float]) -> tuple[list[float], float]:
 
 
 # ---------------------------------------------------------------------------
-# type-A transformed Hamiltonian
+# the ground-state conjugation
 
 
 @dataclass(frozen=True)
@@ -233,62 +255,48 @@ class SideBySide:
         return max(abs(self.lhs), abs(self.rhs), 1.0)
 
 
+def conjugation_sides(
+    params: CMParams, p: MultiPoly, points: Sequence[Sequence[float]]
+) -> list[SideBySide]:
+    """Both sides of -e^{W0}(H - E0)e^{-W0} p = (1/2 Delta_k - omega E) p at each point.
+
+    Left: E0 p(x) - ``cm_apply`` on p's gauged jet.  Right: the exact
+    polynomial, built once per call; it needs an exact system with rational
+    multiplicities (else ExactModeError), and takes omega exactly.
+    """
+    n = params.system.dimension
+    # the Dunkl Laplacian first: it refuses a p in the wrong variable count
+    lap_k = dunkl_laplacian_direct(DunklContext(params.system), p)
+    euler = MultiPoly.zero(n)
+    for j in range(n):
+        euler = euler + MultiPoly.variable(n, j) * p.partial_derivative(j)
+    rhs = Fraction(1, 2) * lap_k - Fraction(params.omega) * euler
+    fn = PolyFunction(p)
+    e0 = float(ground_energy(params))
+    sides = []
+    for x in points:
+        xs = [float(c) for c in x]
+        u0 = fn.value(xs)
+        jet = _GaugedJet(params, xs, fn.value, u0, fn.gradient(xs), fn.laplacian(xs))
+        lhs = e0 * u0 - cm_apply(params, jet, xs)
+        sides.append(SideBySide(lhs=lhs, rhs=float(rhs.eval(xs))))
+    return sides
+
+
 def transformed_hamiltonian_check(
     n_particles: int, k: Scalar, p: MultiPoly, x: Sequence[float]
 ) -> SideBySide:
-    """Both sides of the type-A conjugation identity at a point.
-
-    Left side: -e^{kW}(H - E) e^{-kW} p expanded by the product rule with
-    W = |x|^2/2 - sum_{i<j} log|x_i - x_j|.  Right side: the exact
-    polynomial (1/2 sum T_i^2 - k sum x_j d_j) p evaluated at x.  Needs
-    rational k so that the right side stays exact.
+    """``conjugation_sides`` at one point on A_{N-1} with multiplicity k and
+    omega = k.  Needs rational k so that the right side stays exact.
     """
-    n = n_particles
-    if n < 2:
+    if n_particles < 2:
         raise DimensionError("need at least two particles")
-    if p.nvars != n:
-        raise DimensionError("polynomial variables must match the particle count")
     if isinstance(k, float):
         k = Fraction(k)
         if k.denominator > 10**6:
             raise ExactModeError("k must be rational for the exact right-hand side")
-    kf = float(k)
-    xs = [float(c) for c in x]
-
-    # left side, closed forms
-    pf = p.eval(xs)
-    grad = [g.eval(xs) for g in p.gradient()]
-    lap = p.laplacian().eval(xs)
-    gw, lap_w = pair_gauge(xs)
-    sq_gw = sum(g * g for g in gw)
-    exch = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            sx = list(xs)
-            sx[i], sx[j] = sx[j], sx[i]
-            exch += kf * (kf * pf - p.eval(sx)) / (xs[i] - xs[j]) ** 2
-    energy = float(ground_energy_a_type(n, Fraction(k)))
-    lhs = (
-        0.5 * (lap - 2 * kf * sum(a * b for a, b in zip(gw, grad)) + (kf * kf * sq_gw - kf * lap_w) * pf)
-        - exch
-        - (kf * kf / 2) * sum(c * c for c in xs) * pf
-        + energy * pf
-    )
-
-    # right side, exact polynomial then float evaluation
-    rhs = float(_conjugated_rhs(n, Fraction(k), tuple(p.terms.items())).eval(xs))
-    return SideBySide(lhs=lhs, rhs=rhs)
-
-
-@lru_cache(maxsize=256)
-def _conjugated_rhs(n: int, k: Fraction, terms: tuple) -> MultiPoly:
-    """(1/2 sum T_i^2 - k sum x_j d_j) p, exactly, built once per (n, k, p)."""
-    p = MultiPoly(n, dict(terms))
-    ctx = DunklContext(build_root_system("A", n - 1, [k]))
-    euler = MultiPoly.zero(n)
-    for j in range(n):
-        euler = euler + MultiPoly.variable(n, j) * p.partial_derivative(j)
-    return Fraction(1, 2) * dunkl_laplacian_direct(ctx, p) - k * euler
+    params = CMParams(build_root_system("A", n_particles - 1, [k]), omega=k)
+    return conjugation_sides(params, p, [x])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ as read from the same table; all of it is elementwise (no matmul), so a
 path's arithmetic does not depend on the batch size or on whether the
 paths are addressed by a slice or an index array, and a replayed path's
 states are bitwise identical to the same path inside a vectorized
-ensemble by construction (for its intensity, see Layout).  For the same reason ``simulate`` runs the loop over
+ensemble by construction.  For the same reason ``simulate`` runs the loop over
 consecutive chunks of at most CHUNK path indices, which bounds the stream
 buffers and step temporaries by the chunk, not the ensemble, and changes
 no sampled bit; a StepUnderflowError then names the earliest stuck path of
@@ -65,19 +65,17 @@ paths, and every per-root array (alpha . x, drift terms, rates, crossings,
 the jump mask) is (R, m), roots by paths, so every numpy inner loop runs
 over paths and every reduction over roots is along axis 0.  The streams
 keep their (rows, width) buffers and are read through ``.T``.  The only
-float reduction over roots is the recorded intensity: summed along axis 0
-of a path-contiguous (R, m) array, it adds the roots one row at a time in
-root order, the order the golden digests pin.  numpy sums a
-root-contiguous array pairwise instead once it has 8 or more roots, and
-the one-path array of a replay and the columns gathered after a rejection
-are root-contiguous, so there a replayed path's intensity can differ from
-its ensemble row in the last bits.  The loop carries the (R, m) alpha . x
-across steps: an accepted row takes its proposal's, a reflected row gets
-fresh dots of its new state and a rejected row keeps its own, so every
-proposal starts from exactly ``dots(x)`` without recomputing it.  The
-carried array must stay C-contiguous, so the active columns are read from
-it with ``take``: ``d[:, idx]`` would return them root-contiguous, and the
-intensity of the rates derived from them would be summed pairwise.
+float reduction over roots is the recorded intensity, which adds the roots
+one row at a time in root order by an explicit loop: ``sum(axis=0)`` would
+do so only on a path-contiguous array, and sums a root-contiguous one (a
+replay's one path, the columns gathered after a rejection) pairwise once
+it has 8 or more roots, so a path's bits would depend on its batch.  The
+loop carries the (R, m) alpha . x across steps: an accepted row takes its
+proposal's, a reflected row gets fresh dots of its new state and a
+rejected row keeps its own, so every proposal starts from exactly
+``dots(x)`` without recomputing it.  The carried array stays C-contiguous:
+the active columns are read from it with ``take``, where ``d[:, idx]``
+would return them root-contiguous.
 
 The freezing experiment scales X_t by sqrt(2 k t) and compares against the
 roots of the N-th Hermite polynomial; the zero-noise flow is also exposed
@@ -524,8 +522,8 @@ def _step_core(x, d_pre, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfi
     or lands on, the proposals' (R, m) alpha . x and the (R, m) jump rates
     at x (None without jumps).  Every per-root array is root-major, so each
     numpy inner loop runs over paths, and every reduction over roots is
-    along axis 0; the caller sums the rates' intensity that way too, in
-    root order (see the module's Layout note).
+    along axis 0; the caller sums the rates' intensity in root order (see
+    the module's Layout note).
 
     The proposal step is min(h_state, ceiling), where the ceiling applies
     dt_base, the time left to the next observation, and the adaptive drift
@@ -720,8 +718,12 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
                     x_prop, jumped = x_new, root_idx >= 0
                     d_prop[:, jumped] = roots.dots(x_prop[:, jumped])
                     jump_counts[_members(aid, jumped)] += 1
-                # along axis 0, one root at a time in root order (see Layout)
-                intensity[aid] += np.minimum(hazard, 1.0).sum(axis=0)
+                # one root at a time in root order, whatever the layout
+                capped = np.minimum(hazard, 1.0)
+                total = capped[0].copy()
+                for row in capped[1:]:
+                    total += row
+                intensity[aid] += total
             t_new = np.where(h_try >= t_rem, target, ta + h_try)
             h_new = np.minimum(2.0 * h_try, config.dt_base)
             if isinstance(aid, slice):

@@ -31,10 +31,10 @@ from typing import NamedTuple
 from ._forkmap import fork_map
 from .cm import (
     CMParams,
+    conjugation_sides,
     ground_energy,
     groundstate_residual,
     groundstate_value,
-    transformed_hamiltonian_check,
 )
 from .dunkl import DunklContext, PolyFunction, commutator
 from .errors import ConfigError
@@ -380,29 +380,28 @@ def _monomials_up_to(nvars: int, degree: int):
 
 @_suite("transformed-hamiltonian", tol=1e-8)
 def suite_transformed_hamiltonian(seed: int = 0):
-    """Type-A conjugation identity on every monomial of degree <= 4, plus
+    """Ground-state conjugation identity on every monomial of degree <= 4
+    (A1 and A2 at omega = k in {1, 2}; B2 at k = (1, 2), omega = 1/2), plus
     exact commutativity of the deformed directional derivatives.
     """
     notes = []
     ok = True
     reports = []
-    for n in (2, 3):
+    a_info = {"k": [1, 2], "max_degree": 4}
+    cases = (
+        ("A1", [CMParams(build_root_system("A", 1, [k]), omega=k) for k in (1, 2)], a_info),
+        ("A2", [CMParams(build_root_system("A", 2, [k]), omega=k) for k in (1, 2)], a_info),
+        ("B2", [CMParams(build_root_system("B", 2, (1, 2)), omega=Fraction(1, 2))],
+         {"multiplicities": ["1", "2"], "omega": "1/2", "max_degree": 4}),
+    )
+    for family, cm_params, info in cases:
+        n = cm_params[0].system.dimension
+        pts = [_float_point(cm_params[0].system, seed=seed * 53 + j + n) for j in range(5)]
         samples = []
-        system = build_root_system("A", n - 1, [1])
-        pts = [_float_point(system, seed=seed * 53 + j + n) for j in range(5)]
-        for k in (1, 2):
+        for params in cm_params:
             for mono in _monomials_up_to(n, 4):
-                for pt in pts:
-                    side = transformed_hamiltonian_check(n, Fraction(k), mono, pt)
-                    samples.append((pt, side))
-        reports.append(
-            report_from_samples(
-                "conjugated-hamiltonian",
-                f"A{n - 1}",
-                {"k": [1, 2], "max_degree": 4},
-                samples,
-            )
-        )
+                samples.extend(zip(pts, conjugation_sides(params, mono, pts)))
+        reports.append(report_from_samples("conjugated-hamiltonian", family, info, samples))
     rng = random.Random(seed + 5)
     for family, rank, mults in (
         ("A", 2, (Fraction(3, 2),)),

@@ -27,9 +27,10 @@ Both sides are assembled from U and its derivatives; the common exp(-W)
 factor is cancelled analytically, so the check stays well conditioned for
 any multiplicity: L is ``dunkl.kfe_generator``, and e^W L u at a point is
 L applied to e^{W(point)} u, whose jet there comes from those of U and W
-(``_GaugedJet``).  The closed forms ``w_gradient`` and ``w_laplacian`` are
-validated independently in ``similarity_identities_check``, against
-complex-step differentiation of the literal exponential of ``w_value``.
+(``cm._GaugedJet``, the jet with which ``cm`` conjugates H too).  The
+closed forms ``w_gradient`` and ``w_laplacian`` are validated
+independently in ``similarity_identities_check``, against complex-step
+differentiation of the literal exponential of ``w_value``.
 
 The type-A specialization at omega = k (``corollary1_sides``) is written
 as a separate code path in particle coordinates, with all root sums
@@ -50,11 +51,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cm import (
-    CMParams, SideBySide, cm_apply, ground_energy, ground_energy_a_type, pair_gauge,
-    w_gradient, w_laplacian, w_value,
+    CMParams, SideBySide, _GaugedJet, _live_dots, cm_apply, ground_energy,
+    ground_energy_a_type, pair_gauge, w_gradient, w_value,
 )
 from .dunkl import DunklContext, PointFunction, PolyFunction, kfe_generator
-from .errors import DimensionError, HyperplaneError
+from .errors import DimensionError
 from .polyx import MultiPoly
 from .rootsys import RootSystem, Scalar, dot
 
@@ -164,10 +165,7 @@ def lemma2_check(system: RootSystem, x: Sequence[Scalar]):
     With Fraction inputs on an exact system both sides are exact rationals.
     The numerators do not depend on x and come from the system's cache.
     """
-    live = system.live_positive
-    inv = [r.dot(x) for r in live]
-    if any(d == 0 for d in inv):
-        raise HyperplaneError("point lies on a reflecting hyperplane")
+    inv = _live_dots(system, x)
     if all(type(c) is float for c in x):
         pairs, diag = system.float_pair_products
     else:
@@ -277,28 +275,6 @@ def similarity_identities_check(
 
 # ---------------------------------------------------------------------------
 # the main pointwise identity
-
-
-class _GaugedJet:
-    """e^{W(x)} e^{-W} U near one point x, for ``kfe_generator`` to read there.
-
-    W is reflection invariant, so the values are U's.  The gradient and the
-    Laplacian at x are grad U - U grad W and
-    Delta U - 2 grad W . grad U + (|grad W|^2 - Delta W) U.
-    """
-
-    def __init__(self, params, x, value, u0, grad_u, lap_u):
-        g = w_gradient(params, x)
-        quad = sum(gi * gi for gi in g) - w_laplacian(params, x)
-        self.value = value
-        self.grad = [du - u0 * gi for du, gi in zip(grad_u, g)]
-        self.lap = lap_u - 2 * sum(gi * du for gi, du in zip(g, grad_u)) + quad * u0
-
-    def gradient(self, x):
-        return self.grad
-
-    def laplacian(self, x):
-        return self.lap
 
 
 def theorem1_sides(

@@ -37,15 +37,23 @@ def test_verify_subset_exit_zero(tmp_path, capsys):
     "args, expected",
     [
         (
-            ["verify", "lemma1", "lemma2", "transformed-hamiltonian", "--seed", "0"],
-            "c254582f7f4938f06b2bf243daf0a75e32a279262b2675df493ec2a3f42fbe67",
+            ["verify", "lemma1", "--seed", "0"],
+            "8926a0d1010aa31dc35c1ace2fd54a240a8dc45e77ad338f193f9fa645bd5619",
+        ),
+        (
+            ["verify", "lemma2", "--seed", "0"],
+            "9a9c3ffbbc8efb6e1ca559ffbccfa77447cc124a679d32a7903bc56f110311d4",
+        ),
+        (
+            ["verify", "transformed-hamiltonian", "--seed", "0"],
+            "8d384822d2591249b079ee5db92d43069aedf0042a1a6fa47f96eefb5ef7e7a5",
         ),
         (
             ["verify", "unconfined", "--seed", "0"],
             "06d0cb47a9807629e1bc8e5d8f8d3a89c953233cd787bf31b8aeb1dcc33b5ea7",
         ),
     ],
-    ids=["lemmas-transformed-hamiltonian", "unconfined"],
+    ids=["lemma1", "lemma2", "transformed-hamiltonian", "unconfined"],
 )
 def test_verify_exact_suites_golden_digest(args, expected, tmp_path, capsys):
     # sha256 of the --out bytes of suites whose float work is + - * / and

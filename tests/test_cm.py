@@ -17,6 +17,7 @@ from dunkl_lab.cm import (
     CMParams,
     SPIN_SITE_CAP,
     cm_apply,
+    conjugation_sides,
     ground_energy,
     ground_energy_a_type,
     groundstate_residual,
@@ -26,7 +27,7 @@ from dunkl_lab.cm import (
     transformed_hamiltonian_check,
 )
 from dunkl_lab.dunkl import PolyFunction
-from dunkl_lab.errors import DimensionError, HyperplaneError
+from dunkl_lab.errors import DimensionError, ExactModeError, HyperplaneError
 from dunkl_lab.polyx import MultiPoly, parse_poly
 from dunkl_lab.rootsys import build_root_system, sample_generic_point
 from dunkl_lab.sde import hermite_roots
@@ -116,6 +117,35 @@ def test_transformed_hamiltonian_n3():
     p = parse_poly("x1^2 x3 - 2 x2", nvars=3)
     pair = transformed_hamiltonian_check(3, 2, p, (0.9, -0.4, 1.7))
     assert abs(pair.residual) < 1e-10 * pair.scale
+
+
+@pytest.mark.parametrize("family,rank,mults", [
+    ("B", 3, (Fraction(1), Fraction(2))),
+    ("D", 4, (Fraction(1, 2),)),
+])
+def test_conjugation_sides_beyond_type_a(family, rank, mults):
+    # -e^{W0}(H - E0)e^{-W0} p = (1/2 Delta_k - omega E) p on every monomial
+    # of degree <= 3, at omega off and on the type-A choice omega = k
+    system = build_root_system(family, rank, mults)
+    points = [tuple(float(c) for c in sample_generic_point(system, seed=s, min_distance=0.1))
+              for s in range(3)]
+    for omega in (Fraction(1, 2), Fraction(2)):
+        params = CMParams(system, omega=omega)
+        for exps in itertools.product(range(4), repeat=system.dimension):
+            if sum(exps) <= 3:
+                mono = MultiPoly(system.dimension, {exps: Fraction(1)})
+                for pair in conjugation_sides(params, mono, points):
+                    assert abs(pair.residual) <= 1e-10 * pair.scale, (omega, exps)
+
+
+@pytest.mark.parametrize("system", [
+    build_root_system("A", 2, (0.5,)),
+    build_root_system("I2", 5, (1,), scale="normalized"),
+], ids=["float-multiplicity", "I2(5)-normalized"])
+def test_conjugation_sides_need_an_exact_system(system):
+    n = system.dimension
+    with pytest.raises(ExactModeError):
+        conjugation_sides(CMParams(system, omega=1), MultiPoly.variable(n, 0), [(0.3, 1.1, 2.0)[:n]])
 
 
 def test_side_by_side_scale_floor():

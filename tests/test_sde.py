@@ -292,11 +292,22 @@ def test_bitwise_determinism():
     assert not np.array_equal(res1.states, res3.states)
 
 
+# jumping D4: twelve live roots, so a path's intensity sum has enough terms
+# for numpy's pairwise summation to reorder it; rows differ in their
+# rejection steps, which gather root-contiguous columns
+D4_JUMPS = dict(system=build_root_system("D", 4, (Fraction(1, 2),)), x0=(0.3, 0.9, 1.6, 2.4),
+                horizon=0.1, obs_times=(0.03,), master_seed=5, jumps=True)
+ENSEMBLE_ARRAYS = ("states", "jump_counts", "intensity_integrals", "steps", "violations")
+
+
 def test_paths_are_independent_of_ensemble_size():
     # per-path streams: path i is the same no matter how many run alongside
-    small = simulate(_cfg(ensemble=3))
-    large = simulate(_cfg(ensemble=8))
-    assert np.array_equal(small.states, large.states[:3])
+    for kw, few, many in ((dict(), 3, 8), (D4_JUMPS, 60, 300)):
+        small = simulate(_cfg(**kw, ensemble=few))
+        large = simulate(_cfg(**kw, ensemble=many))
+        for name in ENSEMBLE_ARRAYS:
+            a, b = getattr(small, name), getattr(large, name)[:few]
+            assert a.tobytes() == b.tobytes(), (kw, name)
 
 
 G2_VECTORS = [
@@ -358,20 +369,23 @@ def test_support_table_dots_match_dense_row_sums(family, rank, mults, scale):
 
 
 @pytest.mark.parametrize(
-    "system,x0,jumps",
+    "kw,rows",
     [
-        (B2, B2_X0, False),
-        (B2, B2_X0, True),
+        (dict(system=B2, x0=B2_X0, jumps=False), (0, 5, 7)),
+        (dict(system=B2, x0=B2_X0, jumps=True), (0, 5, 7)),
         # three-coordinate supports, and a padded slot on a root's own coordinate
-        (make_system_from_vectors(G2_VECTORS, 1), (0.3, -1.1, 0.9), True),
-        (build_root_system("I2", 5, (1.0,), scale="normalized"), B2_X0, True),
+        (dict(system=make_system_from_vectors(G2_VECTORS, 1), x0=(0.3, -1.1, 0.9), jumps=True),
+         (0, 5, 7)),
+        (dict(system=build_root_system("I2", 5, (1.0,), scale="normalized"), x0=B2_X0, jumps=True),
+         (0, 5, 7)),
+        (dict(D4_JUMPS, ensemble=60), (4, 10, 14, 19, 28, 34, 42, 52)),
     ],
-    ids=["False", "True", "G2-jumps", "I2(5)-jumps"],
+    ids=["False", "True", "G2-jumps", "I2(5)-jumps", "D4-jumps"],
 )
-def test_replay_matches_ensemble(system, x0, jumps):
-    cfg = _cfg(system=system, x0=x0, jumps=jumps, obs_times=(0.05, 0.2))
+def test_replay_matches_ensemble(kw, rows):
+    cfg = _cfg(**{"obs_times": (0.05, 0.2), **kw})
     res = simulate(cfg)
-    for i in (0, 5, 7):
+    for i in rows:
         traj = replay_path(cfg, i)
         assert traj.path_index == i
         obs_idx = [np.argmin(np.abs(np.array(traj.times) - t)) for t in res.obs_times]
@@ -414,19 +428,18 @@ def test_jump_reflects_like_reflect_and_keeps_off_support_bits(system):
 def test_twelve_root_ensemble_arrays_golden_digest():
     # sha256 of every per-path array of a jumping D4 ensemble: the CLI's
     # --out holds only the intensity total, so this is what pins the order
-    # of each path's intensity sum over its twelve roots, which numpy's
-    # pairwise summation changes from eight summands on
+    # of each path's intensity sum over its twelve roots, one root at a time
     cfg = SimConfig(system=build_root_system("D", 4, (Fraction(1, 2),)), x0=(0.3, 0.9, 1.6, 2.4),
                     horizon=0.1, obs_times=(0.03,), ensemble=300, master_seed=5, jumps=True)
     res = simulate(cfg)
     digest = hashlib.sha256()
     for a in (res.states, res.jump_counts, res.intensity_integrals, res.steps, res.violations):
         digest.update(np.ascontiguousarray(a).tobytes())
-    assert digest.hexdigest() == "d0175dbd93e8801b343d4cfc6ecbcdc35bf2852cfe9d5f760a1a190fc1f51d13"
+    assert digest.hexdigest() == "627655e953b1d165abbba4eb9047fca8c520ee31872c68a2c6a2a51f2b538750"
 
 
 ONE_PATH_CASES = {
-    # twelve live roots, two jumps: the one-path intensity is summed pairwise
+    # twelve live roots, two jumps
     "D4-jumps": (SimConfig(system=build_root_system("D", 4, (Fraction(1, 2),)), x0=(0.3, 0.9, 1.6, 2.4),
                            horizon=0.1, obs_times=(0.03,), ensemble=300, master_seed=5, jumps=True),
                  1, "bab5f8f4dd9bb4bd55dee609cf2022269d7c925b906b7e6dbba1c304aab667a7"),
@@ -523,10 +536,18 @@ def test_chunked_run_matches_one_unchunked_run(monkeypatch):
     assert chunked.violations.sum() > 0 and chunked.jump_counts.sum() > 0
     assert len(set(chunked.steps.tolist())) > 1
     assert chunked.obs_times == whole.obs_times
-    for name in ("states", "jump_counts", "intensity_integrals", "steps", "violations"):
+    for name in ENSEMBLE_ARRAYS:
         a, b = getattr(chunked, name), getattr(whole, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+    # twelve live roots: every array is the same at two chunk sizes
+    cfg = _cfg(**D4_JUMPS, ensemble=200)
+    runs = []
+    for chunk in (7, 64):
+        monkeypatch.setattr(sde_mod, "CHUNK", chunk)
+        runs.append(simulate(cfg))
+    for name in ENSEMBLE_ARRAYS:
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
 
 
 ONE_AND_TWO_CPUS = [1, pytest.param(2, marks=pytest.mark.needs_fork)]

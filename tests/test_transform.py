@@ -192,28 +192,39 @@ def test_unconfined_map():
 
 _A2 = build_root_system("A", 2, (1,))
 _ON_WALL = (1.0, 1.0, 0.5)
+_WALL_CHECKS = {
+    "cm_apply": lambda x: cm_apply(CMParams(_A2, omega=1), PolyFunction(parse_poly("x1", nvars=3)), x),
+    "groundstate_residual": lambda x: groundstate_residual(CMParams(_A2, omega=1), x),
+    "groundstate_value": lambda x: groundstate_value(CMParams(_A2, omega=1), x),
+    "theorem1_sides": lambda x: theorem1_sides(TransformParams(_A2), _fn("x1 x2", 3), 0.1, x),
+    "corollary1_sides": lambda x: corollary1_sides(3, 1.0, _fn("x1 x2", 3), 0.1, x),
+    "transformed_hamiltonian_check":
+        lambda x: transformed_hamiltonian_check(3, 1, parse_poly("x1 x2", nvars=3), x),
+    "unconfined_map_check":
+        lambda x: unconfined_map_check(_A2, PolyFunction(parse_poly("x1", nvars=3)), x),
+    "w_laplacian": lambda x: w_laplacian(CMParams(_A2, omega=1), x),
+    "lemma2_check": lambda x: lemma2_check(_A2, x),
+}
+# x1 = x2 lies on the hyperplane of e1 - e2; at x1 - x2 = 1e-170 the square
+# underflows to 0; a NaN coordinate would make every closed form NaN.
+# groundstate_value never divides, so only the wall point applies to it
+_WALL_CASES = [pytest.param(name, _ON_WALL, HyperplaneError, id=name) for name in _WALL_CHECKS] + [
+    pytest.param(name, x, error, id=f"{name}-{label}")
+    for name in _WALL_CHECKS
+    if name != "groundstate_value"
+    for label, x, error in (
+        ("underflow", (1e-170, 0.0, 1.0), HyperplaneError),
+        ("nan", (math.nan, 0.0, 1.0), ValueError),
+    )
+]
 
 
-@pytest.mark.parametrize(
-    "check",
-    [
-        lambda: cm_apply(CMParams(_A2, omega=1), PolyFunction(parse_poly("x1", nvars=3)), _ON_WALL),
-        lambda: groundstate_residual(CMParams(_A2, omega=1), _ON_WALL),
-        lambda: groundstate_value(CMParams(_A2, omega=1), _ON_WALL),
-        lambda: theorem1_sides(TransformParams(_A2), _fn("x1 x2", 3), 0.1, _ON_WALL),
-        lambda: corollary1_sides(3, 1.0, _fn("x1 x2", 3), 0.1, _ON_WALL),
-        lambda: transformed_hamiltonian_check(3, 1, parse_poly("x1 x2", nvars=3), _ON_WALL),
-        lambda: unconfined_map_check(_A2, PolyFunction(parse_poly("x1", nvars=3)), _ON_WALL),
-        lambda: w_laplacian(CMParams(_A2, omega=1), _ON_WALL),
-    ],
-    ids=["cm_apply", "groundstate_residual", "groundstate_value", "theorem1_sides",
-         "corollary1_sides", "transformed_hamiltonian_check", "unconfined_map_check",
-         "w_laplacian"],
-)
-def test_gauge_closed_forms_reject_a_wall_point(check):
-    # x1 = x2 lies on the hyperplane of e1 - e2: every closed form says so
-    with pytest.raises(HyperplaneError):
-        check()
+@pytest.mark.parametrize("name, x, error", _WALL_CASES)
+def test_gauge_closed_forms_reject_a_wall_point(name, x, error):
+    # every closed form refuses the point by raising, not with a bare
+    # ZeroDivisionError or a NaN
+    with pytest.raises(error):
+        _WALL_CHECKS[name](x)
 
 
 @pytest.mark.parametrize(
