@@ -9,7 +9,8 @@ Flags are merged over the subcommand's section of an optional JSON file
 (--config; its top-level ``seed`` fills in a missing seed), flags win, and
 the result is validated once against the bundled schema before any work
 starts; the file's other sections are checked for bad keys but need not be
-complete.  Options left out take the library's defaults.  All file outputs
+complete.  The check is an in-package draft-07 walker over exactly the
+keywords the schema uses, with jsonschema's error order and messages.  Options left out take the library's defaults.  All file outputs
 are deterministic byte-for-byte for a fixed configuration: keys are sorted
 and floats are written with shortest round-trip precision.
 
@@ -24,12 +25,12 @@ import dataclasses
 import inspect
 import json
 import math
+import operator
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-
-import jsonschema
 
 from .errors import ConfigError, DunklLabError, StepUnderflowError
 from .rootsys import build_root_system, natural_scale
@@ -55,28 +56,168 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _finite_number(checker, instance) -> bool:
+def _finite(x) -> bool:
     # json.load and float() both accept NaN and infinities; no option takes one
     try:
-        return jsonschema.Draft7Validator.TYPE_CHECKER.is_type(instance, "number") and math.isfinite(instance)
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:  # an int beyond the float range
         return False
 
 
+def _is(x, kind: str) -> bool:
+    if kind == "number":
+        return _finite(x)
+    if kind == "integer":  # draft-07 counts 2.0 as an integer
+        return _finite(x) and float(x).is_integer()
+    return isinstance(x, _TYPES[kind])
+
+
+_TYPES = {"array": list, "boolean": bool, "object": dict, "string": str}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: true is not 1, and 1 is 1.0."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(v, b[k]) for k, v in a.items())
+    return (isinstance(a, bool), a) == (isinstance(b, bool), b)
+
+
+# the fields of a jsonschema ValidationError that _validate and _message read
+_Error = namedtuple("_Error", "validator validator_value instance absolute_path message")
+
+
+def _errors(schema: dict, x, path: tuple):
+    # each keyword yields its own failures as messages, and its subschemas' as
+    # _Errors; like jsonschema, keywords run in the schema's key order
+    for key, value in schema.items():
+        for found in _KEYWORDS[key](value, x, schema, path):
+            yield found if isinstance(found, _Error) else _Error(key, value, x, path, found)
+
+
+def _type(kinds, x, schema, path):
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if not any(_is(x, kind) for kind in kinds):
+        # an int beyond the float range may run to thousands of digits
+        shown = f"an integer of {len(str(abs(x)))} digits" if type(x) is int and not _finite(x) else repr(x)
+        yield f"{shown} is not of type {', '.join(map(repr, kinds))}"
+
+
+def _properties(props, x, schema, path):
+    if isinstance(x, dict):
+        for name, sub in props.items():
+            if name in x:
+                yield from _errors(sub, x[name], path + (name,))
+
+
+def _no_extras(_, x, schema, path):
+    extras = sorted(k for k in x if k not in schema.get("properties", {})) if isinstance(x, dict) else []
+    if extras:
+        verb = "was" if len(extras) == 1 else "were"
+        yield f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+
+
+def _required(names, x, schema, path):
+    if isinstance(x, dict):
+        yield from (f"{name!r} is a required property" for name in names if name not in x)
+
+
+def _items(sub, x, schema, path):
+    if isinstance(x, list):
+        for i, item in enumerate(x):
+            yield from _errors(sub, item, path + (i,))
+
+
+def _length(fails, text):
+    return lambda n, x, *_: [f"{x!r} {text(n)}"] if isinstance(x, list) and fails(len(x), n) else []
+
+
+def _unique(on, x, schema, path):
+    if on and isinstance(x, list) and any(_equal(a, b) for i, a in enumerate(x) for b in x[:i]):
+        yield f"{x!r} has non-unique elements"
+
+
+def _bound(holds, text: str):
+    return lambda limit, x, *_: [] if not _finite(x) or holds(x, limit) else [f"{x!r} is {text} {limit!r}"]
+
+
+def _if(cond, x, schema, path):
+    if next(_errors(cond, x, path), None) is None:
+        yield from _errors(schema.get("then", {}), x, path)
+
+
+def _nothing(*_):
+    return []
+
+
+_KEYWORDS = {
+    "$schema": _nothing,
+    "title": _nothing,
+    "type": _type,
+    "properties": _properties,
+    "additionalProperties": _no_extras,
+    "required": _required,
+    "items": _items,
+    "minItems": _length(operator.lt, lambda n: "should be non-empty" if n == 1 else "is too short"),
+    "maxItems": _length(operator.gt, lambda n: "is expected to be empty" if n == 0 else "is too long"),
+    "uniqueItems": _unique,
+    "enum": lambda values, x, *_: [] if any(_equal(v, x) for v in values)
+    else [f"{x!r} is not one of {values!r}"],
+    "const": lambda value, x, *_: [] if _equal(x, value) else [f"{value!r} was expected"],
+    "minimum": _bound(operator.ge, "less than the minimum of"),
+    "maximum": _bound(operator.le, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.gt, "less than or equal to the minimum of"),
+    "allOf": lambda subs, x, schema, path: (e for sub in subs for e in _errors(sub, x, path)),
+    "if": _if,
+    "then": _nothing,  # read by "if"
+}
+
+
+def _check(schema) -> None:
+    """Refuse a schema that holds a keyword, or a form of one, that the walker
+    does not implement, so that an edit to the schema cannot slip past it."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"schema walker: {schema!r} is not a schema object")
+    for key, value in schema.items():
+        if key == "type":
+            known = {value} if isinstance(value, str) else set(value)
+            known = known <= {"number", "integer", *_TYPES}
+        else:
+            known = key in _KEYWORDS and (key != "additionalProperties" or value is False)
+        if not known:
+            raise ValueError(f"schema walker does not implement {key!r}: {value!r}")
+        subs = value.values() if key == "properties" else value if key == "allOf" else (
+            [value] if key in ("items", "if", "then") else []
+        )
+        for sub in subs:
+            _check(sub)
+
+
+class _Walker:
+    """Draft-07 validation of exactly the keywords the bundled schema uses,
+    with jsonschema's error order and message text."""
+
+    def __init__(self, schema: dict):
+        _check(schema)
+        self.schema = schema
+
+    def iter_errors(self, instance):
+        return _errors(self.schema, instance, ())
+
+
 @lru_cache(maxsize=None)
-def _validator() -> jsonschema.Draft7Validator:
-    """A draft-07 validator of the bundled schema, built once per process."""
+def _validator() -> _Walker:
+    """The walker over the bundled schema, built once per process."""
     text = (
         resources.files("dunkl_lab")
         .joinpath("schemas/run_config.schema.json")
         .read_text(encoding="utf-8")
     )
-    types = jsonschema.Draft7Validator.TYPE_CHECKER.redefine("number", _finite_number)
-    validator = jsonschema.validators.extend(jsonschema.Draft7Validator, type_checker=types)
-    return validator(json.loads(text))
+    return _Walker(json.loads(text))
 
 
-def _message(error: jsonschema.ValidationError) -> str:
+def _message(error: _Error) -> str:
     if error.validator == "required":
         missing = next(k for k in error.validator_value if k not in error.instance)
         return f"missing required option: {missing}"
@@ -117,7 +258,7 @@ def _load_config(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of more than 4300 digits
         raise ConfigError(f"config file is not valid JSON: {exc}")
 
 

@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dunkl import DunklContext, PointFunction, PolyFunction, dunkl_laplacian_direct
+from .dunkl import DunklContext, PointFunction, PolyFunction, dunkl_laplacian_direct, refuse_non_finite
 from .errors import DimensionError, ExactModeError, HyperplaneError
 from .polyx import MultiPoly
 from .rootsys import RootSystem, Scalar, build_root_system, dot, reflect
@@ -76,9 +76,7 @@ def _live_dots(system: RootSystem, x: Sequence[Scalar]) -> list:
     HyperplaneError naming a root whose (alpha . x)^2 is 0."""
     if len(x) != system.dimension:
         raise DimensionError("point dimension mismatch")
-    for i, c in enumerate(x):
-        if isinstance(c, float) and not math.isfinite(c):
-            raise ValueError(f"coordinate {i} value {c!r} is not finite")
+    refuse_non_finite(x)
     dots = []
     for r in system.live_positive:
         d = r.dot(x)

@@ -71,6 +71,13 @@ class PolyFunction:
         return self._lap.eval(x)
 
 
+def refuse_non_finite(x: Sequence[Scalar]) -> None:
+    """ValueError naming the first float coordinate of x that is not finite."""
+    for i, c in enumerate(x):
+        if isinstance(c, float) and not math.isfinite(c):
+            raise ValueError(f"coordinate {i} value {c!r} is not finite")
+
+
 @dataclass(frozen=True)
 class DunklContext:
     """A validated root system plus the arithmetic mode.
@@ -103,7 +110,8 @@ class DunklContext:
                 )
 
     def guard_point(self, x: Sequence[Scalar]) -> list:
-        """Reject points too close to a hyperplane that actually carries k > 0.
+        """Reject a non-finite coordinate (ValueError) and points too close
+        to a hyperplane that actually carries k > 0.
 
         Returns alpha . x for each root of ``system.live_positive``, in order.
         """
@@ -111,6 +119,7 @@ class DunklContext:
             raise DimensionError(
                 f"point of length {len(x)} in dimension {self.system.dimension}"
             )
+        refuse_non_finite(x)
         dots = []
         for r in self.system.live_positive:
             d = r.dot(x)

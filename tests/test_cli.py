@@ -1,11 +1,19 @@
 """Command line behavior: exit codes, config merging, deterministic output."""
 
 import argparse
+import copy
 import dataclasses
 import hashlib
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from unittest import mock
 
+import hypothesis
+import hypothesis.strategies as st
 import jsonschema
 import pytest
 
@@ -598,3 +606,165 @@ def test_schema_required_matches_handler(command, required, extra, tmp_path, cap
         cfg_path.write_text(json.dumps({command: section}))
         assert main(["--config", str(cfg_path), command]) == 1
         assert capsys.readouterr().err == f"error: missing required option: {key}\n"
+
+
+# -- the schema walker ---------------------------------------------------------
+
+
+def _finite_number(checker, instance):
+    try:
+        return jsonschema.Draft7Validator.TYPE_CHECKER.is_type(instance, "number") and math.isfinite(instance)
+    except OverflowError:
+        return False
+
+
+# jsonschema's draft-07 validator with the finite-number type checker that the
+# CLI used before it walked the schema itself
+_ORACLE = jsonschema.validators.extend(
+    jsonschema.Draft7Validator,
+    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine("number", _finite_number),
+)(cli_mod._validator().schema)
+
+
+def _verdict(doc, command):
+    try:
+        cli_mod._validate(doc, command)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+_SCHEMA_PROPS = cli_mod._validator().schema["properties"]
+_NUMBERS = st.integers(-3, 60) | st.floats() | st.sampled_from([0.0, 0.5, 1.0, 2.5, 33, 50, 51, math.nan, math.inf])
+_STRINGS = st.sampled_from(["A", "D", "I2", "E8", "hermite", "laguerre", "system", "oscillator", "1/2", ""])
+_VALUES = st.one_of(
+    _NUMBERS, _STRINGS, st.lists(_NUMBERS | _STRINGS | st.booleans(), max_size=3), st.booleans(), st.none(),
+    st.integers(-(2**60), 2**60),  # every drawn integer fits in a float
+    st.dictionaries(st.sampled_from(["kind", "n"]), _STRINGS),
+)
+
+
+def _near(spec):
+    # mostly values of the spec's type near its bounds, enums and lengths; one
+    # draw in twenty is any value, so that a document tends to fail at one spot
+    kinds = spec.get("type", [])
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    low = spec.get("minimum", spec.get("exclusiveMinimum", 0))
+    options = []
+    if "integer" in kinds:
+        options.append(st.integers(low - 1, spec.get("maximum", low + 40) + 1))
+    if "number" in kinds:
+        options.append(st.floats(low - 1, spec.get("maximum", low + 10) + 1) | st.sampled_from([low, math.nan]))
+    if "string" in kinds:
+        options.append(st.sampled_from(spec.get("enum", ["x.json", "oscillator", "lemma1"]) + ["E8"]))
+    if "array" in kinds:
+        options.append(st.lists(_near(spec["items"]), max_size=spec.get("maxItems", 2) + 1))
+    if "boolean" in kinds:
+        options.append(st.booleans())
+    near = st.one_of(*options)
+    return st.integers(0, 19).flatmap(lambda i: near if i else _VALUES)
+
+
+def _section(command):
+    props = {k: _near(v) for k, v in _SCHEMA_PROPS[command]["properties"].items()}
+    needed = _SCHEMA_PROPS[command].get("required", [])
+    complete = st.fixed_dictionaries(
+        {k: props[k] for k in needed}, optional={k: v for k, v in props.items() if k not in needed}
+    )
+    loose = st.fixed_dictionaries({}, optional={**props, "zz": _VALUES, "aa": _VALUES})
+    return st.integers(0, 9).flatmap(lambda i: complete if i > 1 else loose if i else _VALUES)
+
+
+_SECTIONS = {"seed": _near(_SCHEMA_PROPS["seed"]), **{c: _section(c) for c in _SCHEMA_PROPS if c != "seed"}}
+_DOCS = st.integers(0, 9).flatmap(
+    lambda i: st.fixed_dictionaries({}, optional=_SECTIONS) if i > 1
+    else st.fixed_dictionaries({}, optional={**_SECTIONS, "other": _VALUES}) if i else _VALUES
+)
+
+
+@hypothesis.seed(20121)
+@hypothesis.settings(max_examples=700, deadline=None, database=None)
+@hypothesis.given(doc=_DOCS, command=st.sampled_from(["verify", "simulate", "freeze", "roots"]))
+@hypothesis.example(doc={"verify": {"suites": [0, False, 1, True]}}, command="verify")  # false is not 0
+def test_walker_rejects_as_jsonschema_does(doc, command):
+    # the same first error, message for message, or the same acceptance; and
+    # the same errors in the same order
+    walked = _verdict(doc, command)
+    with mock.patch.object(cli_mod, "_validator", lambda: _ORACLE):
+        assert walked == _verdict(doc, command)
+    assert [(e.validator, list(e.absolute_path), e.message) for e in cli_mod._validator().iter_errors(doc)] == [
+        (e.validator, list(e.absolute_path), e.message) for e in _ORACLE.iter_errors(doc)
+    ]
+
+
+@pytest.mark.parametrize(
+    "where, extra",
+    [(("properties", "roots", "properties", "kind"), {"pattern": "^h"}),
+     (("properties", "roots", "allOf", 0), {"else": {"required": ["rank"]}})],
+    ids=["pattern", "else"],
+)
+def test_walker_refuses_a_keyword_it_does_not_implement(where, extra):
+    schema = copy.deepcopy(cli_mod._validator().schema)
+    node = schema
+    for key in where:
+        node = node[key]
+    node.update(extra)
+    with pytest.raises(ValueError, match=f"does not implement '{next(iter(extra))}'"):
+        cli_mod._Walker(schema)
+
+
+def test_cli_loads_no_jsonschema():
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, dunkl_lab, dunkl_lab.cli\n"
+        "dunkl_lab.cli.main(['roots', '--kind', 'hermite', '--n', '3'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+        "             ('jsonschema', 'referencing', 'rpds', 'attrs', 'attr')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "[]", out.stdout
+
+
+BIG = "1" * 401  # beyond the float range
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["roots", "--kind", "hermite", "--n", BIG],
+     ["roots", "--kind", "laguerre", "--n", BIG],
+     ["freeze", "--n", BIG, "--k", "10"]],
+    ids=["hermite", "laguerre", "freeze"],
+)
+def test_integer_beyond_float_range_exit_one(args, capsys):
+    # "integer" used to hold where "number" failed, so the maximum was skipped
+    # and the library raised a traceback instead
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    section = args[0]
+    assert err == f"error: config rejected: {section}.n: an integer of 401 digits is not of type 'integer'\n"
+
+
+def test_config_integer_beyond_the_parse_limit_exit_one(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"roots": {"kind": "hermite", "n": %s}}' % ("1" * 5000))
+    assert main(["--config", str(cfg_path), "roots"]) == 1
+    assert capsys.readouterr().err.startswith("error: config file is not valid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["roots", "--kind", "system", "--family", "A", "--mults", "1"],
+     ["simulate", "--family", "A", "--mults", "1", "--x0", "0,1", "--horizon", "0.01"]],
+    ids=["roots", "simulate"],
+)
+def test_rank_above_32_exit_one(args, capsys):
+    # A200 has 40 200 roots and a reflection table of their square; it ran
+    # until killed for memory
+    assert main(args + ["--rank", "33"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config rejected: {args[0]}.rank: 33 is greater than the maximum of 32\n"
+    )

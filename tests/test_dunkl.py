@@ -117,6 +117,18 @@ def test_hyperplane_guard():
     free.guard_point((1e-12, 0.7))  # on the k=0 short-root hyperplane: fine
 
 
+@pytest.mark.parametrize("generator", [kfe_generator, kbe_generator, dunkl_laplacian_expanded])
+@pytest.mark.parametrize(
+    "x, index", [((math.nan, 0.0, 1.0), 0), ((0.0, 1.0, -math.inf), 2)], ids=["nan", "inf"]
+)
+def test_generators_refuse_a_non_finite_coordinate(generator, x, index):
+    # NaN compares false with the hyperplane floor, so these used to return nan
+    ctx = _ctx("A", 2, (1,), mode="float")
+    f = PolyFunction(parse_poly("x1 x2", nvars=3))
+    with pytest.raises(ValueError, match=f"coordinate {index} value .* is not finite"):
+        generator(ctx, f, x)
+
+
 # -- pointwise expanded operators -------------------------------------------
 
 
