@@ -10,9 +10,10 @@ Flags are merged over the subcommand's section of an optional JSON file
 the result is validated once against the bundled schema before any work
 starts; the file's other sections are checked for bad keys but need not be
 complete.  The check is an in-package draft-07 walker over exactly the
-keywords the schema uses, with jsonschema's error order and messages.  Options left out take the library's defaults.  All file outputs
-are deterministic byte-for-byte for a fixed configuration: keys are sorted
-and floats are written with shortest round-trip precision.
+keywords the schema uses, with jsonschema's error order and messages.
+Options left out take the library's defaults.  All file outputs are
+deterministic byte-for-byte for a fixed configuration: keys are sorted and
+floats are written with shortest round-trip precision.
 
 Exit codes: 0 success, 1 bad configuration or usage, 2 verification
 failure, 3 step-size underflow inside the stochastic engine.
