@@ -203,10 +203,8 @@ def pair_gauge(x: Sequence[float]) -> tuple[list[float], float]:
     or nearly so, or lie so far apart that the square overflows) raises
     HyperplaneError naming the pair.
     """
+    refuse_non_finite(x)
     n = len(x)
-    for i, v in enumerate(x):
-        if not math.isfinite(v):
-            raise ValueError(f"coordinate {i} value {v!r} is not finite")
     for i in range(n):
         for j in range(i + 1, n):
             try:

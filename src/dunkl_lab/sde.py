@@ -24,58 +24,50 @@ about sqrt(dt_min), which ends a deep excursion in a few sign-preserving
 redraws; a path whose floor proposals are rejected MAX_FLOOR_RETRIES times
 in a row is reported via StepUnderflowError, never absorbed.  Jumps are
 thinned per accepted step: one uniform per active root plus one for
-selecting among the triggered roots, consumed whether or not anything
-fires, so the random stream position depends only on the accepted-step
-count.  The recorded intensity integral accrues min(1, h * rate), the
-hazard the thinning actually realizes; below the floor depth the raw rate
-is unrealizable and would skew the jump-count comparison.
+selecting among the triggered roots.  Like the Gaussians, the uniforms are
+consumed at every proposal, read or not, so the stream position depends
+only on the proposal count.  The recorded intensity integral accrues
+min(1, h * rate), the hazard the thinning actually realizes; below the
+floor depth the raw rate is unrealizable and would skew the jump-count
+comparison.
 
 Reproducibility.  Ensemble member i owns two PCG64 streams, the ones numpy
 seeds from SeedSequence(master_seed, spawn_key=(i, 0)) for Gaussians and
-(i, 1) for uniforms, read in order through block buffers.  One vectorized
-pass of numpy's seed mixing gives every member's PCG64 state words, and a
-refill writes a row's words into a view of one bit generator's own state
-and reads them back after the draw, so no per-path generator objects exist
-and every sampled bit is the one numpy's own objects give.  A run
-sizes its blocks to the draws of a path that never slows down (at most
-BLOCK); each row's stream is read in order, so the block size changes no
-sample.  Every active row draws one Gaussian per proposal, so the active
-rows read their Gaussians at one shared buffer position, and their
-uniforms too until the first rejection; a shared position is read as one
-buffer column, not by a two-index gather.  Ensemble and replay share one
-stepping loop: ``replay_path`` runs it on the one-path index set.  Every
-alpha . x is summed over a support table of each root's nonzero
-coordinates, the drift is accumulated coordinate by coordinate over the
-roots that touch it, and a jump reflects the chosen root's support coordinates
-as read from the same table; all of it is elementwise (no matmul), so a
-path's arithmetic does not depend on the batch size or on whether the
-paths are addressed by a slice or an index array, and a replayed path's
-states are bitwise identical to the same path inside a vectorized
-ensemble by construction.  For the same reason ``simulate`` runs the loop over
-consecutive chunks of at most CHUNK path indices, which bounds the stream
-buffers and step temporaries by the chunk, not the ensemble, and changes
-no sampled bit; a StepUnderflowError then names the earliest stuck path of
-the first chunk that sticks.  The chunks are independent, so ``simulate``
-steps them in forked worker processes, one per usable CPU, and copies them
-back in chunk order; the chunk boundaries, and so every bit, do not depend
-on the CPU count.
+(i, 1) for uniforms, seeded for every member in one vectorized pass and
+read through block buffers (see PathStreams), so every sampled bit is the
+one numpy's own objects give.  Every active row makes one proposal per
+pass and rows only leave, so a row's stream position depends only on its
+proposal count: one buffer column serves every row of a pass, and the
+block size changes no sample.  Ensemble and replay share one stepping
+loop: ``replay_path`` runs it on the one-path index set.  Every alpha . x
+is summed over a support table of each root's nonzero coordinates, the
+drift is accumulated coordinate by coordinate over the roots that touch
+it, and a jump reflects the chosen root's support coordinates; all of it
+is elementwise (no matmul), so a path's arithmetic does not depend on the
+batch size or on whether the paths are addressed by a slice or an index
+array, and a replayed path's states are bitwise identical to the same path
+inside a vectorized ensemble by construction.  For the same reason
+``simulate`` runs the loop over chunks of at most CHUNK path indices,
+which bounds the stream buffers and step temporaries by the chunk and
+changes no sampled bit; a StepUnderflowError then names the earliest stuck
+path of the first chunk that sticks.  The chunks run in forked worker
+processes, one per usable CPU, and are copied back in chunk order, so no
+bit depends on the CPU count.
 
 Layout.  The stepper is root-major: the state is (n, m), coordinates by
 paths, and every per-root array (alpha . x, drift terms, rates, crossings,
 the jump mask) is (R, m), roots by paths, so every numpy inner loop runs
-over paths and every reduction over roots is along axis 0.  The streams
-keep their (rows, width) buffers and are read through ``.T``.  The only
-float reduction over roots is the recorded intensity, which adds the roots
-one row at a time in root order by an explicit loop: ``sum(axis=0)`` would
-do so only on a path-contiguous array, and sums a root-contiguous one (a
-replay's one path, the columns gathered after a rejection) pairwise once
-it has 8 or more roots, so a path's bits would depend on its batch.  The
-loop carries the (R, m) alpha . x across steps: an accepted row takes its
-proposal's, a reflected row gets fresh dots of its new state and a
-rejected row keeps its own, so every proposal starts from exactly
-``dots(x)`` without recomputing it.  The carried array stays C-contiguous:
-the active columns are read from it with ``take``, where ``d[:, idx]``
-would return them root-contiguous.
+over paths and every reduction over roots is along axis 0; the streams'
+(rows, width) draws are read through ``.T``.  The only float reduction
+over roots, the recorded intensity, adds the roots one row at a time in
+root order: ``sum(axis=0)`` sums a root-contiguous array (a replay's one
+path, the columns gathered after a rejection) pairwise once it has 8 or
+more roots, so a path's bits would depend on its batch.  The loop carries
+the (R, m) alpha . x across steps: an accepted row takes its proposal's, a
+reflected row gets fresh dots of its new state and a rejected row keeps
+its own, so every proposal starts from exactly ``dots(x)``.  The carried
+array stays C-contiguous: the active columns are read from it with
+``take``, where ``d[:, idx]`` would return them root-contiguous.
 
 The freezing experiment scales X_t by sqrt(2 k t) and compares against the
 roots of the N-th Hermite polynomial; the zero-noise flow is also exposed
@@ -112,6 +104,7 @@ HERMITE_CAP = 50
 MAX_FLOOR_RETRIES = 64
 ODE_MAX_STEPS = 10_000
 MAX_BASE_STEPS = 10**7
+ODE_START = 1e-12
 
 # numpy's SeedSequence mixing constants and PCG64's 128-bit multiplier
 _WORD = 0xFFFFFFFF
@@ -325,22 +318,6 @@ def _stream_states(master_seed: int, paths: Sequence[int], stream: int) -> np.nd
     return np.stack(state + inc, axis=1)
 
 
-class _Stream:
-    """One PCG64 stream per row, read through a (rows, block, width) buffer.
-
-    ``words`` holds each row's PCG64 state words in the bit generator's
-    column order.  ``shared`` is the buffer position that every row reads
-    next; once the rows part it is None and ``pos`` holds one position per
-    row.
-    """
-
-    def __init__(self, words, block, width, draw):
-        self.words, self.draw = words, draw
-        self.buf = np.empty((len(words), block, width))
-        self.pos = np.empty(len(words), dtype=np.int64)
-        self.shared = block
-
-
 def _state_view(bitgen: np.random.PCG64) -> tuple:
     """A writable uint64 view of ``bitgen``'s ``pcg_state`` words, and their order.
 
@@ -359,24 +336,23 @@ def _state_view(bitgen: np.random.PCG64) -> tuple:
 
 
 class PathStreams:
-    """Per-path Gaussian and uniform streams with block buffering.
+    """Per-path Gaussian and uniform streams, read one shared column per pass.
 
     Row r draws for ensemble member ``paths[r]``: Gaussians from the PCG64
     stream of SeedSequence(master_seed, spawn_key=(paths[r], 0)) and
-    uniforms from key (paths[r], 1), regardless of which other members run
-    next to it, so an isolated rerun of one path sees the identical random
-    numbers.  The same streams as numpy's per-path generators: every row's
-    state words are seeded in one vectorized pass; a refill writes them into
-    a layout-checked view of one bit generator's state, fills the row's next
-    ``block`` draws and reads the advanced state back.  Each row's stream is
-    read in order, so the block size changes no sample, only refill counts.
+    uniforms from key (paths[r], 1), whatever members run next to it, so a
+    rerun of one path sees the identical numbers.  Every row's state words
+    are seeded in one vectorized pass; a refill writes them into a
+    layout-checked view of one bit generator's state, fills the row's next
+    ``block`` draws and reads the advanced state back.
 
-    ``normals(idx)`` and ``uniforms(idx)`` return one draw per row of
-    ``idx``, an index array or slice(None) for every row.  While the rows of
-    a call sit at one buffer position, the read is the slice ``buf[:, p]``
-    (a view for every row) or the row gather ``buf[idx, p]``, and rows that
-    run out refill in one wave; rows at staggered positions are gathered
-    one position each.  Callers must not write into what they are given.
+    ``normals(idx)`` moves the run's one column counter on, refilling both
+    streams of the rows of ``idx`` in one wave when the block is used up,
+    and returns that column's Gaussians; ``idx`` is an index array or
+    slice(None), and its rows must be among the last call's.  ``uniforms``
+    reads the same column for any subset of them; a row left out skips its
+    uniforms there.  So a row's j-th call reads draw j of each stream,
+    whatever the block size.  Callers must not write into what they are given.
     """
 
     def __init__(self, master_seed: int, paths: Sequence[int], dim: int, n_uniform: int,
@@ -384,52 +360,29 @@ class PathStreams:
         self._bitgen = np.random.PCG64(0)
         gen = np.random.Generator(self._bitgen)
         self._view, order = _state_view(self._bitgen)
-        self._rows = np.arange(len(paths))
-        self._block = block
-        self._gauss = _Stream(_stream_states(master_seed, paths, 0)[:, order], block, dim, gen.standard_normal)
+        self._gauss = np.empty((len(paths), block, dim))
+        self._unif = np.empty((len(paths), block, n_uniform))
+        # (state words in the bit generator's order, buffer, draw) per stream
+        self._streams = [(_stream_states(master_seed, paths, 0)[:, order], self._gauss, gen.standard_normal)]
         if n_uniform:
-            self._unif = _Stream(_stream_states(master_seed, paths, 1)[:, order], block, n_uniform, gen.random)
-
-    def _refill(self, s: _Stream, rows):
-        # the state is read back, so a draw may take any number of outputs
-        view, words, buf, draw = self._view, s.words, s.buf, s.draw
-        for r in rows.tolist():
-            view[:] = words[r]
-            draw(out=buf[r])
-            words[r, :2] = view[:2]
-
-    def _read(self, s: _Stream, idx) -> np.ndarray:
-        block = self._block
-        p = s.shared
-        if p is None:
-            pos = s.pos[idx]
-            if not pos.size or (pos != pos[0]).any():
-                rows = self._rows[idx]
-                need = rows[pos == block]
-                self._refill(s, need)
-                s.pos[need] = 0
-                pos = s.pos[rows]
-                s.pos[rows] = pos + 1
-                return s.buf[rows, pos]
-            p = int(pos[0])
-        if p == block:
-            self._refill(s, self._rows[idx])
-            p = 0
-        if s.shared is not None and isinstance(idx, slice):
-            s.shared = p + 1
-        else:
-            if s.shared is not None:
-                # the rows outside idx stay where every row was
-                s.pos.fill(s.shared)
-                s.shared = None
-            s.pos[idx] = p + 1
-        return s.buf[idx, p]
+            self._streams.append((_stream_states(master_seed, paths, 1)[:, order], self._unif, gen.random))
+        self._col = block - 1  # the first call refills
 
     def normals(self, idx) -> np.ndarray:
-        return self._read(self._gauss, idx)
+        self._col += 1
+        if self._col == self._gauss.shape[1]:
+            # the state is read back, so a draw may take any number of outputs
+            view, rows = self._view, np.arange(len(self._gauss))[idx].tolist()
+            for words, buf, draw in self._streams:
+                for r in rows:
+                    view[:] = words[r]
+                    draw(out=buf[r])
+                    words[r, :2] = view[:2]
+            self._col = 0
+        return self._gauss[idx, self._col]
 
     def uniforms(self, idx) -> np.ndarray:
-        return self._read(self._unif, idx)
+        return self._unif[idx, self._col]
 
 
 @dataclass(frozen=True)
@@ -520,17 +473,12 @@ def _step_core(x, d_pre, h_state, t_rem, gauss, roots: _LiveRoots, cfg: SimConfi
     recomputed here.  ``gauss`` is (n, m).  Returns the (n, m) proposals,
     their (m,) steps h, the (R, m) mask of the walls each proposal crosses
     or lands on, the proposals' (R, m) alpha . x and the (R, m) jump rates
-    at x (None without jumps).  Every per-root array is root-major, so each
-    numpy inner loop runs over paths, and every reduction over roots is
-    along axis 0; the caller sums the rates' intensity in root order (see
-    the module's Layout note).
+    at x (None without jumps).
 
     The proposal step is min(h_state, ceiling), where the ceiling applies
     dt_base, the time left to the next observation, and the adaptive drift
-    and jump-rate caps.  The caps are clamped from below at the floor
-    dt_min = dt_base * dt_floor_factor; unclamped they shrink like the
-    squared wall distance and would track a deep excursion step for step
-    without ever letting model time advance.
+    and jump-rate caps, clamped from below at the floor dt_min (see the
+    module's Numerics note).
     """
     n, m = x.shape
 
@@ -572,10 +520,10 @@ def _apply_jumps(x_prop, d_prop, hazard, u, roots: _LiveRoots):
     times the step) are (R, m) and ``u`` is (R + 1, m): one uniform per
     root, then the one that selects among the roots that fired.  Selecting
     uniformly among the roots whose clocks fired is equivalent in law to
-    taking the first firing in a random root order.  Returns the new states, ``x_prop`` itself when no clock fires,
-    and the chosen live-root index per path (-1 for no jump).  A jump moves
-    only the chosen root's support coordinates, so the others keep their
-    bits (a -0.0 stays -0.0).
+    taking the first firing in a random root order.  Returns the new
+    states, ``x_prop`` itself when no clock fires, and the chosen live-root
+    index per path (-1 for no jump).  A jump moves only the chosen root's
+    support coordinates, so the others keep their bits (a -0.0 stays -0.0).
     """
     n_roots = hazard.shape[0]
     trig = u[:n_roots] < hazard
@@ -613,10 +561,8 @@ def _run(config: SimConfig, paths: Sequence[int], record=None) -> EnsembleResult
     with the new times and (rows, n) states of the accepted rows and their
     chosen live-root indices (-1 for no jump; None when jumps are off).
 
-    The state is held as (n, m), one column per row of the run; the
-    streams' (rows, width) draws are read through ``.T``.  Next to it the
-    loop keeps the (R, m) alpha . x of every row, C-contiguous and bitwise
-    ``roots.dots(x)`` at every proposal (see the module's Layout note).
+    The state is (n, m), one column per row of the run, and the loop
+    carries every row's (R, m) alpha . x (see the module's Layout note).
 
     While every row is active the rows are addressed by a full slice, and a
     step that accepts every proposal writes back without a scatter; index
@@ -847,8 +793,8 @@ def laguerre_roots(n: int, a: float = 0.0) -> np.ndarray:
     """Zeros of the generalized Laguerre polynomial L_n^(a), ascending; n up to 50."""
     if not 1 <= n <= HERMITE_CAP:
         raise ValueError(f"n must lie in 1..{HERMITE_CAP}")
-    if a <= -1:
-        raise ValueError("a must exceed -1")
+    if not -1 < a < math.inf:
+        raise ValueError(f"a must be finite and exceed -1, got {a}")
     j = np.arange(1, n)
     return _jacobi_eigenvalues(2.0 * np.arange(n) + a + 1.0, np.sqrt(j * (j + a)))
 
@@ -895,15 +841,19 @@ class FreezeSample:
         }
 
 
-def _freeze_sample(system, target, k, t, n_paths, seed, spawn):
-    """Run the radial ensemble from 0.01 * (1, ..., N) to time t with drift
-    cap 0.05, scale the sorted particle vectors by 1/sqrt(2 k t) and measure
+def _freeze_sample(family, rank, orbits, target, k, t, n_paths, seed, spawn):
+    """Run the radial ensemble of ``family`` ``rank`` with multiplicity k on
+    each of its ``orbits`` from 0.01 * (1, ..., N) to time t with drift cap
+    0.05, scale the sorted particle vectors by 1/sqrt(2 k t) and measure
     their sup-distance to ``target``.  The run seed is spawned from ``seed``
-    with key (spawn,).
+    with key (spawn,).  A k that is not positive and finite raises
+    ConfigError: the scale has no answer.
     """
+    if not 0 < k < math.inf:
+        raise ConfigError(f"k must be positive and finite, got {k}")
     n = len(target)
     config = SimConfig(
-        system=system,
+        system=build_root_system(family, rank, [float(k)] * orbits),
         x0=tuple(0.01 * (j + 1) for j in range(n)),
         horizon=t,
         ensemble=n_paths,
@@ -931,18 +881,13 @@ def freezing_experiment(
 ) -> list:
     """Large-multiplicity collapse of the radial process onto Hermite zeros.
 
-    For each k the ensemble starts at 0.01 * (1, ..., N), runs to time t, and
-    the sorted particle vector is scaled by 1/sqrt(2 k t).  Returns one
-    FreezeSample per k with the sup-distance statistics against the zero
+    One FreezeSample per k, a ``_freeze_sample`` run against the zero
     configuration.  The per-k seeds are spawned from ``seed`` so adding a k
     never reshuffles the others.
     """
     target = hermite_roots(n_particles)
     return [
-        _freeze_sample(
-            build_root_system("A", n_particles - 1, [float(k)]),
-            target, k, t, n_paths, seed, i,
-        )
+        _freeze_sample("A", n_particles - 1, 1, target, k, t, n_paths, seed, i)
         for i, k in enumerate(k_values)
     ]
 
@@ -958,9 +903,8 @@ def laguerre_freezing_probe(
     square roots of the Laguerre zeros (a = 0).  Returns the sup-distance
     statistics of the scaled ensemble against that configuration.
     """
-    system = build_root_system("B", n_particles, [float(k), float(k)])
     target = np.sqrt(laguerre_roots(n_particles, 0.0))
-    return _freeze_sample(system, target, k, t, n_paths, seed, 0).as_dict()
+    return _freeze_sample("B", n_particles, 2, target, k, t, n_paths, seed, 0).as_dict()
 
 
 # Dormand-Prince 5(4) for an autonomous flow: row i of _DP_A weights the
@@ -1010,10 +954,13 @@ def deterministic_freeze_ode(n_particles: int, t_end: float = 1e3) -> dict:
     reads dy/ds = (F(y) - y) / 2 with F(y)_i = sum_{j != i} 1/(y_i - y_j).
     Its unique equilibrium in the ordered chamber is the Hermite zero set,
     attracting with spectral rate at most -1/2, so by s = log(t_end) the
-    trajectory, started at t = 1e-12 from 0.01-spaced centred points, sits
-    on the attractor to solver precision.  The flow is stepped by the
-    Dormand-Prince 5(4) pair at rtol 1e-12, atol 1e-14.
+    trajectory, started at t = ODE_START from 0.01-spaced centred
+    points, sits on the attractor to solver precision.  The flow is stepped
+    by the Dormand-Prince 5(4) pair at rtol 1e-12, atol 1e-14.  A t_end that
+    is not finite or not past the start raises ValueError.
     """
+    if not ODE_START < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and above {ODE_START}, got {t_end}")
     n = n_particles
     y0 = np.asarray([0.01 * (i - (n - 1) / 2.0) for i in range(n)])
 
@@ -1022,7 +969,7 @@ def deterministic_freeze_ode(n_particles: int, t_end: float = 1e3) -> dict:
         np.fill_diagonal(diff, np.inf)
         return 0.5 * ((1.0 / diff).sum(axis=1) - y)
 
-    final = _dopri5(rhs, y0, math.log(1e-12), math.log(t_end), rtol=1e-12, atol=1e-14)
+    final = _dopri5(rhs, y0, math.log(ODE_START), math.log(t_end), rtol=1e-12, atol=1e-14)
     target = hermite_roots(n)
     return {
         "y": final,

@@ -76,17 +76,28 @@ class TransformParams:
             raise ValueError("omega must be positive")
 
 
+def _refuse(name: str, value: float, positive: bool = True):
+    """ValueError naming ``value`` unless it is finite and, if ``positive``, above 0."""
+    if not math.isfinite(value) or (positive and not value > 0):
+        rule = "finite and positive" if positive else "finite"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def substitute(omega: float, t: float, x: Sequence[float]):
-    """(t, x) -> (tau, zeta) for the scaling attached to omega."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    """(t, x) -> (tau, zeta) for the scaling attached to omega; omega and t
+    must be finite and positive."""
+    _refuse("omega", omega)
+    _refuse("t", t)
     tau = math.log(t) / (2 * omega)
     s = math.sqrt(2 * omega * t)
     return tau, tuple(xi / s for xi in x)
 
 
 def inverse_substitute(omega: float, tau: float, zeta: Sequence[float]):
-    """(tau, zeta) -> (t, x); exact inverse of ``substitute``."""
+    """(tau, zeta) -> (t, x); exact inverse of ``substitute``.  omega must be
+    finite and positive, tau finite."""
+    _refuse("omega", omega)
+    _refuse("tau", tau, positive=False)
     t = math.exp(2 * omega * tau)
     s = math.sqrt(2 * omega * t)
     return t, tuple(zi * s for zi in zeta)

@@ -80,7 +80,7 @@ def test_verify_exact_suites_golden_digest(args, expected, tmp_path, capsys):
             ["simulate", "--family", "B", "--rank", "2", "--mults", "1,1/2",
              "--x0", "0.6,1.7", "--horizon", "0.25", "--obs", "0.1",
              "--ensemble", "200", "--seed", "1", "--jumps"],
-            "083e7a0dbdd9bb5e0d526f1e779ba4de4c257a2da308720c34d559dcf166c96a",
+            "9835eb93eef84ad86c258c6f67dcbb45c9e3125d9cd5a0ee9c852b25007630ec",
         ),
         (
             ["freeze", "--n", "3", "--k", "100,10000", "--paths", "20",
@@ -93,7 +93,7 @@ def test_verify_exact_suites_golden_digest(args, expected, tmp_path, capsys):
             ["simulate", "--family", "A", "--rank", "2", "--mults", "1",
              "--x0=-1,0.1,1.2", "--horizon", "0.25", "--obs", "0.1",
              "--ensemble", "300", "--seed", "18446744073709551621", "--jumps"],
-            "bf8415c20019ea58ce48710d353f9fa17a46ef21488578574c795653ef1e9cc1",
+            "28e8bb2b85aa4cd597229b277f00ca24adef0d487e493ba0e842257a397d7c79",
         ),
         (
             # twelve live roots, past the eight summands from which numpy
@@ -101,7 +101,7 @@ def test_verify_exact_suites_golden_digest(args, expected, tmp_path, capsys):
             ["simulate", "--family", "D", "--rank", "4", "--mults", "1/2",
              "--x0=0.3,0.9,1.6,2.4", "--horizon", "0.1", "--obs", "0.03",
              "--ensemble", "300", "--seed", "5", "--jumps"],
-            "2f89861c5c372e43845e3e4cf94607b03030da28226bffd3baab3b2e809f6c4b",
+            "a57b0de3d1e1b7c737c561c8c85c8be8e63e9dc41dcc2e52be32aae7b3b27c1c",
         ),
     ],
     ids=["simulate-b2-jumps", "freeze-a2", "simulate-a2-jumps-wide-seed", "simulate-d4-jumps"],

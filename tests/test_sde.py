@@ -125,79 +125,83 @@ def test_stream_states_match_numpy_seeding(seed, stream):
         assert (state, inc) == (ref["state"], ref["inc"]), p
 
 
+def _per_path_draws(seed, paths, dim, n_uniform, draws):
+    """Each path's first ``draws`` Gaussian rows and uniform rows from numpy's
+    own per-path generators."""
+
+    def gen(p, stream):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(p, stream))))
+
+    return (
+        [gen(p, 0).standard_normal((draws, dim)) for p in paths],
+        [gen(p, 1).random((draws, n_uniform)) for p in paths],
+    )
+
+
+def _one_column_schedule(m, ends, rng):
+    """One (normals rows, uniforms rows) pair per column: row r draws
+    Gaussians at columns 0 .. ends[r] - 1, so the sets shrink, and reads
+    uniforms on a random subset of them, as a rejected proposal skips its."""
+    everyone = np.arange(m)
+    schedule = []
+    for col in range(max(ends)):
+        rows = everyone[[col < e for e in ends]]
+        idx = slice(None) if rows.size == m else rows
+        picked = rows[rng.random(rows.size) < 0.7]
+        uidx = slice(None) if picked.size == m and col % 2 else picked
+        schedule.append((idx, uidx))
+    return schedule
+
+
+def _check_one_column_reads(streams, schedule, m, ref_g, ref_u):
+    # uniform column j is consumed whether it is read or not: a row skipped
+    # at j reads column j + 1 at its next call, not its unread column j
+    everyone = np.arange(m)
+    skipped = np.full(m, -1)
+    for col, (idx, uidx) in enumerate(schedule):
+        rows, urows = everyone[idx], everyone[uidx]
+        g = streams.normals(idx)
+        u = streams.uniforms(uidx)
+        assert g.shape == (len(rows), ref_g[0].shape[1]) and u.shape == (len(urows), ref_u[0].shape[1])
+        for k, r in enumerate(rows):
+            assert np.array_equal(g[k].view(np.uint64), ref_g[r][col].view(np.uint64))
+        for k, r in enumerate(urows):
+            assert np.array_equal(u[k].view(np.uint64), ref_u[r][col].view(np.uint64))
+            if skipped[r] == col - 1 >= 0:
+                assert not np.array_equal(u[k], ref_u[r][col - 1])
+        skipped[np.setdiff1d(rows, urows)] = col
+    return skipped
+
+
 @pytest.mark.parametrize(
     "paths", [[5], [0, 3, 7, 77777, 2**32 - 1]], ids=["one-row", "five-rows"]
 )
 def test_path_streams_match_per_path_generators(paths):
-    # the parent design: one Generator per path and stream, refilled a block
-    # at a time; staggered index sets make rows refill at different calls
-    seed, dim, n_uniform, blocks = 2**64 + 5, 3, 4, 4
-    streams = sde_mod.PathStreams(seed, paths, dim, n_uniform)
-
-    def reference(stream, draw):
-        out = []
-        for p in paths:
-            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(p, stream))))
-            out.append(np.concatenate([draw(gen) for _ in range(blocks)]))
-        return out
-
-    ref_g = reference(0, lambda g: g.standard_normal((sde_mod.BLOCK, dim)))
-    ref_u = reference(1, lambda g: g.random((sde_mod.BLOCK, n_uniform)))
+    # the parent design: one Generator per path and stream; every call past
+    # the third refill reads both streams' one shared column
+    seed, dim, n_uniform = 2**64 + 5, 3, 4
     m = len(paths)
-    used = np.zeros(m, dtype=np.int64)
-    target = (blocks - 1) * sde_mod.BLOCK + 2  # past the third refill
-    t = 0
-    while used.min() < target:
-        idx = np.asarray([r for r in range(m) if t % (r + 1) == 0 and used[r] < target], dtype=np.int64)
-        t += 1
-        if not idx.size:
-            continue
-        g = streams.normals(idx)
-        u = streams.uniforms(idx)
-        for row, r in enumerate(idx):
-            assert np.array_equal(g[row].view(np.uint64), ref_g[r][used[r]].view(np.uint64))
-            assert np.array_equal(u[row].view(np.uint64), ref_u[r][used[r]].view(np.uint64))
-        used[idx] += 1
+    ends = [3 * sde_mod.BLOCK + 2 - 40 * r for r in range(m)]
+    ref_g, ref_u = _per_path_draws(seed, paths, dim, n_uniform, max(ends))
+    streams = sde_mod.PathStreams(seed, paths, dim, n_uniform)
+    schedule = _one_column_schedule(m, ends, np.random.default_rng(3))
+    skipped = _check_one_column_reads(streams, schedule, m, ref_g, ref_u)
+    assert (skipped >= 0).all()
 
 
 @pytest.mark.parametrize("block", [1, 7, 53, sde_mod.BLOCK])
 def test_block_size_changes_no_sample(block):
-    # every row reads its own stream in order, so any block size gives the
-    # per-path generators' draws; the schedule reads all rows in lockstep,
-    # then a subset in lockstep, then one row, then staggered index sets,
-    # then all rows again at staggered positions
-    seed, dim, n_uniform, draws = 2**64 + 5, 3, 4, 2 * sde_mod.BLOCK + 350
+    # a row's j-th call reads draw j of each stream at any block size; the
+    # rows leave one by one, the last past the second refill at BLOCK
+    seed, dim, n_uniform = 2**64 + 5, 3, 4
     paths = [0, 3, 7, 77777, 2**32 - 1]
     m = len(paths)
+    ends = [2 * sde_mod.BLOCK + 350, 2 * sde_mod.BLOCK + 10, 300, 130, 9]
+    ref_g, ref_u = _per_path_draws(seed, paths, dim, n_uniform, max(ends))
     streams = sde_mod.PathStreams(seed, paths, dim, n_uniform, block)
-
-    def reference(stream, draw):
-        return [
-            draw(np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(p, stream)))))
-            for p in paths
-        ]
-
-    ref_g = reference(0, lambda g: g.standard_normal((draws, dim)))
-    ref_u = reference(1, lambda g: g.random((draws, n_uniform)))
-    everyone = np.arange(m)
-    schedule = (
-        [slice(None)] * (2 * sde_mod.BLOCK + 10)
-        + [np.asarray([1, 2, 4])] * 20
-        + [np.asarray([0])] * 7
-        + [np.asarray([r for r in range(m) if t % (r + 1) == 0]) for t in range(300)]
-        + [slice(None)] * 10
-    )
-    used = np.zeros(m, dtype=np.int64)
-    for idx in schedule:
-        rows = everyone[idx]
-        g = streams.normals(idx)
-        u = streams.uniforms(idx)
-        assert g.shape == (len(rows), dim) and u.shape == (len(rows), n_uniform)
-        for k, r in enumerate(rows):
-            assert np.array_equal(g[k].view(np.uint64), ref_g[r][used[r]].view(np.uint64))
-            assert np.array_equal(u[k].view(np.uint64), ref_u[r][used[r]].view(np.uint64))
-        used[rows] += 1
-    assert used.min() > 2 * sde_mod.BLOCK and used.max() <= draws
+    schedule = _one_column_schedule(m, ends, np.random.default_rng(block))
+    skipped = _check_one_column_reads(streams, schedule, m, ref_g, ref_u)
+    assert (skipped >= 0).all()
 
 
 def _words(state: dict) -> list:
@@ -206,31 +210,26 @@ def _words(state: dict) -> list:
 
 
 def test_refill_writes_back_each_rows_state():
-    # after lockstep, subset and staggered reads, every row's stored words are
-    # the per-path generator's state after the same whole blocks of draws; the
-    # Gaussian ziggurat takes a variable number of outputs per draw
+    # every row's stored words are the per-path generator's state after the
+    # whole blocks of both streams that its calls refilled, its skipped
+    # uniform columns included; the Gaussian ziggurat takes a variable
+    # number of outputs per draw
     seed, dim, n_uniform, block = 2**64 + 5, 3, 4, 7
     paths = [0, 3, 7, 77777, 2**32 - 1]
     m = len(paths)
+    ends = [110, 64, 50, 22, 1]
     streams = sde_mod.PathStreams(seed, paths, dim, n_uniform, block)
-    schedule = (
-        [slice(None)] * 30
-        + [np.asarray([1, 2, 4])] * 20
-        + [np.asarray([r for r in range(m) if t % (r + 1) == 0]) for t in range(60)]
-    )
-    used = np.zeros(m, dtype=np.int64)
-    for idx in schedule:
+    for idx, uidx in _one_column_schedule(m, ends, np.random.default_rng(11)):
         streams.normals(idx)
-        streams.uniforms(idx)
-        used[np.arange(m)[idx]] += 1
-    refills = -(-used // block)
-    assert refills.min() >= 3
+        streams.uniforms(uidx)
+    refills = -(-np.asarray(ends) // block)
+    assert refills.tolist() == [16, 10, 8, 4, 1]
     order = sde_mod._state_view(np.random.PCG64())[1]
-    for stream, s, draw in ((0, streams._gauss, "standard_normal"), (1, streams._unif, "random")):
-        words = s.words[:, order].tolist()
+    for stream, (words, buf, _), draw in zip((0, 1), streams._streams, ("standard_normal", "random")):
+        words = words[:, order].tolist()
         for r, p in enumerate(paths):
             gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(p, stream))))
-            getattr(gen, draw)((refills[r] * block, s.buf.shape[2]))
+            getattr(gen, draw)((refills[r] * block, buf.shape[2]))
             assert words[r] == _words(gen.bit_generator.state["state"]), (stream, p)
 
 
@@ -435,7 +434,7 @@ def test_twelve_root_ensemble_arrays_golden_digest():
     digest = hashlib.sha256()
     for a in (res.states, res.jump_counts, res.intensity_integrals, res.steps, res.violations):
         digest.update(np.ascontiguousarray(a).tobytes())
-    assert digest.hexdigest() == "627655e953b1d165abbba4eb9047fca8c520ee31872c68a2c6a2a51f2b538750"
+    assert digest.hexdigest() == "587dcea700e277470b8e07a779ae32aa43e27b1cdd0059f2900f048fb101873f"
 
 
 ONE_PATH_CASES = {
@@ -827,6 +826,13 @@ def test_laguerre_roots_and_electrostatics():
         laguerre_roots(HERMITE_CAP + 1)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, -1.0])
+def test_laguerre_roots_refuse_a_without_an_answer(a):
+    # NaN slipped past a <= -1 and, like inf, ended in LinAlgError
+    with pytest.raises(ValueError, match="a must be finite and exceed -1"):
+        laguerre_roots(3, a)
+
+
 def test_jacobi_roots_bit_identical_to_scipy_tridiagonal_solver():
     # the dense eigvalsh route gives the same bits as LAPACK's tridiagonal
     # solver behind scipy, so freeze targets and roots output do not move
@@ -895,6 +901,23 @@ def test_laguerre_freezing_probe_b3():
     assert hi["target"] == pytest.approx(list(np.sqrt(laguerre_roots(3, 0.0))))
     assert hi["mean_sup"] < 0.05
     assert hi["mean_sup"] < lo["mean_sup"]
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+def test_freezing_refuses_k_without_an_answer(k):
+    # k = 0 gave mean_sup inf after a divide-by-zero warning
+    with pytest.raises(ConfigError, match="k must be positive and finite"):
+        freezing_experiment(3, [1e2, k], n_paths=4)
+    with pytest.raises(ConfigError, match="k must be positive and finite"):
+        laguerre_freezing_probe(3, k, n_paths=4)
+
+
+@pytest.mark.parametrize("t_end", [0.0, 1e-13, 1e-12, math.nan, math.inf])
+def test_freeze_ode_refuses_t_end_without_an_answer(t_end):
+    # 0 raised a math domain error, 1e-13 returned the unconverged start and
+    # NaN or inf spun into SamplingError
+    with pytest.raises(ValueError, match="t_end must be finite and above 1e-12"):
+        deterministic_freeze_ode(3, t_end)
 
 
 def test_deterministic_freeze_ode():

@@ -49,6 +49,33 @@ def test_substitute_round_trip():
         substitute(1.0, 0.0, (1.0,))
 
 
+@pytest.mark.parametrize(
+    "fn, omega, time, names",
+    [
+        (substitute, 0.0, 1.0, "omega .* 0.0"),  # ZeroDivisionError
+        (substitute, -1.0, 1.0, "omega .* -1.0"),  # math domain error
+        (substitute, math.nan, 1.0, "omega .* nan"),  # gave NaN
+        (substitute, math.inf, 1.0, "omega .* inf"),
+        (substitute, 1.0, math.nan, "t .* nan"),  # gave NaN
+        (substitute, 1.0, math.inf, "t .* inf"),
+        (substitute, 1.0, -0.5, "t .* -0.5"),
+        (inverse_substitute, 0.0, 0.5, "omega .* 0.0"),  # gave (1.0, (0.0,))
+        (inverse_substitute, -2.0, 0.5, "omega .* -2.0"),
+        (inverse_substitute, math.nan, 0.5, "omega .* nan"),
+        (inverse_substitute, 1.0, math.nan, "tau .* nan"),
+        (inverse_substitute, 1.0, -math.inf, "tau .* -inf"),
+    ],
+)
+def test_substitute_refuses_scaling_variables_without_an_answer(fn, omega, time, names):
+    with pytest.raises(ValueError, match=names):
+        fn(omega, time, (1.0,))
+
+
+def test_inverse_substitute_takes_any_finite_tau():
+    # tau = log(t) / (2 omega) is negative for t < 1
+    assert inverse_substitute(1.0, -0.5, (1.0,))[0] == pytest.approx(math.exp(-1.0))
+
+
 def test_substitute_fixed_values():
     # t = 1 maps to tau = 0; scaling is 1/sqrt(2 omega t)
     tau, zeta = substitute(0.5, 1.0, (2.0,))
