@@ -34,6 +34,7 @@ from .dunkl import (
     dunkl_laplacian_expanded,
     kbe_generator,
     kfe_generator,
+    live_dots,
 )
 from .errors import (
     ConfigError,
@@ -92,7 +93,6 @@ from .suites import SUITES, SuiteResult, run_suites
 from .transform import (
     IdentityReport,
     TestFunction,
-    TransformParams,
     corollary1_residual,
     corollary1_sides,
     inverse_substitute,

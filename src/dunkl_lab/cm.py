@@ -13,8 +13,9 @@ argument of f.  Its ground energy is E0 = omega (gamma + N/2), with ground
 state Phi0 = exp(-W0), proportional to exp(-omega |x|^2 / 2) * sqrt(w_k).
 ``w_value``, ``w_gradient`` and ``w_laplacian`` are the one closed form of
 the gauge W(tau, x) = omega |x|^2/2 - sum_{R+} k log|alpha . x| + omega N tau,
-its x-gradient and its x-Laplacian, for any params with ``system`` and
-``omega`` (``transform`` uses them too); W0 is W at tau = 0.
+its x-gradient and its x-Laplacian; they take ``CMParams``, as every
+check of ``transform`` does, and W0 is W at tau = 0.  ``dunkl.live_dots``
+refuses the points where they would divide by zero or read NaN.
 
 On every root system the ground-state gauge conjugates H to the Dunkl
 heat-type operator (Delta_k = sum_i T_i^2, E = sum_j x_j d_j):
@@ -49,7 +50,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dunkl import DunklContext, PointFunction, PolyFunction, dunkl_laplacian_direct, refuse_non_finite
+from .dunkl import (
+    DunklContext, PointFunction, PolyFunction, dunkl_laplacian_direct, live_dots, refuse_non_finite,
+)
 from .errors import DimensionError, ExactModeError, HyperplaneError
 from .polyx import MultiPoly
 from .rootsys import RootSystem, Scalar, build_root_system, dot, reflect
@@ -59,32 +62,15 @@ SPIN_SITE_CAP = 12
 
 @dataclass(frozen=True)
 class CMParams:
-    """Root system, multiplicities (carried by the system) and omega >= 0."""
+    """Root system, multiplicities (carried by the system) and a finite
+    omega >= 0: the one parameter type of ``cm`` and ``transform``."""
 
     system: RootSystem
     omega: Scalar = 0
 
     def __post_init__(self):
-        if not self.omega >= 0:
-            raise ValueError("omega must be nonnegative")
-
-
-def _live_dots(system: RootSystem, x: Sequence[Scalar]) -> list:
-    """alpha . x for each root of ``system.live_positive``, refusing a point
-    where the closed forms would divide by zero or read NaN: DimensionError
-    for a wrong length, ValueError for a coordinate that is not finite, and
-    HyperplaneError naming a root whose (alpha . x)^2 is 0."""
-    if len(x) != system.dimension:
-        raise DimensionError("point dimension mismatch")
-    refuse_non_finite(x)
-    dots = []
-    for r in system.live_positive:
-        d = r.dot(x)
-        if d * d == 0:
-            root = ", ".join(map(str, r.vector))
-            raise HyperplaneError(f"(alpha . x)^2 is 0 for the root ({root})")
-        dots.append(d)
-    return dots
+        if not 0 <= self.omega < math.inf:
+            raise ValueError(f"omega must be finite and nonnegative, got {self.omega!r}")
 
 
 def cm_apply(params: CMParams, f: PointFunction, x: Sequence[Scalar]) -> Scalar:
@@ -93,7 +79,7 @@ def cm_apply(params: CMParams, f: PointFunction, x: Sequence[Scalar]) -> Scalar:
     At an all-float point k and k |alpha|^2 are the root's cached floats.
     """
     system = params.system
-    dots = _live_dots(system, x)
+    dots = live_dots(system, x)
     floats = all(type(c) is float for c in x)
     fx = f.value(x)
     acc = -f.laplacian(x) / 2
@@ -127,7 +113,7 @@ def _log_signed(s):
     return math.log(abs(s))
 
 
-def w_value(params, tau, x):
+def w_value(params: CMParams, tau, x):
     """W(tau, x); accepts complex tau or x entries (analytic branch)."""
     system = params.system
     omega = params.omega
@@ -137,9 +123,9 @@ def w_value(params, tau, x):
     return acc
 
 
-def w_gradient(params, x):
+def w_gradient(params: CMParams, x):
     """grad_x W = omega x - sum_{R+} k alpha / (alpha . x)."""
-    dots = _live_dots(params.system, x)
+    dots = live_dots(params.system, x)
     g = [params.omega * z for z in x]
     for r, d in zip(params.system.live_positive, dots):
         for i, a in r.support:
@@ -147,11 +133,11 @@ def w_gradient(params, x):
     return g
 
 
-def w_laplacian(params, x):
+def w_laplacian(params: CMParams, x):
     """Delta_x W = omega N + sum_{R+} k |alpha|^2 / (alpha . x)^2."""
     system = params.system
     acc = params.omega * system.dimension
-    for r, d in zip(system.live_positive, _live_dots(system, x)):
+    for r, d in zip(system.live_positive, live_dots(system, x)):
         acc = acc + r.fmultiplicity * r.fsq_norm / (d * d)
     return acc
 

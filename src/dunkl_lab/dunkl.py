@@ -21,12 +21,16 @@ the jump numerator:
     KFE f = 1/2 Delta f - sum k (alpha . grad f)/(alpha . x)
           + sum k |alpha|^2/2 [f(x) + f(sigma x)] / (alpha . x)^2.
 
-Exact mode works on MultiPoly inputs with rational multiplicities; float
-mode evaluates the expanded formulas on PointFunction oracles at a point.
-Both share one loop for the pointwise formulas.  At an all-float point it
-reads each root's cached float constants (``Root.fmultiplicity`` and
-``Root.fweight``, k |alpha|^2 rounded once), which give the bits that the
-Fraction-times-float mix gives, without its dispatch.
+One ``DunklContext`` serves both kinds of arithmetic; exactness is read
+from the system, not chosen.  ``dunkl_apply`` works on MultiPoly inputs and
+refuses a system with irrational root coordinates or float multiplicities;
+the pointwise generators evaluate the expanded formulas on PointFunction
+oracles at a Fraction or float point, through one loop.  At an all-float
+point it reads each root's cached float constants (``Root.fmultiplicity``
+and ``Root.fweight``, k |alpha|^2 rounded once), which give the bits that
+the Fraction-times-float mix gives, without its dispatch.  ``live_dots`` is
+the one wall guard, shared with the closed forms of ``cm`` and
+``transform``.
 """
 
 from __future__ import annotations
@@ -78,59 +82,48 @@ def refuse_non_finite(x: Sequence[Scalar]) -> None:
             raise ValueError(f"coordinate {i} value {c!r} is not finite")
 
 
+def live_dots(system: RootSystem, x: Sequence[Scalar]) -> list:
+    """alpha . x for each root of ``system.live_positive``, in order, refusing
+    a point where the closed forms would divide by zero or read NaN:
+    DimensionError for a wrong length, ValueError for a coordinate that is
+    not finite, and HyperplaneError naming a root whose (alpha . x)^2 is 0."""
+    if len(x) != system.dimension:
+        raise DimensionError(f"point of length {len(x)} in dimension {system.dimension}")
+    refuse_non_finite(x)
+    dots = []
+    for r in system.live_positive:
+        d = r.dot(x)
+        if d * d == 0:
+            root = ", ".join(map(str, r.vector))
+            raise HyperplaneError(f"(alpha . x)^2 is 0 for the root ({root})")
+        dots.append(d)
+    return dots
+
+
 @dataclass(frozen=True)
 class DunklContext:
-    """A validated root system plus the arithmetic mode.
-
-    ``exact`` mode requires rational root coordinates (and rational
-    multiplicities for the polynomial operators); ``float`` mode evaluates
-    pointwise with a hyperplane proximity guard.
-    """
+    """A root system checked for closure; its arithmetic follows the system
+    and the inputs."""
 
     system: RootSystem
-    mode: str = "exact"
 
     def __post_init__(self):
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "exact" and not self.system.is_exact:
-            raise ExactModeError(
-                "exact mode needs rational root coordinates "
-                "(integer-representatives scale)"
-            )
         result = self.system.closure
         if not result:
             raise ExactModeError(f"root system is not closed: {result.detail}")
 
-    def require_exact_multiplicities(self):
-        for r in self.system.roots:
-            if isinstance(r.multiplicity, float):
-                raise ExactModeError(
-                    "polynomial Dunkl operators need rational multiplicities"
-                )
-
     def guard_point(self, x: Sequence[Scalar]) -> list:
-        """Reject a non-finite coordinate (ValueError) and points too close
-        to a hyperplane that actually carries k > 0.
+        """``live_dots``, and HyperplaneError where a float alpha . x lies
+        within HYPERPLANE_FLOOR |alpha| of a hyperplane that carries k > 0.
 
         Returns alpha . x for each root of ``system.live_positive``, in order.
         """
-        if len(x) != self.system.dimension:
-            raise DimensionError(
-                f"point of length {len(x)} in dimension {self.system.dimension}"
-            )
-        refuse_non_finite(x)
-        dots = []
-        for r in self.system.live_positive:
-            d = r.dot(x)
-            if isinstance(d, (int, Fraction)):
-                if d == 0:
-                    raise HyperplaneError(f"point lies on the hyperplane of {r.vector}")
-            elif abs(d) < HYPERPLANE_FLOOR * math.sqrt(r.fsq_norm):
+        dots = live_dots(self.system, x)
+        for r, d in zip(self.system.live_positive, dots):
+            if not isinstance(d, (int, Fraction)) and abs(d) < HYPERPLANE_FLOOR * math.sqrt(r.fsq_norm):
                 raise HyperplaneError(
                     f"point within {HYPERPLANE_FLOOR} of the hyperplane of {r.vector}"
                 )
-            dots.append(d)
         return dots
 
 
@@ -141,13 +134,17 @@ class DunklContext:
 def dunkl_apply(ctx: DunklContext, xi: Sequence[Scalar], p: MultiPoly) -> MultiPoly:
     """T_xi p as an exact polynomial.
 
-    Requires exact mode.  For homogeneous p the result is homogeneous of
-    degree deg(p) - 1 (possibly zero).
+    Needs rational root coordinates and multiplicities (else
+    ExactModeError).  For homogeneous p the result is homogeneous of degree
+    deg(p) - 1 (possibly zero).
     """
-    if ctx.mode != "exact":
-        raise ExactModeError("dunkl_apply runs in exact mode; use the generators in float mode")
-    ctx.require_exact_multiplicities()
     system = ctx.system
+    if not system.is_exact:
+        raise ExactModeError(
+            "dunkl_apply needs rational root coordinates (integer-representatives scale)"
+        )
+    if any(isinstance(r.multiplicity, float) for r in system.roots):
+        raise ExactModeError("polynomial Dunkl operators need rational multiplicities")
     if p.nvars != system.dimension:
         raise DimensionError("polynomial variables do not match the system dimension")
     xs = [Fraction(c) if not isinstance(c, Fraction) else c for c in xi]

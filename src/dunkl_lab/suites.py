@@ -50,7 +50,6 @@ from .rootsys import (
 from .transform import (
     IdentityReport,
     TestFunction,
-    TransformParams,
     corollary1_sides,
     lemma2_check,
     report_from_samples,
@@ -255,7 +254,7 @@ def suite_similarity(seed: int = 0):
     for family, rank, mults in (("A", 2, (1,)), ("B", 2, (1, 2)), ("D", 4, (1,))):
         system = build_root_system(family, rank, mults)
         for omega in (0.7, 1.3):
-            params = TransformParams(system=system, omega=omega)
+            params = CMParams(system=system, omega=omega)
             fn = TestFunction(
                 lam=rng.uniform(-1, 1), poly=_random_poly(system.dimension, 3, rng)
             )
@@ -294,7 +293,7 @@ def suite_theorem1(seed: int = 0):
         for omega in OMEGAS:
             for scale in K_SCALES:
                 system = base.with_multiplicity_scale(scale)
-                params = TransformParams(system=system, omega=omega)
+                params = CMParams(system=system, omega=omega)
                 fn = TestFunction(
                     lam=rng.uniform(-1, 1), poly=_random_poly(system.dimension, 4, rng)
                 )
@@ -325,7 +324,7 @@ def suite_corollary1(seed: int = 0):
         samples = []
         for k in (0.5, 1.0, 2.5):
             system = build_root_system("A", n - 1, [k])
-            params = TransformParams(system=system, omega=k)
+            params = CMParams(system=system, omega=k)
             fn = TestFunction(lam=rng.uniform(-1, 1), poly=_random_poly(n, 4, rng))
             tau = rng.uniform(-0.3, 0.4)
             for j in range(20):
@@ -490,8 +489,8 @@ def suite_oscillator(seed: int = 0):
     """
     rng = random.Random(seed)
     system = build_root_system("B", 1, [0])
-    params = TransformParams(system=system, omega=1.0)
-    ok = ground_energy(CMParams(system=system, omega=1)) == Fraction(1, 2)
+    params = CMParams(system=system, omega=1.0)
+    ok = ground_energy(params) == Fraction(1, 2)
     samples = []
     for j in range(30):
         fn = TestFunction(lam=rng.uniform(-1, 1), poly=_random_poly(1, 4, rng))

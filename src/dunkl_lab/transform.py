@@ -16,7 +16,8 @@ and the gauge factor exp(-W) with
 
 onto minus the trapped Hamiltonian shifted by its ground energy.  W, its
 gradient and its Laplacian are defined once, in ``cm`` (``w_value``,
-``w_gradient``, ``w_laplacian``), and shared with the ground state there.
+``w_gradient``, ``w_laplacian``), and shared with the ground state there;
+every check here takes ``cm.CMParams``, the one (system, omega) type.
 Writing u(tau, zeta) = exp(-W) U(tau, zeta), the pointwise identity checked
 here is
 
@@ -51,10 +52,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cm import (
-    CMParams, SideBySide, _GaugedJet, _live_dots, cm_apply, ground_energy,
-    ground_energy_a_type, pair_gauge, w_gradient, w_value,
+    CMParams, SideBySide, _GaugedJet, cm_apply, ground_energy, ground_energy_a_type,
+    pair_gauge, w_gradient, w_value,
 )
-from .dunkl import DunklContext, PointFunction, PolyFunction, kfe_generator
+from .dunkl import DunklContext, PointFunction, PolyFunction, kfe_generator, live_dots
 from .errors import DimensionError
 from .polyx import MultiPoly
 from .rootsys import RootSystem, Scalar, dot
@@ -62,18 +63,6 @@ from .rootsys import RootSystem, Scalar, dot
 EPS = sys.float_info.epsilon
 CS_STEP = 1e-60
 CS_STEP2 = EPS ** (1.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class TransformParams:
-    """Root system plus trap frequency omega > 0."""
-
-    system: RootSystem
-    omega: float = 1.0
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
 
 
 def _refuse(name: str, value: float, positive: bool = True):
@@ -95,11 +84,20 @@ def substitute(omega: float, t: float, x: Sequence[float]):
 
 def inverse_substitute(omega: float, tau: float, zeta: Sequence[float]):
     """(tau, zeta) -> (t, x); exact inverse of ``substitute``.  omega must be
-    finite and positive, tau finite."""
+    finite and positive, tau finite, t = e^{2 omega tau} a positive finite
+    float and sqrt(2 omega t) finite."""
     _refuse("omega", omega)
     _refuse("tau", tau, positive=False)
-    t = math.exp(2 * omega * tau)
+    try:
+        t = math.exp(2 * omega * tau)
+    except OverflowError:
+        t = math.inf
     s = math.sqrt(2 * omega * t)
+    if not 0 < t < math.inf or s == math.inf:
+        raise ValueError(
+            f"tau {tau!r} at omega {omega!r} gives t = e^(2 omega tau) = {t!r} and "
+            f"sqrt(2 omega t) = {s!r}; t must be positive and both finite"
+        )
     return t, tuple(zi * s for zi in zeta)
 
 
@@ -133,12 +131,12 @@ class TestFunction:
         return e * self.spatial.laplacian(zeta)
 
 
-def w_tau(params: TransformParams) -> float:
+def w_tau(params: CMParams) -> float:
     """dW/dtau = omega N, independent of the point."""
     return params.omega * params.system.dimension
 
 
-def w_quadratic_form(params: TransformParams, zeta):
+def w_quadratic_form(params: CMParams, zeta):
     """|grad W|^2 - Delta W via full expansion of the square.
 
     The cross terms between the trap part and the singular part collapse to
@@ -176,7 +174,7 @@ def lemma2_check(system: RootSystem, x: Sequence[Scalar]):
     With Fraction inputs on an exact system both sides are exact rationals.
     The numerators do not depend on x and come from the system's cache.
     """
-    inv = _live_dots(system, x)
+    inv = live_dots(system, x)
     if all(type(c) is float for c in x):
         pairs, diag = system.float_pair_products
     else:
@@ -232,7 +230,7 @@ def _cs_second_entry(w_at, u_at, base_w, point, i, tau):
 
 
 def similarity_identities_check(
-    params: TransformParams, fn: TestFunction, tau: float, zeta: Sequence[float]
+    params: CMParams, fn: TestFunction, tau: float, zeta: Sequence[float]
 ) -> dict:
     """Gauge conjugation formulas versus complex-step derivatives.
 
@@ -289,7 +287,7 @@ def similarity_identities_check(
 
 
 def theorem1_sides(
-    params: TransformParams, fn: TestFunction, tau: float, zeta: Sequence[float]
+    params: CMParams, fn: TestFunction, tau: float, zeta: Sequence[float]
 ) -> SideBySide:
     """Both sides of the scaling identity at one point, gauge factored out.
 
@@ -298,6 +296,8 @@ def theorem1_sides(
 
         lhs = [L u + omega zeta . grad u] - du/dtau      (times e^W)
         rhs = -[ dU/dtau + (H - E0) U ].
+
+    At omega = 0 the identity is the trap-free map of ``unconfined_map_check``.
     """
     system = params.system
     omega = params.omega
@@ -313,13 +313,12 @@ def theorem1_sides(
 
     hat_tau = du_tau - w_tau(params) * u0
     jet = _GaugedJet(params, zs, lambda z: fn.value(tau, z), u0, grad_u, lap_u)
-    lhs = kfe_generator(DunklContext(system, mode="float"), jet, zs)
+    lhs = kfe_generator(DunklContext(system), jet, zs)
     lhs = lhs + omega * sum(z * hg for z, hg in zip(zs, jet.grad))
     lhs = lhs - hat_tau
 
-    cm = CMParams(system=system, omega=omega)
-    h_u = float(cm_apply(cm, fn.spatial, zs)) * math.exp(fn.lam * tau)
-    e0 = float(ground_energy(cm))
+    h_u = float(cm_apply(params, fn.spatial, zs)) * math.exp(fn.lam * tau)
+    e0 = float(ground_energy(params))
     rhs = -(du_tau + h_u - e0 * u0)
     return SideBySide(lhs=lhs, rhs=rhs)
 
@@ -406,7 +405,7 @@ def unconfined_map_check(
     xs = [float(c) for c in x]
     params = CMParams(system=system, omega=0)
     jet = _GaugedJet(params, xs, f.value, f.value(xs), f.gradient(xs), f.laplacian(xs))
-    lhs = kfe_generator(DunklContext(system, mode="float"), jet, xs)
+    lhs = kfe_generator(DunklContext(system), jet, xs)
     rhs = -float(cm_apply(params, f, xs))
     return SideBySide(lhs=lhs, rhs=rhs)
 

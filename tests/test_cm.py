@@ -51,9 +51,10 @@ def test_ground_energy_rejects_negative_omega():
         CMParams(build_root_system("A", 2, (1,)), omega=-1)
 
 
-def test_cm_params_rejects_nan_omega():
-    with pytest.raises(ValueError):
-        CMParams(build_root_system("A", 2, (1,)), omega=float("nan"))
+@pytest.mark.parametrize("omega", [math.nan, math.inf], ids=["nan", "inf"])
+def test_cm_params_rejects_nan_omega(omega):
+    with pytest.raises(ValueError, match="omega"):
+        CMParams(build_root_system("A", 2, (1,)), omega=omega)
 
 
 def test_cm_apply_harmonic_oscillator():

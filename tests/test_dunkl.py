@@ -14,6 +14,7 @@ from dunkl_lab.dunkl import (
     dunkl_laplacian_expanded,
     kbe_generator,
     kfe_generator,
+    live_dots,
 )
 from dunkl_lab.cm import CMParams, cm_apply
 from dunkl_lab.errors import ExactModeError, HyperplaneError
@@ -91,9 +92,7 @@ def test_degree_lowering_on_homogeneous():
 
 def test_exact_mode_requires_rational_data():
     sys_f = build_root_system("A", 2, (1.0,), scale="normalized")
-    with pytest.raises(ExactModeError):
-        DunklContext(sys_f, mode="exact")
-    ctx = DunklContext(sys_f, mode="float")
+    ctx = DunklContext(sys_f)
     with pytest.raises(ExactModeError):
         dunkl_apply(ctx, (1, 0, 0), MultiPoly.variable(3, 0))
 
@@ -101,20 +100,41 @@ def test_exact_mode_requires_rational_data():
 def test_unclosed_custom_system_is_rejected():
     # reflecting (0, 1) in (1, 1) gives (-1, 0), which is missing
     unclosed = make_system_from_vectors([(1, 1), (-1, -1), (0, 1), (0, -1)])
-    for mode in ("exact", "float"):
-        with pytest.raises(ExactModeError, match="not closed"):
-            DunklContext(unclosed, mode=mode)
+    with pytest.raises(ExactModeError, match="not closed"):
+        DunklContext(unclosed)
 
 
 def test_hyperplane_guard():
-    ctx = _ctx("A", 2, (1,), mode="float")
+    ctx = _ctx("A", 2, (1,))
     with pytest.raises(HyperplaneError):
         ctx.guard_point((1.0, 1.0, 0.0))
     # zero-multiplicity hyperplanes are not guarded
-    free = DunklContext(
-        build_root_system("B", 2, (0, 1)).with_multiplicity_scale(1), mode="float"
-    )
+    free = DunklContext(build_root_system("B", 2, (0, 1)).with_multiplicity_scale(1))
     free.guard_point((1e-12, 0.7))  # on the k=0 short-root hyperplane: fine
+    # guard_point is live_dots plus the float floor: off the walls both give
+    # the same dots, in exact and in float arithmetic
+    for system in (
+        build_root_system("A", 3, (K1,)),
+        build_root_system("B", 3, (1, Fraction(1, 2))),
+        build_root_system("D", 4, (2,)),
+        build_root_system("I2", 5, (0.7,), scale="normalized"),
+    ):
+        ctx = DunklContext(system)
+        for seed in range(4):
+            x = sample_generic_point(system, seed=seed)
+            for point in (tuple(map(Fraction, x)), tuple(map(float, x))):
+                assert ctx.guard_point(point) == live_dots(system, point)
+    # an exact point on a wall is refused by both
+    ctx = _ctx("A", 3, (1,))
+    on_wall = (Fraction(1), Fraction(1), Fraction(1, 2), Fraction(3))
+    for guard in (ctx.guard_point, lambda x: live_dots(ctx.system, x)):
+        with pytest.raises(HyperplaneError):
+            guard(on_wall)
+    # 1e-12 off a wall only the float floor refuses
+    near = (1.0, 1.0 + 1e-12, 0.5, 3.0)
+    assert len(live_dots(ctx.system, near)) == 6
+    with pytest.raises(HyperplaneError, match="within"):
+        ctx.guard_point(near)
 
 
 @pytest.mark.parametrize("generator", [kfe_generator, kbe_generator, dunkl_laplacian_expanded])
@@ -123,7 +143,7 @@ def test_hyperplane_guard():
 )
 def test_generators_refuse_a_non_finite_coordinate(generator, x, index):
     # NaN compares false with the hyperplane floor, so these used to return nan
-    ctx = _ctx("A", 2, (1,), mode="float")
+    ctx = _ctx("A", 2, (1,))
     f = PolyFunction(parse_poly("x1 x2", nvars=3))
     with pytest.raises(ValueError, match=f"coordinate {index} value .* is not finite"):
         generator(ctx, f, x)
@@ -206,7 +226,7 @@ class _Sine:
 
 def test_kbe_generator_on_exact_sine_oracles():
     # kbe_generator on a non-polynomial PointFunction
-    ctx = _ctx("B", 1, (1.0,), mode="float")
+    ctx = _ctx("B", 1, (1.0,))
     x = (0.7,)
     got = kbe_generator(ctx, _Sine(), x)
     # (1/2) f'' + k (f'/x - (f(x) - f(-x))/(2x^2)) for even reflection part
@@ -249,7 +269,7 @@ def test_kfe_drops_to_kbe_at_zero_multiplicity():
     ids=["A2-scaled-3", "B2"],
 )
 def test_float_route_bits(system, poly, x, want):
-    ctx = DunklContext(system, mode="float")
+    ctx = DunklContext(system)
     f = PolyFunction(parse_poly(poly, nvars=system.dimension))
     got = [g(ctx, f, x) for g in (kfe_generator, kbe_generator, dunkl_laplacian_expanded)]
     got.append(cm_apply(CMParams(system, omega=Fraction(1, 3)), f, x))

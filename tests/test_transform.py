@@ -21,7 +21,6 @@ from dunkl_lab.polyx import parse_poly
 from dunkl_lab.rootsys import build_root_system, sample_generic_point
 from dunkl_lab.transform import (
     TestFunction,
-    TransformParams,
     corollary1_residual,
     corollary1_sides,
     inverse_substitute,
@@ -64,6 +63,8 @@ def test_substitute_round_trip():
         (inverse_substitute, math.nan, 0.5, "omega .* nan"),
         (inverse_substitute, 1.0, math.nan, "tau .* nan"),
         (inverse_substitute, 1.0, -math.inf, "tau .* -inf"),
+        (inverse_substitute, 1.0, 400.0, "tau 400.0"),  # OverflowError
+        (inverse_substitute, 1.0, -400.0, "tau -400.0"),  # gave (0.0, (0.0,))
     ],
 )
 def test_substitute_refuses_scaling_variables_without_an_answer(fn, omega, time, names):
@@ -100,7 +101,7 @@ def _fn(text, nvars, lam=0.0):
 
 
 def test_w_gradient_matches_fd():
-    params = TransformParams(build_root_system("B", 2, (0.7, 1.4), scale="normalized"), omega=1.1)
+    params = CMParams(build_root_system("B", 2, (0.7, 1.4), scale="normalized"), omega=1.1)
     zeta = (0.9, 2.2)
     grad = w_gradient(params, zeta)
     h = 1e-6
@@ -141,7 +142,7 @@ def test_triple_sum_vanishes():
 
 
 def test_similarity_identities():
-    params = TransformParams(build_root_system("B", 2, (1, 2)), omega=1.3)
+    params = CMParams(build_root_system("B", 2, (1, 2)), omega=1.3)
     fn = _fn("x1^2 x2 - x2^3", 2, lam=0.4)
     zeta = tuple(float(c) for c in sample_generic_point(params.system, seed=5, min_distance=0.2))
     out = similarity_identities_check(params, fn, 0.15, zeta)
@@ -159,11 +160,15 @@ def test_similarity_identities():
         ("B", 2, (1, 2), 2.0),
         ("B", 3, (Fraction(3, 4), Fraction(5, 4)), 1.0),
         ("D", 4, (2,), 1.7),
+        # the trap-free map, one row per family
+        ("B", 2, (1, 2), 0.0),
+        ("A", 3, (Fraction(1, 2),), 0.0),
+        ("D", 4, (2,), 0.0),
     ],
 )
 def test_theorem1_identity(family, rank, mults, omega):
     system = build_root_system(family, rank, mults)
-    params = TransformParams(system, omega=omega)
+    params = CMParams(system, omega=omega)
     n = system.dimension
     fn = _fn("x1^2 + x2 x1 - 2 x2", n, lam=-0.3)
     worst = 0.0
@@ -179,8 +184,8 @@ def test_theorem1_root_scale_invariance():
     stretched = base.rescale_orbit(0, Fraction(3))
     fn = _fn("x1^3 - x2", 2, lam=0.2)
     zeta = (0.77, 1.91)
-    a = theorem1_sides(TransformParams(base, omega=1.2), fn, 0.1, zeta)
-    b = theorem1_sides(TransformParams(stretched, omega=1.2), fn, 0.1, zeta)
+    a = theorem1_sides(CMParams(base, omega=1.2), fn, 0.1, zeta)
+    b = theorem1_sides(CMParams(stretched, omega=1.2), fn, 0.1, zeta)
     assert a.lhs == pytest.approx(b.lhs, rel=1e-12)
     assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
 
@@ -189,7 +194,7 @@ def test_corollary1_matches_general_path():
     # the pair-sum specialization lives at omega = k
     for n, k in ((2, 0.5), (3, 1.0), (4, 2.5)):
         system = build_root_system("A", n - 1, [k])
-        params = TransformParams(system, omega=k)
+        params = CMParams(system, omega=k)
         fn = _fn("x1 x2 - x1", n, lam=0.6)
         for seed in range(4):
             zeta = tuple(float(c) for c in sample_generic_point(system, seed=seed, min_distance=0.15))
@@ -223,7 +228,7 @@ _WALL_CHECKS = {
     "cm_apply": lambda x: cm_apply(CMParams(_A2, omega=1), PolyFunction(parse_poly("x1", nvars=3)), x),
     "groundstate_residual": lambda x: groundstate_residual(CMParams(_A2, omega=1), x),
     "groundstate_value": lambda x: groundstate_value(CMParams(_A2, omega=1), x),
-    "theorem1_sides": lambda x: theorem1_sides(TransformParams(_A2), _fn("x1 x2", 3), 0.1, x),
+    "theorem1_sides": lambda x: theorem1_sides(CMParams(_A2, omega=1.0), _fn("x1 x2", 3), 0.1, x),
     "corollary1_sides": lambda x: corollary1_sides(3, 1.0, _fn("x1 x2", 3), 0.1, x),
     "transformed_hamiltonian_check":
         lambda x: transformed_hamiltonian_check(3, 1, parse_poly("x1 x2", nvars=3), x),
@@ -257,7 +262,7 @@ def test_gauge_closed_forms_reject_a_wall_point(name, x, error):
 @pytest.mark.parametrize(
     "check",
     [
-        lambda x: theorem1_sides(TransformParams(_A2), _fn("x1 x2", 3), 0.1, x),
+        lambda x: theorem1_sides(CMParams(_A2, omega=1.0), _fn("x1 x2", 3), 0.1, x),
         lambda x: unconfined_map_check(_A2, PolyFunction(parse_poly("x1", nvars=3)), x),
     ],
     ids=["theorem1_sides", "unconfined_map_check"],
