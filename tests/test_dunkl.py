@@ -24,8 +24,8 @@ from dunkl_lab.rootsys import build_root_system, make_system_from_vectors, sampl
 K1 = Fraction(3, 2)
 
 
-def _ctx(family, rank, mults, **kw):
-    return DunklContext(build_root_system(family, rank, mults), **kw)
+def _ctx(family, rank, mults):
+    return DunklContext(build_root_system(family, rank, mults))
 
 
 # -- rank-1 closed forms ----------------------------------------------------
