@@ -294,6 +294,11 @@ def _system(opts: dict) -> tuple:
         mults = [v if isinstance(v, float) else Fraction(v) for v in given]
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad multiplicities {list(given)}: {exc}") from None
+    for v, m in zip(given, mults):
+        try:
+            str(m)  # every output writes a multiplicity back as text
+        except ValueError:
+            raise ConfigError(f"multiplicity {v!r} has too many digits to write as text") from None
     return build_root_system(family, rank, mults, natural_scale(family, rank)), mults
 
 

@@ -83,6 +83,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,9 +146,10 @@ class SimConfig:
         # |x0|^2 feeds the moment report; an overflowing one has no finite answer
         if not math.isfinite(sum(c * c for c in self.x0)):
             raise ConfigError(f"x0 must have a finite squared norm, got {self.x0}")
-        if not all(math.isfinite(m) for m in self.system.multiplicities):
+        # exact comparison: math.isfinite overflows on a Fraction beyond the float range
+        if not all(abs(m) <= sys.float_info.max for m in self.system.multiplicities):
             raise ConfigError(
-                f"root multiplicities must be finite, got {self.system.multiplicities}"
+                f"root multiplicities must be finite floats, got {self.system.multiplicities}"
             )
         if not self.horizon > 0:
             raise ConfigError("horizon must be positive")

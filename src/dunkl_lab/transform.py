@@ -28,8 +28,11 @@ Both sides are assembled from U and its derivatives; the common exp(-W)
 factor is cancelled analytically, so the check stays well conditioned for
 any multiplicity: L is ``dunkl.kfe_generator``, and e^W L u at a point is
 L applied to e^{W(point)} u, whose jet there comes from those of U and W
-(``cm._GaugedJet``, the jet with which ``cm`` conjugates H too).  The
-closed forms ``w_gradient`` and ``w_laplacian`` are validated
+(``cm._GaugedJet``, the jet with which ``cm`` conjugates H too).
+``theorem1_sides`` is the one assembler of the identity.  At omega = 0 the
+trap term drops out and it is the trap-free gauge map
+e^{W0} L (e^{-W0} f) = -H^{omega=0} f; ``unconfined_map_check`` is that
+call.  The closed forms ``w_gradient`` and ``w_laplacian`` are validated
 independently in ``similarity_identities_check``, against complex-step
 differentiation of the literal exponential of ``w_value``.
 
@@ -55,7 +58,7 @@ from .cm import (
     CMParams, SideBySide, _GaugedJet, cm_apply, ground_energy, ground_energy_a_type,
     pair_gauge, w_gradient, w_value,
 )
-from .dunkl import DunklContext, PointFunction, PolyFunction, kfe_generator, live_dots
+from .dunkl import DunklContext, PolyFunction, kfe_generator, live_dots
 from .errors import DimensionError
 from .polyx import MultiPoly
 from .rootsys import RootSystem, Scalar, dot
@@ -115,20 +118,19 @@ class TestFunction:
         """p(zeta) as a PointFunction; its gradient and Laplacian are derived once."""
         return PolyFunction(self.poly)
 
-    def value(self, tau, zeta):
-        e = cmath.exp(self.lam * tau) if isinstance(tau, complex) else math.exp(self.lam * tau)
-        return e * self.poly.eval(zeta)
+    def time_factor(self, tau):
+        """exp(lam * tau); complex tau takes the analytic branch."""
+        return cmath.exp(self.lam * tau) if isinstance(tau, complex) else math.exp(self.lam * tau)
 
-    def tau_derivative(self, tau, zeta):
-        return self.lam * self.value(tau, zeta)
+    def value(self, tau, zeta):
+        return self.time_factor(tau) * self.poly.eval(zeta)
 
     def gradient(self, tau, zeta):
-        e = cmath.exp(self.lam * tau) if isinstance(tau, complex) else math.exp(self.lam * tau)
+        e = self.time_factor(tau)
         return [e * g for g in self.spatial.gradient(zeta)]
 
     def laplacian(self, tau, zeta):
-        e = cmath.exp(self.lam * tau) if isinstance(tau, complex) else math.exp(self.lam * tau)
-        return e * self.spatial.laplacian(zeta)
+        return self.time_factor(tau) * self.spatial.laplacian(zeta)
 
 
 def w_tau(params: CMParams) -> float:
@@ -208,27 +210,6 @@ def triple_sum_check_a(x: Sequence[Scalar]):
 # complex-step validation of the gauge derivative formulas
 
 
-def _cs_gradient_entry(w_at, u_at, base_w, point, i, tau):
-    # d/dzeta_i of exp(-(W - W0)) U at the real point, one pure imaginary step
-    z = list(point)
-    z[i] = z[i] + 1j * CS_STEP
-    val = cmath.exp(-(w_at(tau, z) - base_w)) * u_at(tau, z)
-    return val.imag / CS_STEP
-
-
-def _cs_second_entry(w_at, u_at, base_w, point, i, tau):
-    # second derivative in zeta_i: mixed complex/real step,
-    # Im[phi(x + ih + h2) - phi(x + ih - h2)] / (2 h h2)
-    h2 = CS_STEP2 * max(1.0, abs(point[i]))
-    zp = list(point)
-    zm = list(point)
-    zp[i] = zp[i] + 1j * CS_STEP + h2
-    zm[i] = zm[i] + 1j * CS_STEP - h2
-    vp = cmath.exp(-(w_at(tau, zp) - base_w)) * u_at(tau, zp)
-    vm = cmath.exp(-(w_at(tau, zm) - base_w)) * u_at(tau, zm)
-    return (vp - vm).imag / (2 * CS_STEP * h2)
-
-
 def similarity_identities_check(
     params: CMParams, fn: TestFunction, tau: float, zeta: Sequence[float]
 ) -> dict:
@@ -253,25 +234,26 @@ def similarity_identities_check(
     lap_u = fn.laplacian(tau, zs)
     g = w_gradient(params, zs)
 
-    # time identity
-    phi_tau = cmath.exp(
-        -(w_value(params, tau + 1j * CS_STEP, zs) - base_w)
-    ) * fn.value(tau + 1j * CS_STEP, zs)
-    lhs_tau = phi_tau.imag / CS_STEP
-    rhs_tau = fn.tau_derivative(tau, zs) - w_tau(params) * u0
+    def phi(t, i=None, shift=0.0):
+        # exp(-(W - W0)) U at time t, with zeta_i moved to (zeta_i + ih) + shift
+        z = list(zs)
+        if i is not None:
+            z[i] = z[i] + 1j * CS_STEP + shift
+        return cmath.exp(-(w_value(params, t, z) - base_w)) * fn.value(t, z)
+
+    lhs_tau = phi(tau + 1j * CS_STEP).imag / CS_STEP
+    rhs_tau = fn.lam * u0 - w_tau(params) * u0
 
     # gradient identity, worst coordinate
-    lhs_grad = [
-        _cs_gradient_entry(lambda tt, z: w_value(params, tt, z), fn.value, base_w, zs, i, tau)
-        for i in range(n)
-    ]
+    lhs_grad = [phi(tau, i).imag / CS_STEP for i in range(n)]
     rhs_grad = [grad_u[i] - g[i] * u0 for i in range(n)]
     worst = max(range(n), key=lambda i: abs(lhs_grad[i] - rhs_grad[i]))
 
-    # Laplacian identity
+    # Laplacian identity: mixed complex/real step per coordinate,
+    # Im[phi(x + ih + h2) - phi(x + ih - h2)] / (2 h h2)
+    steps = [CS_STEP2 * max(1.0, abs(z)) for z in zs]
     lhs_lap = sum(
-        _cs_second_entry(lambda tt, z: w_value(params, tt, z), fn.value, base_w, zs, i, tau)
-        for i in range(n)
+        (phi(tau, i, h2) - phi(tau, i, -h2)).imag / (2 * CS_STEP * h2) for i, h2 in enumerate(steps)
     )
     rhs_lap = lap_u - 2 * sum(gi * du for gi, du in zip(g, grad_u)) + w_quadratic_form(params, zs) * u0
 
@@ -297,15 +279,11 @@ def theorem1_sides(
         lhs = [L u + omega zeta . grad u] - du/dtau      (times e^W)
         rhs = -[ dU/dtau + (H - E0) U ].
 
-    At omega = 0 the identity is the trap-free map of ``unconfined_map_check``.
+    At omega = 0 the trap term is skipped, and the identity is the trap-free
+    map of ``unconfined_map_check``.  A point of the wrong length raises
+    DimensionError from the polynomial or the wall guard.
     """
-    system = params.system
-    omega = params.omega
     zs = [float(z) for z in zeta]
-    n = system.dimension
-    if len(zs) != n:
-        raise DimensionError("point dimension mismatch")
-
     u0 = fn.value(tau, zs)
     grad_u = fn.gradient(tau, zs)
     lap_u = fn.laplacian(tau, zs)
@@ -313,11 +291,12 @@ def theorem1_sides(
 
     hat_tau = du_tau - w_tau(params) * u0
     jet = _GaugedJet(params, zs, lambda z: fn.value(tau, z), u0, grad_u, lap_u)
-    lhs = kfe_generator(DunklContext(system), jet, zs)
-    lhs = lhs + omega * sum(z * hg for z, hg in zip(zs, jet.grad))
+    lhs = kfe_generator(DunklContext(params.system), jet, zs)
+    if params.omega:
+        lhs = lhs + params.omega * sum(z * hg for z, hg in zip(zs, jet.grad))
     lhs = lhs - hat_tau
 
-    h_u = float(cm_apply(params, fn.spatial, zs)) * math.exp(fn.lam * tau)
+    h_u = float(cm_apply(params, fn.spatial, zs)) * fn.time_factor(tau)
     e0 = float(ground_energy(params))
     rhs = -(du_tau + h_u - e0 * u0)
     return SideBySide(lhs=lhs, rhs=rhs)
@@ -389,9 +368,7 @@ def corollary1_residual(n_particles, k, fn, tau, zeta) -> float:
     return abs(s.residual) / s.scale
 
 
-def unconfined_map_check(
-    system: RootSystem, f: PointFunction, x: Sequence[float]
-) -> SideBySide:
+def unconfined_map_check(system: RootSystem, f: PolyFunction, x: Sequence[float]) -> SideBySide:
     """Gauge map between the forward generator and the trap-free Hamiltonian.
 
     With W0 = -sum_{R+} k log|alpha . x| (so exp(-W0) = sqrt of the
@@ -399,15 +376,10 @@ def unconfined_map_check(
 
         e^{W0} L (e^{-W0} f) = -H^{omega=0} f
 
-    pointwise off the hyperplanes; no additive constant appears.  Left side
-    factored like the scaling identity, right side through ``cm_apply``.
+    pointwise off the hyperplanes; no additive constant appears.  It is the
+    scaling identity at omega = 0 for the time-independent U = f.
     """
-    xs = [float(c) for c in x]
-    params = CMParams(system=system, omega=0)
-    jet = _GaugedJet(params, xs, f.value, f.value(xs), f.gradient(xs), f.laplacian(xs))
-    lhs = kfe_generator(DunklContext(system), jet, xs)
-    rhs = -float(cm_apply(params, f, xs))
-    return SideBySide(lhs=lhs, rhs=rhs)
+    return theorem1_sides(CMParams(system=system, omega=0), TestFunction(0.0, f.poly), 0.0, x)
 
 
 # ---------------------------------------------------------------------------

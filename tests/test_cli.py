@@ -301,6 +301,14 @@ def test_roots_outputs(tmp_path, capsys):
     assert len(printed["system"]["roots"]) == 24
 
 
+def _a2_simulate(mults):
+    return ["simulate", "--family", "A", "--rank", "2", "--mults", mults, "--x0", "0,1,2", "--horizon", "0.01"]
+
+
+def _a2_roots(mults):
+    return ["roots", "--kind", "system", "--family", "A", "--rank", "2", "--mults", mults]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -311,6 +319,13 @@ def test_roots_outputs(tmp_path, capsys):
         ["freeze", "--n", "2", "--k", "5", "--paths", "2", "--no-ode", "--seed", "-1"],
         ["freeze", "--n", "2", "--k", "0", "--paths", "2", "--no-ode"],
         SIM_ARGS + ["--scheme", "euler-adaptive"],
+        # a multiplicity beyond the float range, or with more digits than
+        # Python writes as text: each used to raise out of main
+        _a2_simulate("1e400"),
+        _a2_simulate("1e5000"),
+        _a2_simulate("1e-5000"),
+        _a2_roots("1e5000"),
+        _a2_roots("1e-5000"),
     ],
 )
 def test_bad_inputs_exit_one_with_message(args, capsys):
@@ -318,6 +333,21 @@ def test_bad_inputs_exit_one_with_message(args, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "NaN" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        _a2_roots("1e400"),
+        _a2_simulate("1e-400") + ["--ensemble", "2"],
+    ],
+    ids=["roots-1e400", "simulate-1e-400"],
+)
+def test_extreme_writable_multiplicities_still_run(args, capsys):
+    # exact systems take any multiplicity that can be written back as text;
+    # the engine takes any that is a finite float (1e-400 rounds to 0.0)
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_non_finite_payload_is_refused(tmp_path):

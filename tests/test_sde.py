@@ -672,6 +672,32 @@ def test_jump_rate_matches_intensity():
     assert total_jumps == pytest.approx(total_intensity, rel=0.1)
 
 
+def test_jumping_process_projects_onto_the_radial_process():
+    # The image of the jumping process in the closed Weyl chamber (sorted x
+    # on A, sorted |x_i| on B) is the radial process (Roesler & Voit, Adv.
+    # Appl. Math. 21, 1998).  Two-sample KS on each projected coordinate and
+    # on the first gap: 7 tests at the Bonferroni level 0.05 / 7.  Sizes,
+    # seeds and level were fixed before the first run.
+    from scipy.stats import ks_2samp
+
+    p_values = {}
+    for name, system, x0, project in (
+        ("A2", A2, A2_X0, lambda s: np.sort(s, axis=1)),
+        ("B2", B2, B2_X0, lambda s: np.sort(np.abs(s), axis=1)),
+    ):
+        jumping, radial = (
+            project(simulate(SimConfig(system=system, x0=x0, horizon=1.0, ensemble=4000,
+                                       master_seed=seed, jumps=jumps)).final_states)
+            for seed, jumps in ((21, True), (22, False))
+        )
+        for j in range(len(x0)):
+            p_values[f"{name} coordinate {j}"] = ks_2samp(jumping[:, j], radial[:, j]).pvalue
+        gap_j, gap_r = jumping[:, 1] - jumping[:, 0], radial[:, 1] - radial[:, 0]
+        p_values[f"{name} first gap"] = ks_2samp(gap_j, gap_r).pvalue
+    assert len(p_values) == 7
+    assert min(p_values.values()) >= 0.05 / 7, p_values
+
+
 def test_zero_multiplicity_is_brownian():
     # k = 0: no drift, no jumps, fixed steps; increments are exactly gaussian
     cfg = _cfg(k_scale=0.0, horizon=0.125, ensemble=4, jumps=True)
