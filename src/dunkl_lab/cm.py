@@ -55,7 +55,7 @@ from .dunkl import (
 )
 from .errors import DimensionError, ExactModeError, HyperplaneError
 from .polyx import MultiPoly
-from .rootsys import RootSystem, Scalar, build_root_system, dot, reflect
+from .rootsys import RootSystem, Scalar, _reflect, build_root_system, dot
 
 SPIN_SITE_CAP = 12
 
@@ -78,14 +78,20 @@ def cm_apply(params: CMParams, f: PointFunction, x: Sequence[Scalar]) -> Scalar:
 
     At an all-float point k and k |alpha|^2 are the root's cached floats.
     """
-    system = params.system
-    dots = live_dots(system, x)
+    live = params.system.live_positive
+    dots = live_dots(params.system, x)
+    f_refs = [f.value(_reflect(r, x, d)) for r, d in zip(live, dots)]
+    return _cm_core(params, x, dots, f.value(x), f.laplacian(x), f_refs)
+
+
+def _cm_core(params: CMParams, x, dots, fx, lap, f_refs) -> Scalar:
+    """``cm_apply`` from the guarded dots alpha . x, f(x), Delta f(x) and
+    f(sigma_alpha x), each root of ``live_positive`` in order."""
     floats = all(type(c) is float for c in x)
-    fx = f.value(x)
-    acc = -f.laplacian(x) / 2
-    for r, d in zip(system.live_positive, dots):
+    acc = -lap / 2
+    for r, d, f_ref in zip(params.system.live_positive, dots, f_refs):
         k, w = (r.fmultiplicity, r.fweight) if floats else (r.multiplicity, r.multiplicity * r.sq_norm)
-        acc = acc + w * (k * fx - f.value(reflect(r, x))) / (2 * d * d)
+        acc = acc + w * (k * fx - f_ref) / (2 * d * d)
     if params.omega:
         acc = acc + (params.omega * params.omega) * sum(c * c for c in x) * fx / 2
     return acc
@@ -125,7 +131,10 @@ def w_value(params: CMParams, tau, x):
 
 def w_gradient(params: CMParams, x):
     """grad_x W = omega x - sum_{R+} k alpha / (alpha . x)."""
-    dots = live_dots(params.system, x)
+    return _w_gradient(params, x, live_dots(params.system, x))
+
+
+def _w_gradient(params: CMParams, x, dots):
     g = [params.omega * z for z in x]
     for r, d in zip(params.system.live_positive, dots):
         for i, a in r.support:
@@ -135,9 +144,12 @@ def w_gradient(params: CMParams, x):
 
 def w_laplacian(params: CMParams, x):
     """Delta_x W = omega N + sum_{R+} k |alpha|^2 / (alpha . x)^2."""
-    system = params.system
-    acc = params.omega * system.dimension
-    for r, d in zip(system.live_positive, live_dots(system, x)):
+    return _w_laplacian(params, live_dots(params.system, x))
+
+
+def _w_laplacian(params: CMParams, dots):
+    acc = params.omega * params.system.dimension
+    for r, d in zip(params.system.live_positive, dots):
         acc = acc + r.fmultiplicity * r.fsq_norm / (d * d)
     return acc
 
@@ -148,11 +160,12 @@ class _GaugedJet:
     W is reflection invariant, so the values are U's.  The gradient and the
     Laplacian at x are grad U - U grad W and
     Delta U - 2 grad W . grad U + (|grad W|^2 - Delta W) U.
+    ``dots`` are the guarded alpha . x of ``live_positive``.
     """
 
-    def __init__(self, params, x, value, u0, grad_u, lap_u):
-        g = w_gradient(params, x)
-        quad = sum(gi * gi for gi in g) - w_laplacian(params, x)
+    def __init__(self, params, x, value, u0, grad_u, lap_u, dots):
+        g = _w_gradient(params, x, dots)
+        quad = sum(gi * gi for gi in g) - _w_laplacian(params, dots)
         self.value = value
         self.grad = [du - u0 * gi for du, gi in zip(grad_u, g)]
         self.lap = lap_u - 2 * sum(gi * du for gi, du in zip(g, grad_u)) + quad * u0
@@ -176,7 +189,7 @@ def groundstate_residual(params: CMParams, x: Sequence[Scalar]) -> float:
     scaled by Phi0.
     """
     xs = [float(c) for c in x]
-    jet = _GaugedJet(params, xs, lambda z: 1.0, 1.0, [0.0] * len(xs), 0.0)
+    jet = _GaugedJet(params, xs, lambda z: 1.0, 1.0, [0.0] * len(xs), 0.0, live_dots(params.system, xs))
     e0 = float(ground_energy(params))
     return (cm_apply(params, jet, xs) - e0) * groundstate_value(params, xs)
 
@@ -259,7 +272,9 @@ def conjugation_sides(
     for x in points:
         xs = [float(c) for c in x]
         u0 = fn.value(xs)
-        jet = _GaugedJet(params, xs, fn.value, u0, fn.gradient(xs), fn.laplacian(xs))
+        jet = _GaugedJet(
+            params, xs, fn.value, u0, fn.gradient(xs), fn.laplacian(xs), live_dots(params.system, xs)
+        )
         lhs = e0 * u0 - cm_apply(params, jet, xs)
         sides.append(SideBySide(lhs=lhs, rhs=float(rhs.eval(xs))))
     return sides

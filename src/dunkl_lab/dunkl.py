@@ -42,7 +42,7 @@ from typing import Protocol, Sequence
 
 from .errors import DimensionError, ExactModeError, HyperplaneError
 from .polyx import MultiPoly, alternating_quotient
-from .rootsys import RootSystem, Scalar, Vector, reflect
+from .rootsys import RootSystem, Scalar, Vector, _reflect
 
 HYPERPLANE_FLOOR = 1e-8
 
@@ -203,19 +203,28 @@ def _pointwise_generator(
         drift * k (alpha . grad f) / (alpha . x)
         + jump_sign * k |alpha|^2 [f(x) + jump_sign f(sigma x)] / (jump_den (alpha . x)^2),
 
-    the one formula behind the three generators below.  Unit signs and
-    factors change no bits of a float result.  At an all-float point k and
-    k |alpha|^2 are the root's cached floats.
+    the one formula behind the three generators below, read from f's
+    oracles at x and at each sigma_alpha x.
     """
     dots = ctx.guard_point(x)
+    f_refs = [f.value(_reflect(r, x, d)) for r, d in zip(ctx.system.live_positive, dots)]
+    return _generator_core(
+        ctx.system, x, dots, f.laplacian(x), f.gradient(x), f.value(x), f_refs,
+        drift, jump_sign, jump_den,
+    )
+
+
+def _generator_core(system, x, dots, lap, grad, fx, f_refs, drift, jump_sign, jump_den):
+    """``_pointwise_generator`` from the guarded dots alpha . x, Delta f(x),
+    grad f(x), f(x) and f(sigma_alpha x), each root of ``system.live_positive``
+    in order.  Unit signs and factors change no bits of a float result.  At an
+    all-float point k and k |alpha|^2 are the root's cached floats.
+    """
     floats = all(type(c) is float for c in x)
-    acc = f.laplacian(x) / jump_den
-    grad = f.gradient(x)
-    fx = f.value(x)
-    for r, d in zip(ctx.system.live_positive, dots):
+    acc = lap / jump_den
+    for r, d, f_ref in zip(system.live_positive, dots, f_refs):
         k, w = (r.fmultiplicity, r.fweight) if floats else (r.multiplicity, r.multiplicity * r.sq_norm)
         acc = acc + drift * k * r.dot(grad) / d
-        f_ref = f.value(reflect(r, x))
         acc = acc + jump_sign * (w * (fx + jump_sign * f_ref) / (jump_den * d * d))
     return acc
 

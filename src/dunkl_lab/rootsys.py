@@ -45,6 +45,14 @@ rescaling multiplicities or an orbit.  Custom sets always carry family
 "custom" and are exact-only: make_system_from_vectors rejects float
 coordinates, and the table of a custom set is computed in integers after
 scaling its vectors by their common denominator.
+
+Exact work on a rational point x runs on the integer lattice X = q x, q the
+common denominator of x, with each rational root written as alpha = A / c
+for an integer vector A (``Root.integer_support``): ``weight`` and
+``discriminant`` multiply integers and divide by their power of q once,
+``sample_generic_point`` tests its margin on X = 64 x in ints and builds
+Fractions only for the point it returns, and ``lattice_pair_products``
+feeds the lattice route of ``transform.lemma2_check``.
 """
 
 from __future__ import annotations
@@ -119,6 +127,13 @@ class Root:
             if c
         )
 
+    @cached_property
+    def integer_support(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(c, ((i, a), ...)) with alpha = A / c for the integer vector A over
+        the support; exact roots only.  The lattice routes read A . X."""
+        c = math.lcm(*(Fraction(a).denominator for _, a in self.support))
+        return c, tuple((i, int(a * c)) for i, a in self.support)
+
     def dot(self, x: Sequence[Scalar]) -> Scalar:
         """alpha . x summed over the support.
 
@@ -141,7 +156,11 @@ def reflect(alpha: Root, x: Sequence[Scalar]) -> Vector:
     mismatch.  Only the coordinates on the root's support move, so the others
     keep their bits (a -0.0 stays -0.0).
     """
-    d = alpha.dot(x)
+    return _reflect(alpha, x, alpha.dot(x))
+
+
+def _reflect(alpha: Root, x: Sequence[Scalar], d: Scalar) -> Vector:
+    """``reflect`` with d = alpha . x already known."""
     # a float dot over the float norm: the bits of the Fraction/float mix
     c = 2 * d / (alpha.fsq_norm if type(d) is float else alpha.sq_norm)
     y = list(x)
@@ -221,6 +240,28 @@ class RootSystem:
         """``pair_products`` as floats; q / y for a float y divides float(q) by y."""
         pairs, diag = self.pair_products
         return tuple(tuple(map(float, row)) for row in pairs), tuple(map(float, diag))
+
+    @cached_property
+    def lattice_pair_products(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+        """``pair_products`` in integers for the lattice route of lemma 2:
+        (m, pairs, diag) with k(a) k(b) (a . b) c_a c_b = pairs[a][b] / m and
+        k(a)^2 |a|^2 c_a^2 = diag[a] / m, where alpha_a = A_a / c_a
+        (``Root.integer_support``); None unless the roots and multiplicities
+        are all rational."""
+        live = self.live_positive
+        if not self.is_exact or any(isinstance(r.multiplicity, float) for r in live):
+            return None
+        pairs, diag = self.pair_products
+        cs = [r.integer_support[0] for r in live]
+        scaled = [[Fraction(v) * ca * cb for v, cb in zip(row, cs)] for row, ca in zip(pairs, cs)]
+        scaled_diag = [Fraction(v) * c * c for v, c in zip(diag, cs)]
+        m = math.lcm(*(v.denominator for row in scaled for v in row),
+                     *(v.denominator for v in scaled_diag))
+        return (
+            m,
+            tuple(tuple(int(v * m) for v in row) for row in scaled),
+            tuple(int(v * m) for v in scaled_diag),
+        )
 
     @cached_property
     def integer_multiplicities(self) -> tuple[int, ...] | None:
@@ -654,6 +695,14 @@ def _lattice(x: Sequence[Union[int, Fraction]]) -> tuple[int, list[int]]:
     return q, [c.numerator * (q // c.denominator) for c in x]
 
 
+def _lattice_dot(alpha: Root, lattice: Sequence[int]) -> int:
+    """A . X for alpha = A / c (``Root.integer_support``) at an integer point X."""
+    acc = 0
+    for i, a in alpha.integer_support[1]:
+        acc += a * lattice[i]
+    return acc
+
+
 def _is_rational(x: Sequence[Scalar]) -> bool:
     return all(isinstance(c, (int, Fraction)) for c in x)
 
@@ -722,29 +771,45 @@ def sample_generic_point(
     Coordinates lie in [-2, 2]: rationals of denominator 64 on exact systems,
     uniform floats otherwise.  Raises SamplingError when the margin cannot be
     met within ``max_tries`` draws.
+
+    An exact draw is tested on the lattice X = 64 x.  The margin
+    (alpha . x)^2 >= min_distance^2 |alpha|^2 is homogeneous in alpha, so
+    with alpha = A / c and min_distance = m_n / m_d exactly it reads
+    (A . X)^2 m_d^2 >= (64 m_n)^2 |A|^2 in integers, and only the accepted
+    draw becomes Fractions.
     """
     if min_distance <= 0:
         raise ValueError("min_distance must be positive")
     rng = random.Random(seed)
-    exact = system.is_exact
-    d2 = Fraction(min_distance) ** 2 if exact else min_distance * min_distance
     q = 64
-    for _ in range(max_tries):
-        if exact:
-            x: Vector = tuple(
-                Fraction(rng.randint(-2 * q, 2 * q), q) for _ in range(system.dimension)
-            )
-        else:
-            x = tuple(rng.uniform(-2.0, 2.0) for _ in range(system.dimension))
-        # Fractions on exact draws; floats on float draws, as d2 * q is d2 * float(q)
+    if system.is_exact:
+        m = Fraction(min_distance)
+        scale, bound = m.denominator**2, (q * m.numerator) ** 2
+        margins = []
         for i in system.positive:
-            r = system.roots[i]
-            dd = r.dot(x)
-            if dd * dd < d2 * r.sq_norm:
-                break
-        else:
-            return x
+            support = system.roots[i].integer_support[1]
+            margins.append((support, bound * sum(a * a for _, a in support)))
+        for _ in range(max_tries):
+            lattice = [rng.randint(-2 * q, 2 * q) for _ in range(system.dimension)]
+            for support, root_bound in margins:
+                d = 0
+                for i, a in support:
+                    d += a * lattice[i]
+                if d * d * scale < root_bound:
+                    break
+            else:
+                return tuple(Fraction(c, q) for c in lattice)
+    else:
+        d2 = min_distance * min_distance
+        for _ in range(max_tries):
+            x = tuple(rng.uniform(-2.0, 2.0) for _ in range(system.dimension))
+            for i in system.positive:
+                r = system.roots[i]
+                dd = r.dot(x)
+                if dd * dd < d2 * r.sq_norm:
+                    break
+            else:
+                return x
     raise SamplingError(
         f"no point with hyperplane margin {min_distance} found in {max_tries} draws"
     )
-

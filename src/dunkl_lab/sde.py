@@ -1007,14 +1007,25 @@ class MomentReport:
 
 
 def moment_from_result(config: SimConfig, res: EnsembleResult) -> MomentReport:
-    """Check E|X_T|^2 - |x0|^2 = (N + 2 gamma) T on the final ensemble."""
+    """Check E|X_T|^2 - |x0|^2 = (N + 2 gamma) T on the final ensemble.
+
+    A huge multiplicity can push |X_T|^2, or the |X_T|^4 in the standard
+    error, past the float range; then ConfigError names the moment, and numpy
+    prints no warning.
+    """
     system = config.effective_system()
-    sq = (res.final_states**2).sum(axis=1)
     base = sum(float(c) ** 2 for c in config.x0)
-    observed = float(sq.mean()) - base
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (res.final_states**2).sum(axis=1)
+        observed = float(sq.mean()) - base
+        se = float(sq.std(ddof=1)) / math.sqrt(len(sq)) if len(sq) > 1 else 0.0
     gamma = float(system.gamma)
     predicted = (system.dimension + 2.0 * gamma) * config.horizon
-    se = float(sq.std(ddof=1)) / math.sqrt(len(sq)) if len(sq) > 1 else 0.0
+    if not all(map(math.isfinite, (observed, predicted, se))):
+        raise ConfigError(
+            f"the moment E|X_T|^2 - |x0|^2 = (N + 2 gamma) T has no finite value: observed "
+            f"{observed!r}, predicted {predicted!r}, standard error {se!r}"
+        )
     return MomentReport(
         observed=observed,
         predicted=predicted,

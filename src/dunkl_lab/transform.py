@@ -29,12 +29,17 @@ factor is cancelled analytically, so the check stays well conditioned for
 any multiplicity: L is ``dunkl.kfe_generator``, and e^W L u at a point is
 L applied to e^{W(point)} u, whose jet there comes from those of U and W
 (``cm._GaugedJet``, the jet with which ``cm`` conjugates H too).
-``theorem1_sides`` is the one assembler of the identity.  At omega = 0 the
+``theorem1_sides`` is the one assembler of the identity; it computes each
+alpha . zeta and each reflected point once, and evaluates the test
+polynomial once per distinct point, for both sides.  At omega = 0 the
 trap term drops out and it is the trap-free gauge map
 e^{W0} L (e^{-W0} f) = -H^{omega=0} f; ``unconfined_map_check`` is that
 call.  The closed forms ``w_gradient`` and ``w_laplacian`` are validated
 independently in ``similarity_identities_check``, against complex-step
 differentiation of the literal exponential of ``w_value``.
+
+``lemma2_check`` moves a rational point onto the integer lattice
+X = q x, as ``rootsys.weight`` does, and builds one Fraction per side.
 
 The type-A specialization at omega = k (``corollary1_sides``) is written
 as a separate code path in particle coordinates, with all root sums
@@ -55,13 +60,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cm import (
-    CMParams, SideBySide, _GaugedJet, cm_apply, ground_energy, ground_energy_a_type,
+    CMParams, SideBySide, _cm_core, _GaugedJet, ground_energy, ground_energy_a_type,
     pair_gauge, w_gradient, w_value,
 )
-from .dunkl import DunklContext, PolyFunction, kfe_generator, live_dots
+from .dunkl import DunklContext, PolyFunction, _generator_core, live_dots
 from .errors import DimensionError
 from .polyx import MultiPoly
-from .rootsys import RootSystem, Scalar, dot
+from .rootsys import RootSystem, Scalar, _is_rational, _lattice, _lattice_dot, _reflect
 
 EPS = sys.float_info.epsilon
 CS_STEP = 1e-60
@@ -153,12 +158,12 @@ def w_quadratic_form(params: CMParams, zeta):
     gamma = float(system.gamma)
     acc = omega * omega * sum(z * z for z in zeta) - (2 * gamma + n) * omega
     live = system.live_positive
-    inv = [dot(r.vector, zeta) for r in live]
+    inv = [r.dot(zeta) for r in live]
     for a, ra in enumerate(live):
         ka = float(ra.multiplicity)
         for b, rb in enumerate(live):
             kb = float(rb.multiplicity)
-            acc = acc + ka * kb * float(dot(ra.vector, rb.vector)) / (inv[a] * inv[b])
+            acc = acc + ka * kb * float(ra.dot(rb.vector)) / (inv[a] * inv[b])
         acc = acc - ka * float(ra.sq_norm) / (inv[a] * inv[a])
     return acc
 
@@ -175,7 +180,26 @@ def lemma2_check(system: RootSystem, x: Sequence[Scalar]):
 
     With Fraction inputs on an exact system both sides are exact rationals.
     The numerators do not depend on x and come from the system's cache.
+
+    A rational point on a system with rational roots and multiplicities runs
+    on the lattice X = q x, as ``rootsys.weight`` and ``discriminant`` do:
+    with alpha = A / c, 1 / (alpha . x) = q c / (A . X).  Over the lcm L of
+    the A . X both double sums are integers S, and each side is the one
+    Fraction q^2 S / (m L^2), with m from ``lattice_pair_products``.
     """
+    lattice = system.lattice_pair_products
+    if lattice is not None and len(x) == system.dimension and _is_rational(x):
+        q, point = _lattice(x)
+        dots = [_lattice_dot(r, point) for r in system.live_positive]
+        # a wall point falls through to live_dots, which names the root
+        if dots and 0 not in dots:
+            m, pairs, diag = lattice
+            big = math.lcm(*dots)
+            e = [big // d for d in dots]
+            lhs = sum(ea * sum(n * eb for n, eb in zip(row, e)) for ea, row in zip(e, pairs))
+            rhs = sum(g * ea * ea for g, ea in zip(diag, e))
+            den = m * big * big
+            return SideBySide(lhs=Fraction(q * q * lhs, den), rhs=Fraction(q * q * rhs, den))
     inv = live_dots(system, x)
     if all(type(c) is float for c in x):
         pairs, diag = system.float_pair_products
@@ -279,24 +303,37 @@ def theorem1_sides(
         lhs = [L u + omega zeta . grad u] - du/dtau      (times e^W)
         rhs = -[ dU/dtau + (H - E0) U ].
 
-    At omega = 0 the trap term is skipped, and the identity is the trap-free
-    map of ``unconfined_map_check``.  A point of the wrong length raises
-    DimensionError from the polynomial or the wall guard.
+    Each alpha . zeta is computed once, by the generator's wall guard, and
+    each sigma_alpha zeta once; p is evaluated once at zeta and once at each
+    reflected point, and both sides read these values through the private
+    cores of ``kfe_generator`` and ``cm_apply``, with the bits of the two
+    calls.  At omega = 0 the trap term is skipped, and the identity is the
+    trap-free map of ``unconfined_map_check``.  A point of the wrong length
+    raises DimensionError from the wall guard or the polynomial.
     """
     zs = [float(z) for z in zeta]
-    u0 = fn.value(tau, zs)
-    grad_u = fn.gradient(tau, zs)
-    lap_u = fn.laplacian(tau, zs)
+    live = params.system.live_positive
+    dots = DunklContext(params.system).guard_point(zs)
+    p0 = fn.poly.eval(zs)
+    p_refs = [fn.poly.eval(_reflect(r, zs, d)) for r, d in zip(live, dots)]
+    lap_p = fn.spatial.laplacian(zs)
+    e = fn.time_factor(tau)
+    u0 = e * p0
+    grad_u = [e * g for g in fn.spatial.gradient(zs)]
+    lap_u = e * lap_p
     du_tau = fn.lam * u0
 
     hat_tau = du_tau - w_tau(params) * u0
-    jet = _GaugedJet(params, zs, lambda z: fn.value(tau, z), u0, grad_u, lap_u)
-    lhs = kfe_generator(DunklContext(params.system), jet, zs)
+    jet = _GaugedJet(params, zs, None, u0, grad_u, lap_u, dots)
+    lhs = _generator_core(
+        params.system, zs, dots, jet.lap, jet.grad, u0, [e * p for p in p_refs],
+        drift=-1, jump_sign=1, jump_den=2,
+    )
     if params.omega:
         lhs = lhs + params.omega * sum(z * hg for z, hg in zip(zs, jet.grad))
     lhs = lhs - hat_tau
 
-    h_u = float(cm_apply(params, fn.spatial, zs)) * fn.time_factor(tau)
+    h_u = float(_cm_core(params, zs, dots, p0, lap_p, p_refs)) * e
     e0 = float(ground_energy(params))
     rhs = -(du_tau + h_u - e0 * u0)
     return SideBySide(lhs=lhs, rhs=rhs)
@@ -368,7 +405,7 @@ def corollary1_residual(n_particles, k, fn, tau, zeta) -> float:
     return abs(s.residual) / s.scale
 
 
-def unconfined_map_check(system: RootSystem, f: PolyFunction, x: Sequence[float]) -> SideBySide:
+def unconfined_map_check(system: RootSystem, fn: TestFunction, x: Sequence[float]) -> SideBySide:
     """Gauge map between the forward generator and the trap-free Hamiltonian.
 
     With W0 = -sum_{R+} k log|alpha . x| (so exp(-W0) = sqrt of the
@@ -377,9 +414,12 @@ def unconfined_map_check(system: RootSystem, f: PolyFunction, x: Sequence[float]
         e^{W0} L (e^{-W0} f) = -H^{omega=0} f
 
     pointwise off the hyperplanes; no additive constant appears.  It is the
-    scaling identity at omega = 0 for the time-independent U = f.
+    scaling identity at omega = 0 and tau = 0 for U = fn, whose time factor
+    is 1 there: f is fn's polynomial, and ``TestFunction(0.0, poly)`` is the
+    time-independent U = f.  One ``fn`` per polynomial derives its gradient
+    and Laplacian once for every point.
     """
-    return theorem1_sides(CMParams(system=system, omega=0), TestFunction(0.0, f.poly), 0.0, x)
+    return theorem1_sides(CMParams(system=system, omega=0), fn, 0.0, x)
 
 
 # ---------------------------------------------------------------------------

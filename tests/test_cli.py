@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import hypothesis
@@ -406,6 +407,20 @@ def test_floor_step_below_horizon_ulp_exit_one_without_a_step(args, bounded_step
     err = capsys.readouterr().err
     assert err.startswith("error: dt ")
     assert "horizon" in err
+
+
+def test_moment_without_a_finite_value_exit_one_without_a_warning(capsys):
+    # at k = 1e300 every step runs, but |X_T|^2 overflows; numpy used to warn
+    # twice before the JSON writer refused the infinity
+    args = ["simulate", "--family", "A", "--rank", "2", "--mults", "1e300", "--x0", "0,1,2",
+            "--horizon", "0.01", "--ensemble", "2", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the moment E|X_T|^2")
+    assert "no finite value" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -380,6 +380,76 @@ def test_sample_generic_point():
         sample_generic_point(system, seed=0, min_distance=50.0, max_tries=50)
 
 
+def _loop_sample(system, seed, min_distance=0.05, max_tries=1000):
+    # the reference: the margin tested in Fraction arithmetic on every draw
+    if min_distance <= 0:
+        raise ValueError("min_distance must be positive")
+    rng = random.Random(seed)
+    exact = system.is_exact
+    d2 = Fraction(min_distance) ** 2 if exact else min_distance * min_distance
+    q = 64
+    for _ in range(max_tries):
+        if exact:
+            x = tuple(Fraction(rng.randint(-2 * q, 2 * q), q) for _ in range(system.dimension))
+        else:
+            x = tuple(rng.uniform(-2.0, 2.0) for _ in range(system.dimension))
+        for i in system.positive:
+            r = system.roots[i]
+            dd = r.dot(x)
+            if dd * dd < d2 * r.sq_norm:
+                break
+        else:
+            return x
+    raise SamplingError(
+        f"no point with hyperplane margin {min_distance} found in {max_tries} draws"
+    )
+
+
+def _sample_outcome(sampler, *args, **kwargs):
+    try:
+        x = sampler(*args, **kwargs)
+    except SamplingError as exc:
+        return "SamplingError", str(exc)
+    return x, tuple(type(c) for c in x)
+
+
+_ORACLE_SYSTEMS = {
+    **{f"A{n}": build_root_system("A", n, (1,)) for n in range(1, 6)},
+    **{f"B{n}": build_root_system("B", n, (1, 2)) for n in range(2, 5)},
+    "D4": build_root_system("D", 4, (1,)),
+    # Fraction coordinates: the margin is scaled to integers root by root
+    "custom": make_system_from_vectors(
+        [(Fraction(1, 2), 0), (Fraction(-1, 2), 0), (0, Fraction(1, 2)), (0, Fraction(-1, 2)),
+         (Fraction(2, 3), Fraction(2, 3)), (Fraction(-2, 3), Fraction(-2, 3)),
+         (Fraction(2, 3), Fraction(-2, 3)), (Fraction(-2, 3), Fraction(2, 3))],
+        [Fraction(3, 2)] * 4 + [1] * 4,
+    ),
+    "B3/3": build_root_system("B", 3, (1, 2)).rescale_orbit(1, Fraction(1, 3)),
+}
+
+
+@pytest.mark.parametrize("min_distance", [0.05, 0.1, 0.3])
+@pytest.mark.parametrize("name", list(_ORACLE_SYSTEMS))
+def test_lattice_sampling_matches_the_fraction_loop(name, min_distance):
+    system = _ORACLE_SYSTEMS[name]
+    for seed in range(200):
+        assert _sample_outcome(sample_generic_point, system, seed, min_distance) == _sample_outcome(
+            _loop_sample, system, seed, min_distance
+        ), seed
+
+
+@pytest.mark.parametrize("name", ["A3", "custom", "B3/3"])
+def test_lattice_sampling_fails_as_the_fraction_loop_does(name):
+    system = _ORACLE_SYSTEMS[name]
+    for seed, margin, tries in ((0, 50.0, 50), (3, 0.9, 7), (5, 1.2, 1)):
+        new = _sample_outcome(sample_generic_point, system, seed, margin, tries)
+        assert new == _sample_outcome(_loop_sample, system, seed, margin, tries)
+    assert new[0] == "SamplingError"
+    for margin in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            sample_generic_point(system, 0, margin)
+
+
 def test_float_system_sampling():
     system = build_root_system("I2", 6, (1.0, 1.0), scale="normalized")
     x = sample_generic_point(system, seed=3, min_distance=0.05)

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,9 @@ import dunkl_lab.suites as suites_mod
 from dunkl_lab.cli import main
 from dunkl_lab.cm import SideBySide
 from dunkl_lab.errors import ConfigError, HyperplaneError
+from dunkl_lab.rootsys import (
+    build_root_system, discriminant, make_system_from_vectors, reflect, sample_generic_point, weight,
+)
 from dunkl_lab.suites import SUITES, run_suites, suite_theorem1
 
 
@@ -47,6 +51,45 @@ def test_nan_residual_fails_its_suite(monkeypatch, tmp_path, capsys):
     _one_nan_sample(monkeypatch)
     assert main(["verify", "theorem1", "--out", str(tmp_path / "r.json")]) == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+def _loop_alternation_gap(system, points):
+    # the reference: a_R and w_k at each reflected point, in Fractions
+    bad = Fraction(0)
+    for pt in points:
+        base = discriminant(system, pt)
+        wbase = weight(system, pt)
+        for idx in system.positive:
+            spt = reflect(system.roots[idx], pt)
+            bad = max(bad, abs(discriminant(system, spt) + base))
+            bad = max(bad, abs(weight(system, spt) - wbase))
+    return bad
+
+
+# not closed, so a_R does not alternate and w_k is not invariant; the third
+# root pair has c = 2, and its reflections leave the lattice of x
+_BROKEN = make_system_from_vectors(
+    [(1, -1, 0), (-1, 1, 0), (0, 1, -1), (0, -1, 1),
+     (Fraction(1, 2), 0, Fraction(-3, 2)), (Fraction(-1, 2), 0, Fraction(3, 2))],
+    [1, 1, 2, 2, 1, 1],
+)
+
+
+def test_lemma1_lattice_gap_matches_the_fraction_loop(monkeypatch):
+    for family, rank, mults in suites_mod._ALTERNATION_FAMILIES:
+        system = build_root_system(family, rank, mults)
+        points = [sample_generic_point(system, seed=j) for j in range(20)]
+        assert suites_mod._alternation_gap(system, points) == 0 == _loop_alternation_gap(system, points)
+    # the suite's own points at seed 0
+    points = [sample_generic_point(_BROKEN, seed=j) for j in range(100)]
+    gap = suites_mod._alternation_gap(_BROKEN, points)
+    assert type(gap) is Fraction and gap != 0
+    assert gap == _loop_alternation_gap(_BROKEN, points)
+    monkeypatch.setattr(suites_mod, "_ALTERNATION_FAMILIES", (("custom", 3, (1, 2)),))
+    monkeypatch.setattr(suites_mod, "build_root_system", lambda *args: _BROKEN)
+    result = suites_mod.suite_lemma1(seed=0)
+    assert not result.passed
+    assert [r.max_abs_residual for r in result.reports] == [float(gap)]
 
 
 def test_unknown_suite_stops_before_any_suite_runs(monkeypatch):

@@ -9,16 +9,19 @@ import pytest
 from dunkl_lab.cm import (
     CMParams,
     SideBySide,
+    _GaugedJet,
     cm_apply,
+    ground_energy,
     groundstate_residual,
     groundstate_value,
     transformed_hamiltonian_check,
     w_laplacian,
 )
-from dunkl_lab.dunkl import PolyFunction
+from dunkl_lab.dunkl import DunklContext, PolyFunction, kfe_generator, live_dots
 from dunkl_lab.errors import DimensionError, HyperplaneError
-from dunkl_lab.polyx import parse_poly
-from dunkl_lab.rootsys import build_root_system, sample_generic_point
+from dunkl_lab.polyx import MultiPoly, parse_poly
+from dunkl_lab.rootsys import build_root_system, make_system_from_vectors, sample_generic_point
+from dunkl_lab.suites import _DOUBLE_SUM_FAMILIES
 from dunkl_lab.transform import (
     TestFunction,
     corollary1_residual,
@@ -134,6 +137,51 @@ def test_double_sum_collapse_float():
         assert abs(pair.residual) < 1e-10 * pair.scale
 
 
+def _loop_lemma2(system, x):
+    # the reference: both double sums in the arithmetic of x, term by term
+    inv = live_dots(system, x)
+    if all(type(c) is float for c in x):
+        pairs, diag = system.float_pair_products
+    else:
+        pairs, diag = system.pair_products
+    lhs = 0
+    rhs = 0
+    for a, row in enumerate(pairs):
+        for b, num in enumerate(row):
+            if num:
+                lhs = lhs + num / (inv[a] * inv[b])
+        rhs = rhs + diag[a] / (inv[a] * inv[a])
+    return lhs, rhs
+
+
+def _same(a, b):
+    # equal in value and type, and bit for bit when float
+    return type(a) is type(b) and (a.hex() == b.hex() if isinstance(a, float) else a == b)
+
+
+_LEMMA2_SYSTEMS = [build_root_system(f, r, m) for f, r, m in _DOUBLE_SUM_FAMILIES] + [
+    # rational roots: 1 / (alpha . x) = q c / (A . X) with c = 3 on the long orbit
+    build_root_system("B", 3, (Fraction(2), Fraction(1, 2))).rescale_orbit(1, Fraction(1, 3)),
+    make_system_from_vectors(
+        [(Fraction(1, 2), Fraction(-1, 2), 0), (Fraction(-1, 2), Fraction(1, 2), 0),
+         (0, 2, -2), (0, -2, 2), (Fraction(1, 3), 0, Fraction(-1, 3)), (Fraction(-1, 3), 0, Fraction(1, 3))],
+        Fraction(5, 7),
+    ),
+    # a float multiplicity keeps the term-by-term route on rational points
+    build_root_system("A", 2, (0.8,)),
+]
+
+
+@pytest.mark.parametrize("system", _LEMMA2_SYSTEMS, ids=lambda s: f"{s.family}{s.rank}")
+def test_lemma2_lattice_route_matches_the_term_by_term_sums(system):
+    for seed in range(12):
+        x = sample_generic_point(system, seed=seed)
+        for point in (x, tuple(float(c) for c in x)):
+            side = lemma2_check(system, point)
+            lhs, rhs = _loop_lemma2(system, point)
+            assert _same(side.lhs, lhs) and _same(side.rhs, rhs), (seed, point)
+
+
 def test_triple_sum_vanishes():
     for n, seed in ((3, 0), (4, 1), (5, 2)):
         system = build_root_system("A", n - 1, (1,))
@@ -178,6 +226,53 @@ def test_theorem1_identity(family, rank, mults, omega):
     assert worst < 1e-9
 
 
+def _two_call_theorem1(params, fn, tau, zeta):
+    # the reference: the generator and the Hamiltonian each read U on their own
+    zs = [float(z) for z in zeta]
+    u0 = fn.value(tau, zs)
+    grad_u = fn.gradient(tau, zs)
+    lap_u = fn.laplacian(tau, zs)
+    du_tau = fn.lam * u0
+    hat_tau = du_tau - params.omega * params.system.dimension * u0
+    jet = _GaugedJet(params, zs, lambda z: fn.value(tau, z), u0, grad_u, lap_u, live_dots(params.system, zs))
+    lhs = kfe_generator(DunklContext(params.system), jet, zs)
+    if params.omega:
+        lhs = lhs + params.omega * sum(z * hg for z, hg in zip(zs, jet.grad))
+    lhs = lhs - hat_tau
+    h_u = float(cm_apply(params, fn.spatial, zs)) * fn.time_factor(tau)
+    e0 = float(ground_energy(params))
+    return lhs, -(du_tau + h_u - e0 * u0)
+
+
+@pytest.mark.parametrize("omega", [0, 0.5, 2.0])
+@pytest.mark.parametrize(
+    "family,rank,mults", [("A", 2, (Fraction(3, 2),)), ("B", 3, (1, 0.7)), ("D", 4, (2,))]
+)
+def test_theorem1_one_pass_matches_the_two_call_assembly(family, rank, mults, omega, monkeypatch):
+    system = build_root_system(family, rank, mults)
+    params = CMParams(system, omega=omega)
+    fn = _fn("x1^3 x2 - 2 x2^2 + x1 x2 - 3 x2 + 1", system.dimension, lam=-0.4)
+    real_eval = MultiPoly.eval
+    seen = []
+
+    def counting_eval(poly, point):
+        if poly is fn.poly:
+            seen.append(tuple(point))
+        return real_eval(poly, point)
+
+    for seed in range(5):
+        zeta = tuple(float(c) for c in sample_generic_point(system, seed=seed, min_distance=0.1))
+        lhs, rhs = _two_call_theorem1(params, fn, 0.27, zeta)
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(MultiPoly, "eval", counting_eval)
+            side = theorem1_sides(params, fn, 0.27, zeta)
+        assert (side.lhs.hex(), side.rhs.hex()) == (lhs.hex(), rhs.hex())
+        # p once at zeta and once at each reflected point, which are distinct
+        assert seen[0] == zeta
+        assert len(seen) == 1 + len(system.live_positive) == len(set(seen))
+
+
 def test_theorem1_root_scale_invariance():
     # the identity must not depend on the root representative length
     base = build_root_system("B", 2, (1, Fraction(1, 2)))
@@ -215,7 +310,7 @@ def test_corollary1_rejects_mismatched_sizes():
 def test_unconfined_map():
     for family, rank, mults in [("A", 2, (0.8,)), ("B", 2, (1.2, 0.6)), ("D", 4, (1.5,))]:
         system = build_root_system(family, rank, mults)
-        f = PolyFunction(parse_poly("x1^2 x2 - x2", nvars=system.dimension))
+        f = _fn("x1^2 x2 - x2", system.dimension)
         for seed in range(4):
             x = tuple(float(c) for c in sample_generic_point(system, seed=seed, min_distance=0.15))
             pair = unconfined_map_check(system, f, x)
@@ -233,7 +328,7 @@ _WALL_CHECKS = {
     "transformed_hamiltonian_check":
         lambda x: transformed_hamiltonian_check(3, 1, parse_poly("x1 x2", nvars=3), x),
     "unconfined_map_check":
-        lambda x: unconfined_map_check(_A2, PolyFunction(parse_poly("x1", nvars=3)), x),
+        lambda x: unconfined_map_check(_A2, _fn("x1", 3), x),
     "w_laplacian": lambda x: w_laplacian(CMParams(_A2, omega=1), x),
     "lemma2_check": lambda x: lemma2_check(_A2, x),
 }
@@ -263,7 +358,7 @@ def test_gauge_closed_forms_reject_a_wall_point(name, x, error):
     "check",
     [
         lambda x: theorem1_sides(CMParams(_A2, omega=1.0), _fn("x1 x2", 3), 0.1, x),
-        lambda x: unconfined_map_check(_A2, PolyFunction(parse_poly("x1", nvars=3)), x),
+        lambda x: unconfined_map_check(_A2, _fn("x1", 3), x),
     ],
     ids=["theorem1_sides", "unconfined_map_check"],
 )
