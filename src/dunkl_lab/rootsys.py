@@ -46,13 +46,21 @@ rescaling multiplicities or an orbit.  Custom sets always carry family
 coordinates, and the table of a custom set is computed in integers after
 scaling its vectors by their common denominator.
 
+Both builders hand their root vectors to one assembly, ``_assemble``, which
+picks the positive subsystem and, on the integer scale, stores every
+coordinate and every |alpha|^2 as a Fraction.  A custom set is thus stored
+like a family system whether its vectors came as ints or Fractions.
+
 Exact work on a rational point x runs on the integer lattice X = q x, q the
 common denominator of x, with each rational root written as alpha = A / c
-for an integer vector A (``Root.integer_support``): ``weight`` and
-``discriminant`` multiply integers and divide by their power of q once,
-``sample_generic_point`` tests its margin on X = 64 x in ints and builds
-Fractions only for the point it returns, and ``lattice_pair_products``
-feeds the lattice route of ``transform.lemma2_check``.
+for an integer vector A (``Root.integer_support``).  Sampling, lemma 1 and
+lemma 2 read it: ``sample_generic_point`` tests its margin on X = 64 x in
+ints and builds Fractions only for the point it returns,
+``suites._alternation_gap`` reflects on the lattice, and
+``lattice_pair_products`` feeds the lattice route of
+``transform.lemma2_check``.  ``weight`` and ``discriminant`` stay plain
+products of Fraction dots, the reference lemma 1's lattice gap is tested
+against.
 """
 
 from __future__ import annotations
@@ -296,16 +304,14 @@ class RootSystem:
 
     def with_multiplicity_scale(self, c: Scalar) -> "RootSystem":
         """Same geometry with every multiplicity scaled by c >= 0."""
-        if c < 0:
-            raise ValueError("multiplicity scale must be nonnegative")
+        _check_range("multiplicity scale", c, positive=False)
         new_roots = tuple(replace(r, multiplicity=r.multiplicity * c) for r in self.roots)
         new_mults = tuple(m * c for m in self.multiplicities)
         return replace(self, roots=new_roots, multiplicities=new_mults)
 
     def rescale_orbit(self, orbit: int, c: Scalar) -> "RootSystem":
         """Scale the vectors of one orbit by c > 0 (multiplicities kept)."""
-        if c <= 0:
-            raise ValueError("root scale must be positive")
+        _check_range("root scale", c, positive=True)
         new_roots = tuple(
             Root(
                 vector=tuple(c * v for v in r.vector),
@@ -333,6 +339,13 @@ class RootSystem:
             "roots": [[enc(c) for c in r.vector] for r in self.roots],
             "positive": list(self.positive),
         }
+
+
+def _check_range(name: str, value: Scalar, positive: bool) -> None:
+    """Refuse a scale or margin below its range, NaN or infinite."""
+    if not (value > 0 if positive else value >= 0) or value == math.inf:
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +380,10 @@ def natural_scale(family: str, rank: int) -> str:
 
 def _family_vectors(
     family: str, rank: int, exact: bool
-) -> tuple[list[tuple[Scalar, ...]], list[int], int]:
+) -> tuple[list[tuple[Scalar, ...]], list[int]]:
     """Root vectors (the integer representatives when ``exact``, else unit
-    floats), orbit labels in the order of build_root_system's
-    multiplicities, and the ambient dimension."""
+    floats) and orbit labels in the order of build_root_system's
+    multiplicities."""
     if family not in FAMILIES:
         raise UnsupportedFamilyError(f"unknown family {family!r}")
     if rank < FAMILIES[family]:
@@ -384,14 +397,14 @@ def _family_vectors(
             # into two orbits by the parity of ell, odd m is one orbit
             thetas = [math.pi * ell / rank for ell in range(2 * rank)]
             orbits = [ell % 2 if rank % 2 == 0 else 0 for ell in range(2 * rank)]
-            return [(math.cos(t), math.sin(t)) for t in thetas], orbits, 2
+            return [(math.cos(t), math.sin(t)) for t in thetas], orbits
         if rank != 4:
             raise ExactModeError(
                 "I2(m) has irrational reflection matrices in the plane for m != 4; "
                 "use normalized scale (or family A/B for the crystallographic cases)"
             )
         square = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
-        return square, [0, 1] * 4, 2
+        return square, [0, 1] * 4
     n = rank + 1 if family == "A" else rank
     e = [[int(i == j) for j in range(n)] for i in range(n)]
     if family == "A":
@@ -419,10 +432,25 @@ def _family_vectors(
     if not exact:
         norms = [math.sqrt(sq_norm(v)) for v in vecs]
         vecs = [tuple(c / nrm for c in v) for v, nrm in zip(vecs, norms)]
-    return vecs, orbits, n
+    return vecs, orbits
 
 
-_MULT_REBUILD = {"int": int, "float": float, "Fraction": Fraction}
+def _assemble(
+    vectors: Sequence[Vector], root_mults: Sequence[Scalar], orbits: Sequence[int],
+    family: str, rank: int, multiplicities: Sequence[Scalar], scale: str,
+) -> RootSystem:
+    """The one construction step of both builders: one Root per vector, with
+    its multiplicity and orbit, and the positive subsystem.  On the integer
+    scale every coordinate and every |alpha|^2 is stored as a Fraction (the
+    norm summed in ints for an int vector); the normalized scale is floats."""
+    cast = Fraction if scale == SCALE_INTEGER else float
+    roots = tuple(
+        Root(vector=tuple(map(cast, v)), sq_norm=cast(sq_norm(v)), multiplicity=m, orbit=orb)
+        for v, m, orb in zip(vectors, root_mults, orbits)
+    )
+    dimension = len(vectors[0])
+    positive = positive_indices(vectors, chamber_vector(dimension))
+    return RootSystem(dimension, roots, positive, family, rank, tuple(multiplicities), scale)
 
 
 def build_root_system(
@@ -440,62 +468,35 @@ def build_root_system(
     unit-norm) root vectors.
 
     Systems are immutable, so repeated builds with equal arguments return
-    one shared, already-validated instance.
+    one shared, already-validated instance.  Each multiplicity is keyed with
+    its type, as 1, 1.0 and Fraction(1) are equal but build different systems.
     """
-    key = tuple((type(m).__name__, str(m)) for m in multiplicities)
-    if all(t in _MULT_REBUILD for t, _ in key):
-        return _build_cached(family, rank, key, scale)
-    return _build_root_system(family, rank, list(multiplicities), scale)
+    return _build_cached(family, rank, tuple((type(m), m) for m in multiplicities), scale)
 
 
 @lru_cache(maxsize=128)
-def _build_cached(family, rank, key, scale):
-    mults = [_MULT_REBUILD[t](s) for t, s in key]
-    return _build_root_system(family, rank, mults, scale)
-
-
-def _build_root_system(
-    family: str, rank: int, multiplicities: Sequence[Scalar], scale: str
-) -> RootSystem:
+def _build_cached(family, rank, key, scale) -> RootSystem:
     if scale not in (SCALE_INTEGER, SCALE_NORMALIZED):
         raise UnsupportedFamilyError(f"unknown scale {scale!r}")
-    mults = list(multiplicities)
+    mults = [m for _, m in key]
     if any(m < 0 for m in mults):
         raise InvalidRootError("multiplicities must be nonnegative")
     exact = scale == SCALE_INTEGER
-    vecs, orbits, dimension = _family_vectors(family, rank, exact)
+    vecs, orbits = _family_vectors(family, rank, exact)
     n_orbits = max(orbits) + 1
     if len(mults) != n_orbits:
         raise InvalidRootError(
             f"family {family} rank {rank} has {n_orbits} orbit(s), "
             f"got {len(mults)} multiplicities"
         )
-    pos = positive_indices(vecs, chamber_vector(dimension))
+    # float multiplicities stay floats on the integer scale
     if exact:
-        # integer representatives become Fraction vectors with norms from
-        # int arithmetic; float multiplicities stay floats
-        norms = [Fraction(sq_norm(v)) for v in vecs]
-        vecs = [tuple(Fraction(c) for c in v) for v in vecs]
         mults = [m if isinstance(m, float) else Fraction(m) for m in mults]
     else:
-        norms = [sq_norm(v) for v in vecs]
         mults = [float(m) for m in mults]
-    roots = tuple(
-        Root(vector=v, sq_norm=nrm, multiplicity=mults[orb], orbit=orb)
-        for v, nrm, orb in zip(vecs, norms, orbits)
-    )
-    system = RootSystem(
-        dimension=dimension,
-        roots=roots,
-        positive=pos,
-        family=family,
-        rank=rank,
-        multiplicities=tuple(mults),
-        scale=scale,
-    )
-    closure = system.closure
-    if not closure:
-        raise InvalidRootError(f"built system failed closure: {closure.detail}")
+    system = _assemble(vecs, [mults[orb] for orb in orbits], orbits, family, rank, mults, scale)
+    if not system.closure:
+        raise InvalidRootError(f"built system failed closure: {system.closure.detail}")
     return system
 
 
@@ -507,34 +508,22 @@ def make_system_from_vectors(
 
     Intended for tests and counterexamples; run check_closure yourself.
     A single multiplicity is broadcast to every vector.  Float coordinates
-    raise ExactModeError: a custom table is computed in integers, and the
-    float families come from build_root_system.
+    raise ExactModeError: the float families come from build_root_system.
+    The roots are stored as a family system's are, in Fractions.
     """
     vecs = [tuple(v) for v in vectors]
     if not vecs:
         raise InvalidRootError("need at least one vector")
     if not all(isinstance(c, (int, Fraction)) for v in vecs for c in v):
         raise ExactModeError("custom root sets need int or Fraction coordinates")
-    dim = len(vecs[0])
     if isinstance(multiplicities, (int, float, Fraction)):
         ms: list[Scalar] = [multiplicities] * len(vecs)
     else:
         ms = list(multiplicities)
         if len(ms) != len(vecs):
             raise InvalidRootError("one multiplicity per vector required")
-    roots = tuple(
-        Root(vector=v, sq_norm=sq_norm(v), multiplicity=m, orbit=0)
-        for v, m in zip(vecs, ms)
-    )
-    pos = positive_indices(vecs, chamber_vector(dim))
-    return RootSystem(
-        dimension=dim,
-        roots=roots,
-        positive=pos,
-        family="custom",
-        rank=dim,
-        multiplicities=tuple(dict.fromkeys(ms)),
-        scale=SCALE_INTEGER,
+    return _assemble(
+        vecs, ms, [0] * len(vecs), "custom", len(vecs[0]), dict.fromkeys(ms), SCALE_INTEGER
     )
 
 
@@ -634,22 +623,26 @@ def check_closure(system: RootSystem) -> ClosureResult:
     """
     roots = system.roots
     table = system.reflection_table
+
+    def show(v: Vector) -> str:
+        return "(" + ", ".join(map(str, v)) + ")"
+
     for a, row in enumerate(table):
         if row[a] < 0:
-            return ClosureResult(False, f"missing negative of {roots[a].vector}")
+            return ClosureResult(False, f"missing negative of {show(roots[a].vector)}")
     pair = _non_reduced_pair(system)
     if pair is not None:
         a, b = pair
         return ClosureResult(
-            False, f"non-reduced pair {roots[a].vector} and {roots[b].vector}"
+            False, f"non-reduced pair {show(roots[a].vector)} and {show(roots[b].vector)}"
         )
     for a, row in enumerate(table):
         if -1 in row:
             b = roots[row.index(-1)].vector
-            image = reflect(roots[a], b)
             return ClosureResult(
                 False,
-                f"reflect({roots[a].vector}) maps {b} to {image}, not a root",
+                f"reflect({show(roots[a].vector)}) maps {show(b)} "
+                f"to {show(reflect(roots[a], b))}, not a root",
             )
     return ClosureResult(True, "closed and reduced")
 
@@ -711,19 +704,15 @@ def weight(system: RootSystem, x: Sequence[Scalar]) -> Scalar:
     """w_k(x), the product over all of R of |alpha . x|^k(alpha).
 
     Exact when coordinates are rational and every multiplicity is a
-    nonnegative integer; otherwise evaluated in floating point.  The exact
-    product runs in integers on the lattice point X = q x and is divided by
-    q^(sum of k) once at the end.
+    nonnegative integer; otherwise evaluated in floating point.
     """
     ks = system.integer_multiplicities
     if system.is_exact and ks is not None and _is_rational(x):
-        q, lattice = _lattice(x)
-        acc, deg = 1, 0
+        acc = Fraction(1)
         for r, k in zip(system.roots, ks):
             if k:
-                acc *= abs(r.dot(lattice)) ** k
-                deg += k
-        return Fraction(acc, q**deg)
+                acc *= abs(r.dot(x)) ** k
+        return acc
     acc_f = 1.0
     for r in system.roots:
         k = float(r.multiplicity)
@@ -735,15 +724,8 @@ def weight(system: RootSystem, x: Sequence[Scalar]) -> Scalar:
 def discriminant(system: RootSystem, x: Sequence[Scalar]) -> Scalar:
     """a_R(x) = product over the positive subsystem of (alpha . x).
 
-    Rational points on exact systems multiply in integers on the lattice
-    point X = q x and divide by q^|R+| once.
+    A Fraction on an exact system at a rational point.
     """
-    if system.is_exact and _is_rational(x):
-        q, lattice = _lattice(x)
-        acc = 1
-        for i in system.positive:
-            acc *= system.roots[i].dot(lattice)
-        return Fraction(acc, q ** len(system.positive))
     acc: Scalar = Fraction(1) if system.is_exact else 1.0
     for r in system.positive_roots():
         acc = acc * r.dot(x)
@@ -778,8 +760,7 @@ def sample_generic_point(
     (A . X)^2 m_d^2 >= (64 m_n)^2 |A|^2 in integers, and only the accepted
     draw becomes Fractions.
     """
-    if min_distance <= 0:
-        raise ValueError("min_distance must be positive")
+    _check_range("min_distance", min_distance, positive=True)
     rng = random.Random(seed)
     q = 64
     if system.is_exact:

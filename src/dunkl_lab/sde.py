@@ -436,7 +436,7 @@ class _LiveRoots:
 
 def _live_root_arrays(system: RootSystem) -> _LiveRoots:
     n = system.dimension
-    live = [system.roots[i] for i in system.positive if system.roots[i].multiplicity]
+    live = system.live_positive
     s = max((len(r.support) for r in live), default=1)
     idx = np.zeros((len(live), s), dtype=np.int64)
     coef = np.zeros((len(live), s))

@@ -151,12 +151,13 @@ def _alternation_gap(system: RootSystem, points) -> Fraction:
     the rational points x and the positive roots alpha, exactly; needs an
     exact system with integer multiplicities.
 
-    Runs on the lattice, as ``weight`` and ``discriminant`` do.  With x = X / q
-    and alpha = A / c, sigma x = Y / (q s) for s = |A|^2 and the integer point
+    Runs on the lattice; ``weight`` and ``discriminant`` are the plain
+    Fraction reference for it.  With x = X / q and alpha = A / c,
+    sigma x = Y / (q s) for s = |A|^2 and the integer point
     Y = s X - 2 (A . X) A.  Both gaps are then integers over powers of q s,
     and a Fraction is built only for a gap that is not 0.
     """
-    positive = [system.roots[i] for i in system.positive]
+    positive = system.positive_roots()
     weighted = [(r, k) for r, k in zip(system.roots, system.integer_multiplicities) if k]
     deg = sum(k for _, k in weighted)
     # a_R(X / q) and w_k(X / q) are disc(X) / (q^|R+| c_disc) and wt(X) / (q^deg c_wt)

@@ -39,7 +39,7 @@ independently in ``similarity_identities_check``, against complex-step
 differentiation of the literal exponential of ``w_value``.
 
 ``lemma2_check`` moves a rational point onto the integer lattice
-X = q x, as ``rootsys.weight`` does, and builds one Fraction per side.
+X = q x, as the exact sampler does, and builds one Fraction per side.
 
 The type-A specialization at omega = k (``corollary1_sides``) is written
 as a separate code path in particle coordinates, with all root sums
@@ -182,7 +182,7 @@ def lemma2_check(system: RootSystem, x: Sequence[Scalar]):
     The numerators do not depend on x and come from the system's cache.
 
     A rational point on a system with rational roots and multiplicities runs
-    on the lattice X = q x, as ``rootsys.weight`` and ``discriminant`` do:
+    on the lattice X = q x, as ``rootsys.sample_generic_point`` does:
     with alpha = A / c, 1 / (alpha . x) = q c / (A . X).  Over the lcm L of
     the A . X both double sums are integers S, and each side is the one
     Fraction q^2 S / (m L^2), with m from ``lattice_pair_products``.

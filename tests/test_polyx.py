@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from dunkl_lab.errors import DegreeCapError, ExactModeError
@@ -41,7 +41,8 @@ def _root(vec):
     return Root(vector=tuple(Fraction(c) for c in vec), sq_norm=sq, multiplicity=1, orbit=0)
 
 
-@settings(max_examples=150, deadline=None)
+@seed(1211)
+@settings(max_examples=150, deadline=None, database=None)
 @given(small_polys, small_polys, small_polys)
 def test_ring_axioms(p, q, r):
     assert p + q == q + p
@@ -54,28 +55,32 @@ def test_ring_axioms(p, q, r):
     assert p - p == MultiPoly.zero(NVARS)
 
 
-@settings(max_examples=100, deadline=None)
+@seed(1211)
+@settings(max_examples=100, deadline=None, database=None)
 @given(polys, polys)
 def test_derivative_is_linear(p, q):
     for v in range(NVARS):
         assert (p + q).partial_derivative(v) == p.partial_derivative(v) + q.partial_derivative(v)
 
 
-@settings(max_examples=100, deadline=None)
+@seed(1211)
+@settings(max_examples=100, deadline=None, database=None)
 @given(small_polys, small_polys)
 def test_leibniz_rule(p, q):
     for v in range(NVARS):
         assert (p * q).partial_derivative(v) == p.partial_derivative(v) * q + p * q.partial_derivative(v)
 
 
-@settings(max_examples=100, deadline=None)
+@seed(1211)
+@settings(max_examples=100, deadline=None, database=None)
 @given(small_polys, st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=4)] * NVARS))
 def test_eval_is_ring_homomorphism(p, x):
     q = p * p + p
     assert q.eval(x) == p.eval(x) * p.eval(x) + p.eval(x)
 
 
-@settings(max_examples=80, deadline=None)
+@seed(1211)
+@settings(max_examples=80, deadline=None, database=None)
 @given(polys)
 def test_parse_format_round_trip(p):
     assert parse_poly(format_poly(p), nvars=NVARS) == p
@@ -109,7 +114,8 @@ def test_degree_cap_guard():
         x**40
 
 
-@settings(max_examples=60, deadline=None)
+@seed(1211)
+@settings(max_examples=60, deadline=None, database=None)
 @given(polys)
 def test_divide_by_linear_round_trip(p):
     alpha = (Fraction(1), Fraction(-1), Fraction(0))
@@ -323,7 +329,8 @@ complex_points = st.tuples(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@seed(1211)
+@settings(max_examples=300, deadline=None, database=None)
 @given(polys, float_points, fraction_points, complex_points)
 def test_compiled_float_eval_matches_generic_loop(p, xf, xq, xc):
     for x in (xf, xq, xc):

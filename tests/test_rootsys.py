@@ -349,6 +349,66 @@ def test_build_cache_keeps_scalar_types_distinct():
     assert build_root_system("A", 2, (1,)) is exact
 
 
+def test_build_cache_takes_ints_too_long_for_a_string():
+    # the cache keys the multiplicity itself, which needs no decimal form
+    big = build_root_system("A", 2, [10**5000])
+    assert big.multiplicities == (Fraction(10**5000),)
+    assert build_root_system("A", 2, [10**5000]) is big
+
+
+@pytest.mark.parametrize("family,rank,mults", NORM_CASES)
+def test_custom_copy_of_family_vectors_is_stored_like_the_family(family, rank, mults):
+    system = build_root_system(family, rank, mults)
+    ints = [tuple(int(c) for c in r.vector) for r in system.roots]
+    assert all(type(c) is int for v in ints for c in v)
+    custom = make_system_from_vectors(ints)
+    for got, want in zip(custom.roots, system.roots, strict=True):
+        assert got.vector == want.vector and got.sq_norm == want.sq_norm
+        assert [type(c) for c in got.vector] == [type(c) for c in want.vector]
+        assert type(got.sq_norm) is type(want.sq_norm) is Fraction
+        assert got.support == want.support
+        assert got.integer_support == want.integer_support
+    assert custom.positive == system.positive
+    assert custom.reflection_table == system.reflection_table
+
+
+def test_reflect_on_an_int_custom_set_is_exact():
+    vecs = [(1, -1, 0), (-1, 1, 0), (0, 1, -1), (0, -1, 1), (1, 0, -1), (-1, 0, 1)]
+    ints = make_system_from_vectors(vecs)
+    fracs = make_system_from_vectors([tuple(map(Fraction, v)) for v in vecs])
+    for x in [(3, 1, 2), (Fraction(1, 3), 2, -5)]:
+        for a, b in zip(ints.roots, fracs.roots):
+            got, want = reflect(a, x), reflect(b, x)
+            assert got == want
+            assert [type(c) for c in got] == [type(c) for c in want]
+    assert reflect(ints.roots[0], (3, 1, 2)) == (1, 3, 2)
+    assert [type(c) for c in reflect(ints.roots[0], (3, 1, 2))] == [Fraction, Fraction, int]
+    # the closure detail prints the exact image, as the roots were given
+    broken = make_system_from_vectors(vecs[:4])
+    assert check_closure(broken).detail == (
+        "reflect((1, -1, 0)) maps (0, 1, -1) to (1, 0, -1), not a root"
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scales_and_margins_refuse_nan_and_infinity(bad):
+    exact = build_root_system("B", 2, (1, 2))
+    floats = build_root_system("B", 2, (1.0, 2.0), scale="normalized")
+    calls = [
+        ("min_distance", lambda: sample_generic_point(floats, 0, min_distance=bad)),
+        ("min_distance", lambda: sample_generic_point(exact, 0, min_distance=bad)),
+        ("multiplicity scale", lambda: exact.with_multiplicity_scale(bad)),
+        ("multiplicity scale", lambda: floats.with_multiplicity_scale(bad)),
+        ("root scale", lambda: exact.rescale_orbit(1, bad)),
+        ("root scale", lambda: floats.rescale_orbit(1, bad)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(name) and str(info.value).endswith(f"got {bad!r}")
+
+
 def test_weight_and_discriminant():
     a2 = build_root_system("A", 2, (2,))
     x = (Fraction(0), Fraction(1), Fraction(3))
