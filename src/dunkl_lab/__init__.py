@@ -93,13 +93,11 @@ from .suites import SUITES, SuiteResult, run_suites
 from .transform import (
     IdentityReport,
     TestFunction,
-    corollary1_residual,
     corollary1_sides,
     inverse_substitute,
     lemma2_check,
     similarity_identities_check,
     substitute,
-    theorem1_residual,
     theorem1_sides,
     triple_sum_check_a,
     unconfined_map_check,

@@ -402,7 +402,7 @@ def cmd_verify(opts: dict) -> int:
                     "tolerance": r.tolerance,
                     "max_residual": r.max_residual,
                     "notes": list(r.notes),
-                    "reports": [json.loads(rep.to_json()) for rep in r.reports],
+                    "reports": [rep.as_dict() for rep in r.reports],
                 }
                 for r in results
             ],

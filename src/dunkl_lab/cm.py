@@ -15,7 +15,8 @@ state Phi0 = exp(-W0), proportional to exp(-omega |x|^2 / 2) * sqrt(w_k).
 the gauge W(tau, x) = omega |x|^2/2 - sum_{R+} k log|alpha . x| + omega N tau,
 its x-gradient and its x-Laplacian; they take ``CMParams``, as every
 check of ``transform`` does, and W0 is W at tau = 0.  ``dunkl.live_dots``
-refuses the points where they would divide by zero or read NaN.
+refuses the points where they would divide by zero or read NaN.  Like
+``cm_apply``, the gradient and the Laplacian follow the point's arithmetic.
 
 On every root system the ground-state gauge conjugates H to the Dunkl
 heat-type operator (Delta_k = sum_i T_i^2, E = sum_j x_j d_j):
@@ -135,22 +136,26 @@ def w_gradient(params: CMParams, x):
 
 
 def _w_gradient(params: CMParams, x, dots):
+    floats = all(type(c) is float for c in x)
     g = [params.omega * z for z in x]
     for r, d in zip(params.system.live_positive, dots):
+        k = r.fmultiplicity if floats else r.multiplicity
         for i, a in r.support:
-            g[i] = g[i] - r.fmultiplicity * a / d
+            g[i] = g[i] - k * a / d
     return g
 
 
 def w_laplacian(params: CMParams, x):
     """Delta_x W = omega N + sum_{R+} k |alpha|^2 / (alpha . x)^2."""
-    return _w_laplacian(params, live_dots(params.system, x))
+    return _w_laplacian(params, x, live_dots(params.system, x))
 
 
-def _w_laplacian(params: CMParams, dots):
+def _w_laplacian(params: CMParams, x, dots):
+    floats = all(type(c) is float for c in x)
     acc = params.omega * params.system.dimension
     for r, d in zip(params.system.live_positive, dots):
-        acc = acc + r.fmultiplicity * r.fsq_norm / (d * d)
+        w = r.fmultiplicity * r.fsq_norm if floats else r.multiplicity * r.sq_norm
+        acc = acc + w / (d * d)
     return acc
 
 
@@ -165,7 +170,7 @@ class _GaugedJet:
 
     def __init__(self, params, x, value, u0, grad_u, lap_u, dots):
         g = _w_gradient(params, x, dots)
-        quad = sum(gi * gi for gi in g) - _w_laplacian(params, dots)
+        quad = sum(gi * gi for gi in g) - _w_laplacian(params, x, dots)
         self.value = value
         self.grad = [du - u0 * gi for du, gi in zip(grad_u, g)]
         self.lap = lap_u - 2 * sum(gi * du for gi, du in zip(g, grad_u)) + quad * u0
@@ -238,26 +243,27 @@ def pair_gauge(x: Sequence[float]) -> tuple[list[float], float]:
 class SideBySide:
     """Two evaluations of one identity and their difference."""
 
-    lhs: float
-    rhs: float
+    lhs: Scalar
+    rhs: Scalar
 
     @property
-    def residual(self) -> float:
+    def residual(self) -> Scalar:
         return self.lhs - self.rhs
 
     @property
-    def scale(self) -> float:
+    def scale(self) -> Scalar:
         return max(abs(self.lhs), abs(self.rhs), 1.0)
 
 
 def conjugation_sides(
-    params: CMParams, p: MultiPoly, points: Sequence[Sequence[float]]
+    params: CMParams, p: MultiPoly, points: Sequence[Sequence[Scalar]]
 ) -> list[SideBySide]:
     """Both sides of -e^{W0}(H - E0)e^{-W0} p = (1/2 Delta_k - omega E) p at each point.
 
     Left: E0 p(x) - ``cm_apply`` on p's gauged jet.  Right: the exact
     polynomial, built once per call; it needs an exact system with rational
-    multiplicities (else ExactModeError), and takes omega exactly.
+    multiplicities (else ExactModeError), and takes omega exactly.  At a
+    rational point both sides are Fractions.
     """
     n = params.system.dimension
     # the Dunkl Laplacian first: it refuses a p in the wrong variable count
@@ -267,16 +273,15 @@ def conjugation_sides(
         euler = euler + MultiPoly.variable(n, j) * p.partial_derivative(j)
     rhs = Fraction(1, 2) * lap_k - Fraction(params.omega) * euler
     fn = PolyFunction(p)
-    e0 = float(ground_energy(params))
+    e0 = ground_energy(params)
     sides = []
     for x in points:
-        xs = [float(c) for c in x]
-        u0 = fn.value(xs)
+        u0 = fn.value(x)
         jet = _GaugedJet(
-            params, xs, fn.value, u0, fn.gradient(xs), fn.laplacian(xs), live_dots(params.system, xs)
+            params, x, fn.value, u0, fn.gradient(x), fn.laplacian(x), live_dots(params.system, x)
         )
-        lhs = e0 * u0 - cm_apply(params, jet, xs)
-        sides.append(SideBySide(lhs=lhs, rhs=float(rhs.eval(xs))))
+        lhs = e0 * u0 - cm_apply(params, jet, x)
+        sides.append(SideBySide(lhs=lhs, rhs=rhs.eval(x)))
     return sides
 
 

@@ -34,9 +34,12 @@ alpha . zeta and each reflected point once, and evaluates the test
 polynomial once per distinct point, for both sides.  At omega = 0 the
 trap term drops out and it is the trap-free gauge map
 e^{W0} L (e^{-W0} f) = -H^{omega=0} f; ``unconfined_map_check`` is that
-call.  The closed forms ``w_gradient`` and ``w_laplacian`` are validated
-independently in ``similarity_identities_check``, against complex-step
-differentiation of the literal exponential of ``w_value``.
+call.  Both sides follow the point's arithmetic, as ``cm``'s gauge does:
+a rational zeta at an int tau = 0, with rational lam and omega on an exact
+system, gives two equal Fractions.  The closed forms ``w_gradient`` and
+``w_laplacian`` are validated independently in
+``similarity_identities_check``, against complex-step differentiation of
+the literal exponential of ``w_value``.
 
 ``lemma2_check`` moves a rational point onto the integer lattice
 X = q x, as the exact sampler does, and builds one Fraction per side.
@@ -124,7 +127,10 @@ class TestFunction:
         return PolyFunction(self.poly)
 
     def time_factor(self, tau):
-        """exp(lam * tau); complex tau takes the analytic branch."""
+        """exp(lam * tau), the exact 1 at an int or Fraction tau = 0 (a float
+        0.0 gives 1.0); complex tau takes the analytic branch."""
+        if isinstance(tau, (int, Fraction)) and tau == 0:
+            return 1
         return cmath.exp(self.lam * tau) if isinstance(tau, complex) else math.exp(self.lam * tau)
 
     def value(self, tau, zeta):
@@ -293,7 +299,7 @@ def similarity_identities_check(
 
 
 def theorem1_sides(
-    params: CMParams, fn: TestFunction, tau: float, zeta: Sequence[float]
+    params: CMParams, fn: TestFunction, tau: Scalar, zeta: Sequence[Scalar]
 ) -> SideBySide:
     """Both sides of the scaling identity at one point, gauge factored out.
 
@@ -311,37 +317,30 @@ def theorem1_sides(
     trap-free map of ``unconfined_map_check``.  A point of the wrong length
     raises DimensionError from the wall guard or the polynomial.
     """
-    zs = [float(z) for z in zeta]
     live = params.system.live_positive
-    dots = DunklContext(params.system).guard_point(zs)
-    p0 = fn.poly.eval(zs)
-    p_refs = [fn.poly.eval(_reflect(r, zs, d)) for r, d in zip(live, dots)]
-    lap_p = fn.spatial.laplacian(zs)
+    dots = DunklContext(params.system).guard_point(zeta)
+    p0 = fn.poly.eval(zeta)
+    p_refs = [fn.poly.eval(_reflect(r, zeta, d)) for r, d in zip(live, dots)]
+    lap_p = fn.spatial.laplacian(zeta)
     e = fn.time_factor(tau)
     u0 = e * p0
-    grad_u = [e * g for g in fn.spatial.gradient(zs)]
+    grad_u = [e * g for g in fn.spatial.gradient(zeta)]
     lap_u = e * lap_p
     du_tau = fn.lam * u0
 
     hat_tau = du_tau - w_tau(params) * u0
-    jet = _GaugedJet(params, zs, None, u0, grad_u, lap_u, dots)
+    jet = _GaugedJet(params, zeta, None, u0, grad_u, lap_u, dots)
     lhs = _generator_core(
-        params.system, zs, dots, jet.lap, jet.grad, u0, [e * p for p in p_refs],
+        params.system, zeta, dots, jet.lap, jet.grad, u0, [e * p for p in p_refs],
         drift=-1, jump_sign=1, jump_den=2,
     )
     if params.omega:
-        lhs = lhs + params.omega * sum(z * hg for z, hg in zip(zs, jet.grad))
+        lhs = lhs + params.omega * sum(z * hg for z, hg in zip(zeta, jet.grad))
     lhs = lhs - hat_tau
 
-    h_u = float(_cm_core(params, zs, dots, p0, lap_p, p_refs)) * e
-    e0 = float(ground_energy(params))
-    rhs = -(du_tau + h_u - e0 * u0)
+    h_u = _cm_core(params, zeta, dots, p0, lap_p, p_refs) * e
+    rhs = -(du_tau + h_u - ground_energy(params) * u0)
     return SideBySide(lhs=lhs, rhs=rhs)
-
-
-def theorem1_residual(params, fn, tau, zeta) -> float:
-    s = theorem1_sides(params, fn, tau, zeta)
-    return abs(s.residual) / s.scale
 
 
 def corollary1_sides(
@@ -400,11 +399,6 @@ def corollary1_sides(
     return SideBySide(lhs=lhs, rhs=rhs)
 
 
-def corollary1_residual(n_particles, k, fn, tau, zeta) -> float:
-    s = corollary1_sides(n_particles, k, fn, tau, zeta)
-    return abs(s.residual) / s.scale
-
-
 def unconfined_map_check(system: RootSystem, fn: TestFunction, x: Sequence[float]) -> SideBySide:
     """Gauge map between the forward generator and the trap-free Hamiltonian.
 
@@ -439,8 +433,8 @@ class IdentityReport:
     worst_point: tuple | None = None
     notes: tuple[str, ...] = ()
 
-    def to_json(self) -> str:
-        payload = {
+    def as_dict(self) -> dict:
+        return {
             "identity": self.identity,
             "family": self.family,
             "params": self.params,
@@ -450,15 +444,17 @@ class IdentityReport:
             "worst_point": list(self.worst_point) if self.worst_point else None,
             "notes": list(self.notes),
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def report_from_samples(identity, family, params, samples) -> IdentityReport:
     """Fold (point, SideBySide) pairs into an IdentityReport.
 
-    A NaN residual is kept (every comparison with NaN is false, so the
-    plain folds would skip it), and the last NaN sample's point is the
-    worst point.
+    Residuals fold as floats, so a report of exact sides serializes.  A
+    NaN residual is kept (every comparison with NaN is false, so the plain
+    folds would skip it), and the last NaN sample's point is the worst point.
     """
     max_abs = 0.0
     max_rel = 0.0
@@ -466,7 +462,7 @@ def report_from_samples(identity, family, params, samples) -> IdentityReport:
     count = 0
     for point, side in samples:
         count += 1
-        a = abs(side.residual)
+        a = float(abs(side.residual))
         r = a / side.scale
         if a > max_abs or math.isnan(a):
             max_abs = a

@@ -25,6 +25,8 @@ from dunkl_lab.cm import (
     pair_gauge,
     pf_matrix,
     transformed_hamiltonian_check,
+    w_gradient,
+    w_laplacian,
 )
 from dunkl_lab.dunkl import PolyFunction
 from dunkl_lab.errors import DimensionError, ExactModeError, HyperplaneError
@@ -126,10 +128,11 @@ def test_transformed_hamiltonian_n3():
 ])
 def test_conjugation_sides_beyond_type_a(family, rank, mults):
     # -e^{W0}(H - E0)e^{-W0} p = (1/2 Delta_k - omega E) p on every monomial
-    # of degree <= 3, at omega off and on the type-A choice omega = k
+    # of degree <= 3, at omega off and on the type-A choice omega = k; the
+    # sides follow the point, so at a rational point they are equal Fractions
     system = build_root_system(family, rank, mults)
-    points = [tuple(float(c) for c in sample_generic_point(system, seed=s, min_distance=0.1))
-              for s in range(3)]
+    exact = [sample_generic_point(system, seed=s, min_distance=0.1) for s in range(3)]
+    points = [tuple(float(c) for c in x) for x in exact]
     for omega in (Fraction(1, 2), Fraction(2)):
         params = CMParams(system, omega=omega)
         for exps in itertools.product(range(4), repeat=system.dimension):
@@ -137,6 +140,30 @@ def test_conjugation_sides_beyond_type_a(family, rank, mults):
                 mono = MultiPoly(system.dimension, {exps: Fraction(1)})
                 for pair in conjugation_sides(params, mono, points):
                     assert abs(pair.residual) <= 1e-10 * pair.scale, (omega, exps)
+                for pair in conjugation_sides(params, mono, exact):
+                    assert type(pair.residual) is Fraction and pair.residual == 0, (omega, exps)
+
+
+@pytest.mark.parametrize("family,rank,mults", [
+    ("A", 2, (Fraction(3, 2),)),
+    ("B", 2, (1, Fraction(1, 2))),
+])
+def test_gauge_closed_forms_follow_a_rational_point(family, rank, mults):
+    # grad W = omega x - sum k alpha / (alpha . x) and
+    # Delta W = omega N + sum k |alpha|^2 / (alpha . x)^2, term by term in Fractions
+    system = build_root_system(family, rank, mults)
+    params = CMParams(system, omega=Fraction(2, 3))
+    x = sample_generic_point(system, seed=0)
+    grad = [params.omega * c for c in x]
+    lap = params.omega * system.dimension
+    for r in system.live_positive:
+        d = sum(a * c for a, c in zip(r.vector, x))
+        grad = [g - r.multiplicity * a / d for g, a in zip(grad, r.vector)]
+        lap += r.multiplicity * sum(a * a for a in r.vector) / (d * d)
+    got = w_gradient(params, x)
+    assert all(type(g) is Fraction for g in got) and got == grad
+    got = w_laplacian(params, x)
+    assert type(got) is Fraction and got == lap
 
 
 @pytest.mark.parametrize("system", [

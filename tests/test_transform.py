@@ -1,5 +1,6 @@
 """Diffusion scaling map, gauge identities, and the main side-by-side checks."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -24,14 +25,12 @@ from dunkl_lab.rootsys import build_root_system, make_system_from_vectors, sampl
 from dunkl_lab.suites import _DOUBLE_SUM_FAMILIES
 from dunkl_lab.transform import (
     TestFunction,
-    corollary1_residual,
     corollary1_sides,
     inverse_substitute,
     lemma2_check,
     report_from_samples,
     similarity_identities_check,
     substitute,
-    theorem1_residual,
     theorem1_sides,
     triple_sum_check_a,
     unconfined_map_check,
@@ -222,8 +221,36 @@ def test_theorem1_identity(family, rank, mults, omega):
     worst = 0.0
     for seed in range(6):
         zeta = tuple(float(c) for c in sample_generic_point(system, seed=seed, min_distance=0.15))
-        worst = max(worst, theorem1_residual(params, fn, 0.21, zeta))
+        side = theorem1_sides(params, fn, 0.21, zeta)
+        worst = max(worst, abs(side.residual) / side.scale)
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize(
+    "family,rank,mults",
+    [
+        ("A", 2, (1,)),
+        ("A", 3, (Fraction(1, 2),)),
+        ("B", 2, (1, Fraction(1, 2))),
+        ("B", 3, (2, 1)),
+        ("D", 4, (Fraction(3, 2),)),
+        ("I2", 4, (1, 3)),
+    ],
+)
+def test_theorem1_identity_is_exact_at_a_rational_point(family, rank, mults):
+    # at tau = 0 both sides are rational in zeta, lam, k and omega: the
+    # gauge layer follows the point, so they are equal Fractions
+    system = build_root_system(family, rank, mults)
+    n = system.dimension
+    zeta = sample_generic_point(system, seed=0)
+    for omega in (0, Fraction(1, 2), 3):
+        params = CMParams(system, omega=omega)
+        for exps in itertools.product(range(4), repeat=n):
+            if sum(exps) <= 3:
+                fn = TestFunction(Fraction(1, 3), MultiPoly(n, {exps: Fraction(1)}))
+                side = theorem1_sides(params, fn, 0, zeta)
+                assert type(side.lhs) is type(side.rhs) is Fraction, (omega, exps)
+                assert side.lhs == side.rhs, (omega, exps)
 
 
 def _two_call_theorem1(params, fn, tau, zeta):
@@ -297,7 +324,7 @@ def test_corollary1_matches_general_path():
             b = theorem1_sides(params, fn, 0.33, zeta)
             assert a.lhs == pytest.approx(b.lhs, rel=1e-12, abs=1e-12)
             assert a.rhs == pytest.approx(b.rhs, rel=1e-12, abs=1e-12)
-            assert corollary1_residual(n, k, fn, 0.33, zeta) < 1e-9
+            assert abs(a.residual) < 1e-9 * a.scale
 
 
 def test_corollary1_rejects_mismatched_sizes():
@@ -379,6 +406,7 @@ def test_identity_report_merge_and_json():
     assert report.max_abs_residual == pytest.approx(3e-11)
     assert report.worst_point == (1.0,)
     data = json.loads(report.to_json())
+    assert data == report.as_dict()
     assert data["identity"] == "theorem1"
     assert data["points"] == 2
     # serialization is canonical: repeated calls are byte-identical
@@ -394,3 +422,13 @@ def test_identity_report_keeps_a_nan_residual():
     assert not math.isfinite(report.max_rel_residual)
     assert not math.isfinite(report.max_abs_residual)
     assert report.worst_point == (1.0,)
+
+
+def test_identity_report_of_exact_sides_is_written_as_floats():
+    # lemma 2 gives Fraction sides at a rational point; the report folds
+    # their residuals as floats, so it serializes
+    system = build_root_system("B", 2, (1, 2))
+    samples = [(x, lemma2_check(system, x)) for x in (sample_generic_point(system, seed=s) for s in range(3))]
+    report = report_from_samples("lemma2", "B2", {}, samples)
+    assert type(report.max_abs_residual) is type(report.max_rel_residual) is float
+    assert json.loads(report.to_json())["max_rel_residual"] == 0.0
